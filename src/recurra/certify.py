@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 
 from .exact import NEG_INF, Polynomial, integer_roots, n
-from .operators import ShiftOperator, builtin_operator
+from .operators import COEFFS, INTEGER, INTEGERS, ShiftOperator, builtin_operator, json_object
 
 
 class DegenerateRatioError(ValueError):
@@ -66,7 +66,9 @@ class HyperTermSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "HyperTermSpec":
-        doc = json.loads(text)
+        doc = json_object(
+            text, "term", step=INTEGER, p=COEFFS, q=COEFFS, support=INTEGERS, n_min=INTEGER
+        )
         return cls(
             step=doc["step"],
             p=Polynomial.from_strings(doc["p"]),

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -212,15 +213,15 @@ def _load_operator(spec: str) -> ops.ShiftOperator:
     return ops.ShiftOperator.from_json(Path(spec).read_text())
 
 
-def _load_sequence(spec: str):
+def _load_sequence(spec: str) -> seqs.SequenceSource:
     names = seqs.builtin_sequence_names()
     if spec in names:
         return seqs.builtin_sequence(spec)
     path = Path(spec)
     if path.exists():
-        return oeis.parse_bfile(path.read_text(), source=str(path)).to_sequence_source()
+        return oeis.parse_bfile(path.read_text(), source=str(path))
     raise ValueError(
-        f"{spec!r} is neither a builtin sequence ({', '.join(names)}) nor a file"
+        f"unknown sequence {spec!r}: neither a builtin ({', '.join(names)}) nor a file"
     )
 
 
@@ -230,7 +231,25 @@ def _load_term(spec: str) -> certify_mod.HyperTermSpec:
     return certify_mod.HyperTermSpec.from_json(Path(spec).read_text())
 
 
-def dispatch(argv: list[str]) -> int:
+@contextmanager
+def _any_size_ints():
+    """Lift CPython's int-to-str digit cap while printing integers recurra computed.
+
+    Parsing untrusted input (b-files) keeps the cap; only output is exempt.
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:  # interpreters before 3.10.7 have no cap
+        yield
+        return
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def main(argv: list[str]) -> int:
     """Route parsed arguments to a subcommand; returns the process exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -238,19 +257,22 @@ def dispatch(argv: list[str]) -> int:
 
     try:
         if args.command == "gen":
-            s = seqs.builtin_sequence(args.sequence)
-            for i in range(args.n_from, args.n_to + 1):
-                print(s.term(i), file=out)
+            s = _load_sequence(args.sequence)
+            with _any_size_ints():
+                for i in range(args.n_from, args.n_to + 1):
+                    print(s.term(i), file=out)
             return EXIT_PASS
 
         if args.command == "verify":
             op = _load_operator(args.operator)
             s = _load_sequence(args.sequence)
             rep = ops.verify_range(op, s, args.n_from, args.n_to)
+            with _any_size_ints():
+                detail = rep.detail()
             if args.format == "machine":
-                print(f"verify\t{'PASS' if rep.passed else 'FAIL'}\t{rep.detail()}", file=out)
+                print(f"verify\t{'PASS' if rep.passed else 'FAIL'}\t{detail}", file=out)
             else:
-                print("PASS" if rep.passed else f"FAIL: {rep.detail()}", file=out)
+                print("PASS" if rep.passed else f"FAIL: {detail}", file=out)
             return EXIT_PASS if rep.passed else EXIT_FAIL
 
         if args.command == "certify":
@@ -271,16 +293,14 @@ def dispatch(argv: list[str]) -> int:
 
         if args.command == "guess":
             s = _load_sequence(args.sequence)
+            count = args.terms or guess_mod.required_terms(args.order, args.degree)
+            terms = s.terms(s.min_index, s.min_index + count - 1)
             if args.minimal:
-                count = args.terms or guess_mod.required_terms(args.order, args.degree)
-                terms = s.terms(s.min_index, s.min_index + count - 1)
                 op = guess_mod.minimal_guess(
                     terms, args.order, args.degree, offset=s.min_index
                 )
                 out.write(op.to_json())
                 return EXIT_PASS
-            count = args.terms or guess_mod.required_terms(args.order, args.degree)
-            terms = s.terms(s.min_index, s.min_index + count - 1)
             problem = guess_mod.GuessProblem(
                 terms=terms, order=args.order, degree=args.degree, offset=s.min_index
             )
@@ -327,7 +347,7 @@ def dispatch(argv: list[str]) -> int:
 def _dispatch_bfile(args, out) -> int:
     if args.bfile_command == "parse":
         b = oeis.parse_bfile(Path(args.path).read_text(), source=args.path)
-        print(f"{len(b.values)} terms, indices {b.offset}..{b.last_index}", file=out)
+        print(f"{len(b.values)} terms, indices {b.min_index}..{b.max_index}", file=out)
         return EXIT_PASS
     if args.bfile_command == "fetch":
         b = oeis.fetch_bfile(
@@ -337,13 +357,13 @@ def _dispatch_bfile(args, out) -> int:
             refresh=args.refresh,
         )
         print(
-            f"{b.sequence_id}: {len(b.values)} terms, "
-            f"indices {b.offset}..{b.last_index} ({b.source})",
+            f"{b.name}: {len(b.values)} terms, "
+            f"indices {b.min_index}..{b.max_index} ({b.source})",
             file=out,
         )
         return EXIT_PASS
     if args.bfile_command == "compare":
-        s = seqs.builtin_sequence(args.sequence)
+        s = _load_sequence(args.sequence)
         b = oeis.parse_bfile(Path(args.bfile).read_text(), source=args.bfile)
         rep = oeis.compare_sequence(s, b, args.n_from, args.n_to)
         if args.format == "machine":
@@ -356,10 +376,6 @@ def _dispatch_bfile(args, out) -> int:
 
 def entrypoint() -> None:
     sys.exit(main(sys.argv[1:]))
-
-
-def main(argv: list[str]) -> int:
-    return dispatch(argv)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """Exact rational arithmetic, dense univariate polynomials, truncated power series.
 
-Rationals are ``fractions.Fraction`` (always stored reduced, positive
+All rationals are ``fractions.Fraction`` (always stored reduced, positive
 denominator). Polynomials are dense coefficient tuples over Fraction in the
 formal variable ``n``; everything here is an immutable value and every
 operation is a pure function, so sharing across threads is safe.
@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
-
-Rational = Fraction
 
 #: Degree of the zero polynomial. A tagged sentinel rather than -1 so that
 #: degree comparisons and sums stay honest (NEG_INF + d == NEG_INF).
@@ -188,7 +186,10 @@ class Polynomial:
 
     @classmethod
     def from_strings(cls, items: Sequence[str]) -> "Polynomial":
-        return cls([Fraction(s) for s in items])
+        try:
+            return cls([Fraction(s) for s in items])
+        except ZeroDivisionError:  # "1/0" in a file is bad input, not a bug
+            raise ValueError(f"zero denominator among coefficients {list(items)}") from None
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -226,21 +227,6 @@ n = Polynomial([0, 1])
 
 ZERO = Polynomial()
 ONE = Polynomial([1])
-
-
-def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Exact product; deg(a*b) = deg(a) + deg(b) for nonzero inputs."""
-    return a * b
-
-
-def poly_eval(p: Polynomial, x: _Scalar) -> Fraction:
-    """Exact Horner evaluation at a rational point."""
-    return p(x)
-
-
-def poly_normalize(p: Polynomial) -> Polynomial:
-    """Canonical integer form: content 1, positive leading coefficient."""
-    return p.normalized()
 
 
 def falling_factorial(j: int) -> Polynomial:

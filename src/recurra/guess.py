@@ -14,7 +14,7 @@ from typing import Sequence
 from .exact import Polynomial
 from .linalg import nullspace
 from .operators import ShiftOperator
-from .sequences import BFileBackedSequence
+from .sequences import BFileSequence
 
 #: Extra equations demanded beyond the unknown count before a fit is trusted.
 MARGIN = 10
@@ -100,7 +100,7 @@ def guess_recurrence(problem: GuessProblem) -> GuessResult:
             dropped += 1
 
     basis = nullspace(rows, ncols=(r + 1) * (d + 1))
-    seq = BFileBackedSequence("guess-input", lo, list(terms))
+    seq = BFileSequence("guess-input", lo, terms)
     candidates = []
     for vec in basis:
         polys = [Polynomial(vec[j * (d + 1) : (j + 1) * (d + 1)]) for j in range(r + 1)]

@@ -11,14 +11,13 @@ from __future__ import annotations
 import os
 import re
 import tempfile
-import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .sequences import BFileBackedSequence, SequenceSource, TermRangeError
+from .sequences import BFileSequence, SequenceSource
 
 CACHE_ENV_VAR = "RECURRA_CACHE"
 _ID_RE = re.compile(r"\AA\d{6}\Z")
@@ -52,42 +51,6 @@ class CoverageError(ValueError):
     """A comparison range is not covered by both sources."""
 
 
-@dataclass(frozen=True)
-class BFileSequence:
-    """Parsed b-file: a contiguous run of exact integer terms."""
-
-    sequence_id: str
-    offset: int
-    values: tuple[int, ...]
-    source: str = field(default="", compare=False)
-    fetched_at: float | None = field(default=None, compare=False)
-
-    @property
-    def last_index(self) -> int:
-        return self.offset + len(self.values) - 1
-
-    @property
-    def entries(self) -> tuple[tuple[int, int], ...]:
-        return tuple((self.offset + i, v) for i, v in enumerate(self.values))
-
-    def term(self, n: int) -> int:
-        if not self.offset <= n <= self.last_index:
-            raise TermRangeError(
-                f"{self.sequence_id or 'b-file'} covers {self.offset}..{self.last_index}, "
-                f"requested {n}"
-            )
-        return self.values[n - self.offset]
-
-    def to_text(self) -> str:
-        return "".join(
-            f"{self.offset + i} {v}\n" for i, v in enumerate(self.values)
-        )
-
-    def to_sequence_source(self) -> SequenceSource:
-        name = self.sequence_id or "b-file"
-        return BFileBackedSequence(name, self.offset, list(self.values))
-
-
 def parse_bfile(text: str, sequence_id: str = "", source: str = "") -> BFileSequence:
     """Parse b-file text; comments and blank lines are skipped."""
     entries: list[tuple[int, int]] = []
@@ -111,10 +74,7 @@ def parse_bfile(text: str, sequence_id: str = "", source: str = "") -> BFileSequ
                 f"indices must increase by 1; gap between {i1} and {i2}"
             )
     return BFileSequence(
-        sequence_id=sequence_id,
-        offset=entries[0][0],
-        values=tuple(v for _, v in entries),
-        source=source,
+        sequence_id or "b-file", entries[0][0], [v for _, v in entries], source
     )
 
 
@@ -179,16 +139,7 @@ def fetch_bfile(
         if os.path.exists(tmp_name):
             os.unlink(tmp_name)
         raise
-    parsed = parse_bfile(
-        raw.decode("utf-8"), sequence_id=sequence_id, source=url
-    )
-    return BFileSequence(
-        sequence_id=parsed.sequence_id,
-        offset=parsed.offset,
-        values=parsed.values,
-        source=url,
-        fetched_at=time.time(),
-    )
+    return parse_bfile(raw.decode("utf-8"), sequence_id=sequence_id, source=url)
 
 
 @dataclass(frozen=True)
@@ -216,15 +167,12 @@ def compare_sequence(
     """Compare s against b term by term on an index range."""
     if n_from > n_to:
         return CompareReport(n_from, n_to, passed=True, empty=True)
-    if n_from < b.offset or n_to > b.last_index:
-        raise CoverageError(
-            f"b-file covers {b.offset}..{b.last_index}, requested {n_from}..{n_to}"
-        )
-    if n_from < s.min_index or (s.max_index is not None and n_to > s.max_index):
-        hi = s.max_index if s.max_index is not None else "inf"
-        raise CoverageError(
-            f"{s.name} covers {s.min_index}..{hi}, requested {n_from}..{n_to}"
-        )
+    for src in (b, s):
+        if n_from < src.min_index or (src.max_index is not None and n_to > src.max_index):
+            hi = src.max_index if src.max_index is not None else "inf"
+            raise CoverageError(
+                f"{src.name} covers {src.min_index}..{hi}, requested {n_from}..{n_to}"
+            )
     for i in range(n_from, n_to + 1):
         sv, bv = s.term(i), b.term(i)
         if sv != bv:

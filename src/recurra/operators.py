@@ -31,7 +31,7 @@ class LclmCapError(RuntimeError):
 class ShiftOperator:
     """Backward recurrence operator sum_{j=0..r} c_j(n) * a(n-j)."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_rows")
 
     def __init__(self, coeffs: Iterable[Polynomial]):
         polys = [p if isinstance(p, Polynomial) else Polynomial([p]) for p in coeffs]
@@ -39,7 +39,10 @@ class ShiftOperator:
             raise ValueError("an operator needs at least the order-0 coefficient")
         if polys[0].is_zero or polys[-1].is_zero:
             raise ValueError("c_0 and the top coefficient must be nonzero")
-        object.__setattr__(self, "coeffs", tuple(_joint_normalize(polys)))
+        normalized = tuple(_joint_normalize(polys))
+        object.__setattr__(self, "coeffs", normalized)
+        # Integer coefficient rows for apply's Horner loop, built once.
+        object.__setattr__(self, "_rows", tuple(p.integer_coeffs() for p in normalized))
 
     def __setattr__(self, name, value):
         raise AttributeError("ShiftOperator is immutable")
@@ -69,22 +72,13 @@ class ShiftOperator:
         if at < self.order:
             raise ValueError(f"need at >= order={self.order}, got {at}")
         total = 0
-        for j, rows in enumerate(self._int_rows()):
+        for j, row in enumerate(self._rows):
             acc = 0
-            for c in reversed(rows):
+            for c in reversed(row):
                 acc = acc * at + c
             if acc:
                 total += acc * s.term(at - j)
         return total
-
-    _int_rows_cache: dict = {}
-
-    def _int_rows(self) -> tuple[tuple[int, ...], ...]:
-        rows = ShiftOperator._int_rows_cache.get(self.coeffs)
-        if rows is None:
-            rows = tuple(p.integer_coeffs() for p in self.coeffs)
-            ShiftOperator._int_rows_cache[self.coeffs] = rows
-        return rows
 
     # -- file format ---------------------------------------------------------
 
@@ -105,7 +99,7 @@ class ShiftOperator:
         converted on the way in: substituting n -> n - order reverses the
         coefficient list and shifts every polynomial by -order.
         """
-        doc = json.loads(text)
+        doc = json_object(text, "operator", order=INTEGER, coeffs=COEFF_ROWS)
         convention = doc.get("convention")
         if convention not in ("backward", "forward"):
             raise ValueError(
@@ -118,6 +112,42 @@ class ShiftOperator:
             order = doc["order"]
             coeffs = [p.shifted(-order) for p in reversed(coeffs)]
         return cls(coeffs)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_coeff(v) -> bool:
+    return isinstance(v, str) or _is_int(v)
+
+
+def _list_of(ok):
+    return lambda v: isinstance(v, list) and all(map(ok, v))
+
+
+#: Field checks for ``json_object``: a predicate and what it expects.
+INTEGER = (_is_int, "an integer")
+INTEGERS = (_list_of(_is_int), "a list of integers")
+COEFFS = (_list_of(_is_coeff), "a list of decimal-string or integer coefficients")
+COEFF_ROWS = (_list_of(_list_of(_is_coeff)), "a list of coefficient lists")
+
+
+def json_object(text: str, what: str, **fields) -> dict:
+    """Parse a JSON object and check each required field against its check.
+
+    A missing or mistyped field raises ValueError naming it, so a malformed
+    file fails like any other bad input instead of with a traceback.
+    """
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} file must hold a JSON object, got {type(doc).__name__}")
+    for key, (ok, expected) in fields.items():
+        if key not in doc:
+            raise ValueError(f"{what} file has no {key!r} field")
+        if not ok(doc[key]):
+            raise ValueError(f"{what} field {key!r} must be {expected}")
+    return doc
 
 
 def _joint_normalize(polys: list[Polynomial]) -> list[Polynomial]:
@@ -173,11 +203,6 @@ def _v_op() -> ShiftOperator:
 _builtin_factories = {"mathar": _mathar, "u-op": _u_op, "v-op": _v_op}
 
 
-def apply_at(op: ShiftOperator, s: SequenceSource, at: int) -> int:
-    """Apply the operator to a sequence at one index; exact integer result."""
-    return op.apply(s, at)
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of checking that an operator annihilates a range of terms."""
@@ -216,15 +241,20 @@ def verify_range(
 
 def operator_mul(a: ShiftOperator, b: ShiftOperator) -> ShiftOperator:
     """Composition "a after b"; order adds, coefficients pick up index shifts."""
-    out = [Polynomial() for _ in range(a.order + b.order + 1)]
-    for i, ai in enumerate(a.coeffs):
+    return ShiftOperator(_compose(a.coeffs, b))
+
+
+def _compose(a: Sequence[Polynomial], b: ShiftOperator) -> list[Polynomial]:
+    """Coefficients of the composition of b with the coefficient list a."""
+    out = [Polynomial()] * (len(a) + b.order)
+    for i, ai in enumerate(a):
         if ai.is_zero:
             continue
         for j, bj in enumerate(b.coeffs):
             if bj.is_zero:
                 continue
             out[i + j] = out[i + j] + ai * bj.shifted(-i)
-    return ShiftOperator(out)
+    return out
 
 
 def lclm_with_cofactors(
@@ -261,16 +291,6 @@ def lclm(
 ) -> ShiftOperator:
     """Least common left multiple of two operators (see lclm_with_cofactors)."""
     return lclm_with_cofactors(a, b, order_cap, degree_cap)[0]
-
-
-def _cofactor_expansion(
-    cof_coeffs: Sequence[Polynomial], base: ShiftOperator, order: int
-) -> list[Polynomial]:
-    out = [Polynomial() for _ in range(order + 1)]
-    for i, pi in enumerate(cof_coeffs):
-        for j, cj in enumerate(base.coeffs):
-            out[i + j] = out[i + j] + pi * cj.shifted(-i)
-    return out
 
 
 def _lclm_at(a, b, order, degree):
@@ -317,7 +337,7 @@ def _lclm_at(a, b, order, degree):
             Polynomial(vec[offset + i * (degree + 1) : offset + (i + 1) * (degree + 1)])
             for i in range(nb)
         ]
-        product = _cofactor_expansion(p_cof, a, order)
+        product = _compose(p_cof, a)
         if product[0].is_zero or product[order].is_zero:
             continue
         if p_cof[-1].is_zero or q_cof[-1].is_zero:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable
 
 from .exact import TruncatedSeries, series_inv_sqrt
 
@@ -142,18 +143,23 @@ class ReversibleStrings(SequenceSource):
             c.append((2 ** m + 2 ** ((m + 1) // 2)) // 2)
 
 
-class BFileBackedSequence(SequenceSource):
-    """Sequence backed by a fixed window of terms (e.g. a parsed b-file)."""
+class BFileSequence(SequenceSource):
+    """A fixed window of terms, e.g. a parsed b-file; ``min_index`` is its offset.
 
-    def __init__(self, name: str, offset: int, values: list[int] | tuple[int, ...]):
-        super().__init__()
+    ``values`` doubles as the term cache, so reads go through the inherited
+    range-checked ``term``; ``source`` records where the terms came from.
+    """
+
+    def __init__(self, name: str, offset: int, values: Iterable[int], source: str = ""):
+        self.values = self._cache = tuple(values)
         self.name = name
         self.min_index = offset
-        self.max_index = offset + len(values) - 1
-        self._cache.extend(values)
+        self.max_index = offset + len(self.values) - 1
+        self.source = source
 
-    def _extend(self, upto: int) -> None:  # pragma: no cover - bounds reject first
-        raise TermRangeError(f"{self.name} has no term at cache index {upto}")
+    def to_text(self) -> str:
+        """The window in b-file format, one ``index value`` line per term."""
+        return "".join(f"{self.min_index + i} {v}\n" for i, v in enumerate(self.values))
 
 
 class OrbitOracleSequence(SequenceSource):
@@ -172,26 +178,6 @@ class OrbitOracleSequence(SequenceSource):
         while len(c) <= upto:
             m = len(c)
             c.append(orbit_count_oracle(2 * m, m))
-
-
-def u_term(n: int) -> int:
-    """C(2n, n), computed incrementally."""
-    return _BUILTINS["central-binomial"].term(n)
-
-
-def v_term(n: int) -> int:
-    """C(n, n/2) for even n, 0 for odd n, computed incrementally."""
-    return _BUILTINS["aerated-central-binomial"].term(n)
-
-
-def a032123_closed(n: int) -> int:
-    """(u(n) + v(n)) / 2; the division is exact."""
-    return _BUILTINS["A032123"].term(n)
-
-
-def a005418_closed(n: int) -> int:
-    """(2^n + 2^ceil(n/2)) / 2 for n >= 1."""
-    return _BUILTINS["A005418"].term(n)
 
 
 _BUILTINS: dict[str, SequenceSource] = {
@@ -329,9 +315,10 @@ def verify_ogf(order: int) -> OgfReport:
     g1 = series_inv_sqrt(TruncatedSeries([1, -4], order), order)
     g2 = series_inv_sqrt(TruncatedSeries([1, 0, -4], order), order)
     half_sum = (g1 + g2) * Fraction(1, 2)
+    a = builtin_sequence("A032123")
     mism = []
     for k in range(order + 1):
-        expected = a032123_closed(k)
+        expected = a.term(k)
         if half_sum[k] != expected:
             mism.append((k, half_sum[k], expected))
     return OgfReport(order=order, mismatches=tuple(mism))

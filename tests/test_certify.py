@@ -15,7 +15,7 @@ from recurra.certify import (
 )
 from recurra.certify import _reduce_residue
 from recurra.exact import Polynomial, n
-from recurra.operators import ShiftOperator, apply_at, builtin_operator, verify_range
+from recurra.operators import ShiftOperator, builtin_operator, verify_range
 from recurra.sequences import builtin_sequence
 
 
@@ -151,7 +151,7 @@ def test_certified_floor_is_consistent_with_numerics():
         assert rep.certified
         seq = builtin_sequence(seq_name)
         for i in range(rep.floor, 501):
-            assert apply_at(op, seq, i) == 0, (op_name, term_name, i)
+            assert op.apply(seq, i) == 0, (op_name, term_name, i)
 
 
 def test_certification_not_fooled_by_wrong_pair():

@@ -1,4 +1,6 @@
 import json
+import math
+import sys
 
 import pytest
 
@@ -8,7 +10,7 @@ from recurra.cli import (
     EXIT_IO,
     EXIT_PASS,
     EXIT_USAGE,
-    dispatch,
+    main,
     run_prove_a032123,
 )
 from recurra.oeis import bundled_a032123
@@ -18,25 +20,76 @@ A032123_HEAD = [1, 1, 4, 10, 38, 126, 472, 1716, 6470, 24310, 92504, 352716, 135
 
 
 def test_gen_matches_catalogued_terms(capsys):
-    code = dispatch(["gen", "A032123", "--from", "0", "--to", "12"])
+    code = main(["gen", "A032123", "--from", "0", "--to", "12"])
     out = capsys.readouterr().out
     assert code == EXIT_PASS
     assert [int(x) for x in out.split()] == A032123_HEAD
 
 
 def test_gen_unknown_sequence_fails(capsys):
-    code = dispatch(["gen", "A999999", "--from", "0", "--to", "3"])
+    code = main(["gen", "A999999", "--from", "0", "--to", "3"])
     assert code == EXIT_FAIL
     assert "unknown sequence" in capsys.readouterr().err
 
 
 def test_gen_out_of_range_fails(capsys):
-    code = dispatch(["gen", "A005418", "--from", "0", "--to", "3"])
+    code = main(["gen", "A005418", "--from", "0", "--to", "3"])
     assert code == EXIT_FAIL
 
 
+def test_gen_reads_a_bfile_path(tmp_path, capsys):
+    bfile = tmp_path / "b.txt"
+    bfile.write_text(bundled_a032123().to_text())
+    code = main(["gen", str(bfile), "--from", "0", "--to", "2"])
+    assert code == EXIT_PASS
+    assert capsys.readouterr().out == "1\n1\n4\n"
+
+
+def _a032123(k):
+    return (math.comb(2 * k, k) + (math.comb(k, k // 2) if k % 2 == 0 else 0)) // 2
+
+
+def _str_any_size(value):
+    # CPython 3.11 refuses int-to-str beyond 4300 digits unless the cap is lifted.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit cap"
+)
+def test_gen_prints_terms_past_the_int_str_digit_cap(capsys):
+    limit = sys.get_int_max_str_digits()
+    code = main(["gen", "A032123", "--from", "7200", "--to", "7200"])
+    out = capsys.readouterr().out
+    assert code == EXIT_PASS
+    assert out == _str_any_size(_a032123(7200)) + "\n"
+    assert len(out) > 4301
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit cap"
+)
+def test_verify_prints_residuals_past_the_int_str_digit_cap(tmp_path, capsys):
+    op_file = tmp_path / "mutated.json"
+    op_file.write_text(perturbed(builtin_operator("mathar"), 0, 0).to_json())
+    code = main(
+        ["verify", "--operator", str(op_file), "--sequence", "A032123",
+         "--from", "7200", "--to", "7200"]
+    )
+    assert code == EXIT_FAIL
+    # the +1 on c_0 leaves exactly a(7200) as the residual
+    expected = f"FAIL: residual {_str_any_size(_a032123(7200))} at n=7200\n"
+    assert capsys.readouterr().out == expected
+
+
 def test_verify_pass(capsys):
-    code = dispatch(
+    code = main(
         ["verify", "--operator", "mathar", "--sequence", "A032123",
          "--from", "6", "--to", "500"]
     )
@@ -45,7 +98,7 @@ def test_verify_pass(capsys):
 
 
 def test_verify_fail_exit_code(capsys):
-    code = dispatch(
+    code = main(
         ["verify", "--operator", "u-op", "--sequence", "A032123",
          "--from", "2", "--to", "10"]
     )
@@ -58,21 +111,44 @@ def test_verify_with_operator_and_bfile_files(tmp_path, capsys):
     op_file.write_text(builtin_operator("mathar").to_json())
     bfile = tmp_path / "b.txt"
     bfile.write_text(bundled_a032123().to_text())
-    code = dispatch(
+    code = main(
         ["verify", "--operator", str(op_file), "--sequence", str(bfile),
          "--from", "6", "--to", "19"]
     )
     assert code == EXIT_PASS
 
 
+@pytest.mark.parametrize(
+    "flag,doc",
+    [
+        ("--operator", {"convention": "backward", "coeffs": [["0", "1"], ["2", "-4"]]}),
+        ("--operator", [["0", "1"], ["2", "-4"]]),
+        ("--operator", {"convention": "backward", "order": 1, "coeffs": [[None], ["1"]]}),
+        ("--term", {"step": 1, "p": ["0", "1"], "support": [0], "n_min": 1}),
+        ("--term", {"step": 1, "p": ["1/0"], "q": ["1"], "support": [0], "n_min": 1}),
+    ],
+    ids=["operator-without-order", "top-level-list", "null-coefficient", "term-without-q",
+         "zero-denominator"],
+)
+def test_malformed_json_is_a_clean_error(tmp_path, capsys, flag, doc):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    argv = ["certify", "--operator", "mathar", "--term", "u-spec"]
+    argv[argv.index(flag) + 1] = str(path)
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_FAIL
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_certify_pass(capsys):
-    code = dispatch(["certify", "--operator", "mathar", "--term", "u-spec"])
+    code = main(["certify", "--operator", "mathar", "--term", "u-spec"])
     assert code == EXIT_PASS
     assert "CERTIFIED" in capsys.readouterr().out
 
 
 def test_certify_fail(capsys):
-    code = dispatch(["certify", "--operator", "u-op", "--term", "v-spec"])
+    code = main(["certify", "--operator", "u-op", "--term", "v-spec"])
     assert code == EXIT_FAIL
 
 
@@ -81,12 +157,12 @@ def test_certify_with_term_file(tmp_path, capsys):
 
     term_file = tmp_path / "term.json"
     term_file.write_text(builtin_term("u-spec").to_json())
-    code = dispatch(["certify", "--operator", "mathar", "--term", str(term_file)])
+    code = main(["certify", "--operator", "mathar", "--term", str(term_file)])
     assert code == EXIT_PASS
 
 
 def test_guess_emits_operator_file(capsys):
-    code = dispatch(
+    code = main(
         ["guess", "--sequence", "central-binomial", "--order", "1", "--degree", "1",
          "--terms", "41"]
     )
@@ -96,7 +172,7 @@ def test_guess_emits_operator_file(capsys):
 
 
 def test_guess_minimal(capsys):
-    code = dispatch(
+    code = main(
         ["guess", "--sequence", "A032123", "--order", "5", "--degree", "4",
          "--terms", "80", "--minimal"]
     )
@@ -106,7 +182,7 @@ def test_guess_minimal(capsys):
 
 
 def test_lclm_subcommand(capsys):
-    code = dispatch(["lclm", "--a", "u-op", "--b", "v-op"])
+    code = main(["lclm", "--a", "u-op", "--b", "v-op"])
     assert code == EXIT_PASS
     doc = json.loads(capsys.readouterr().out)
     assert doc["order"] <= 3
@@ -114,7 +190,7 @@ def test_lclm_subcommand(capsys):
 
 
 def test_lclm_caps_exceeded(capsys):
-    code = dispatch(["lclm", "--a", "u-op", "--b", "v-op", "--order-cap", "2"])
+    code = main(["lclm", "--a", "u-op", "--b", "v-op", "--order-cap", "2"])
     assert code == EXIT_FAIL
     assert "cap" in capsys.readouterr().err
 
@@ -122,18 +198,18 @@ def test_lclm_caps_exceeded(capsys):
 def test_bfile_parse(tmp_path, capsys):
     f = tmp_path / "b.txt"
     f.write_text("0 1\n1 1\n2 4\n")
-    code = dispatch(["bfile", "parse", str(f)])
+    code = main(["bfile", "parse", str(f)])
     assert code == EXIT_PASS
     assert "3 terms" in capsys.readouterr().out
 
 
 def test_bfile_parse_missing_file_is_io_error(tmp_path, capsys):
-    code = dispatch(["bfile", "parse", str(tmp_path / "nope.txt")])
+    code = main(["bfile", "parse", str(tmp_path / "nope.txt")])
     assert code == EXIT_IO
 
 
 def test_bfile_fetch_offline_cold_cache(tmp_path, capsys):
-    code = dispatch(
+    code = main(
         ["--offline", "--cache-dir", str(tmp_path), "bfile", "fetch", "A032123"]
     )
     assert code == EXIT_IO
@@ -146,7 +222,7 @@ def test_bfile_fetch_warm_cache(tmp_path, capsys, monkeypatch):
         "urllib.request.urlopen",
         lambda *a, **kw: (_ for _ in ()).throw(AssertionError("network touched")),
     )
-    code = dispatch(
+    code = main(
         ["--offline", "--cache-dir", str(tmp_path), "bfile", "fetch", "A032123"]
     )
     assert code == EXIT_PASS
@@ -156,34 +232,45 @@ def test_bfile_fetch_warm_cache(tmp_path, capsys, monkeypatch):
 def test_bfile_compare(tmp_path, capsys):
     f = tmp_path / "b.txt"
     f.write_text(bundled_a032123().to_text())
-    code = dispatch(
+    code = main(
         ["bfile", "compare", "--sequence", "A032123", "--bfile", str(f),
          "--from", "0", "--to", "19"]
     )
     assert code == EXIT_PASS
 
 
+def test_bfile_compare_reads_a_bfile_sequence(tmp_path, capsys):
+    f = tmp_path / "b.txt"
+    f.write_text(bundled_a032123().to_text())
+    code = main(
+        ["bfile", "compare", "--sequence", str(f), "--bfile", str(f),
+         "--from", "0", "--to", "19"]
+    )
+    assert code == EXIT_PASS
+    assert capsys.readouterr().out == "PASS: all terms equal on 0..19\n"
+
+
 def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
-        dispatch(["frobnicate"])
+        main(["frobnicate"])
     assert exc.value.code == EXIT_USAGE
 
 
 def test_unknown_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
-        dispatch(["gen", "A032123", "--begin", "0"])
+        main(["gen", "A032123", "--begin", "0"])
     assert exc.value.code == EXIT_USAGE
 
 
 def test_prove_pipeline_passes(capsys):
-    code = dispatch(["prove-a032123", "--max-n", "100"])
+    code = main(["prove-a032123", "--max-n", "100"])
     out = capsys.readouterr().out
     assert code == EXIT_PASS
     assert "overall: PASS" in out
 
 
 def test_prove_pipeline_machine_format(capsys):
-    code = dispatch(["--format", "machine", "prove-a032123", "--max-n", "100"])
+    code = main(["--format", "machine", "prove-a032123", "--max-n", "100"])
     out = capsys.readouterr().out
     assert code == EXIT_PASS
     lines = [line.split("\t") for line in out.strip().splitlines()]
@@ -206,7 +293,7 @@ def test_prove_pipeline_with_mutated_operator(tmp_path, capsys):
     mutated = perturbed(builtin_operator("mathar"), 0, 0)
     op_file = tmp_path / "mutated.json"
     op_file.write_text(mutated.to_json())
-    code = dispatch(
+    code = main(
         ["--format", "machine", "prove-a032123", "--max-n", "50",
          "--operator", str(op_file)]
     )

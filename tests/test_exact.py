@@ -11,9 +11,6 @@ from recurra.exact import (
     falling_factorial,
     integer_roots,
     n,
-    poly_eval,
-    poly_mul,
-    poly_normalize,
     series_inv_sqrt,
 )
 
@@ -48,7 +45,7 @@ def test_poly_mul_zero_absorbs():
 
 def test_poly_mul_falling_factorial_product():
     # oracle: evaluate both sides at n = 0, 1, 2, 3
-    lhs = poly_mul(n * (n - 1), n - 2)
+    lhs = (n * (n - 1)) * (n - 2)
     rhs = Polynomial([0, 2, -3, 1])  # n^3 - 3n^2 + 2n
     for x in range(4):
         assert lhs(x) == x * (x - 1) * (x - 2)
@@ -67,9 +64,9 @@ def test_poly_mul_degree_adds_random():
 
 
 def test_poly_eval_examples():
-    assert poly_eval(Polynomial([-1, 0, 1]), 1) == 0
-    assert poly_eval(n * (n - 1), 6) == 30
-    assert poly_eval(Polynomial(), 10**6) == 0
+    assert Polynomial([-1, 0, 1])(1) == 0
+    assert (n * (n - 1))(6) == 30
+    assert Polynomial()(10**6) == 0
 
 
 def test_eval_is_ring_morphism_random():
@@ -77,8 +74,8 @@ def test_eval_is_ring_morphism_random():
     for _ in range(100):
         p, q = rand_poly(rng), rand_poly(rng)
         x = rand_fraction(rng)
-        assert poly_eval(p * q, x) == poly_eval(p, x) * poly_eval(q, x)
-        assert poly_eval(p + q, x) == poly_eval(p, x) + poly_eval(q, x)
+        assert (p * q)(x) == p(x) * q(x)
+        assert (p + q)(x) == p(x) + q(x)
 
 
 def test_degree_of_zero_is_tagged_sentinel():
@@ -116,15 +113,15 @@ def test_falling_factorial_5_values():
     ],
 )
 def test_poly_normalize_examples(raw, expected):
-    assert poly_normalize(Polynomial(raw)) == Polynomial(expected)
+    assert Polynomial(raw).normalized() == Polynomial(expected)
 
 
 def test_poly_normalize_idempotent_and_preserves_roots():
     rng = random.Random(4)
     for _ in range(100):
         p = rand_poly(rng)
-        q = poly_normalize(p)
-        assert poly_normalize(q) == q
+        q = p.normalized()
+        assert q.normalized() == q
         if not p.is_zero:
             # roots preserved: build p with known rational roots and recheck
             assert q.degree == p.degree
@@ -136,7 +133,7 @@ def test_normalized_coeffs_are_integers_content_one():
     rng = random.Random(5)
     for _ in range(50):
         p = rand_poly(rng)
-        q = poly_normalize(p)
+        q = p.normalized()
         if q.is_zero:
             continue
         ints = q.integer_coeffs()

@@ -15,26 +15,31 @@ from recurra.oeis import (
     fetch_bfile,
     parse_bfile,
 )
-from recurra.sequences import builtin_sequence
+from recurra.sequences import SequenceSource, TermRangeError, builtin_sequence
 
 A032123_HEAD = [1, 1, 4, 10, 38, 126, 472, 1716, 6470, 24310, 92504, 352716, 1352540]
 
 
+def window(b):
+    """What identifies a b-file window: its name, first index and terms."""
+    return b.name, b.min_index, b.values
+
+
 def test_parse_basic():
     b = parse_bfile("0 1\n1 1\n2 4\n3 10")
-    assert b.offset == 0
+    assert b.min_index == 0
     assert b.values == (1, 1, 4, 10)
 
 
 def test_parse_comments_and_blanks():
     b = parse_bfile("# comment\n\n5 42")
-    assert b.offset == 5
+    assert b.min_index == 5
     assert b.values == (42,)
 
 
 def test_parse_negative_values_and_offsets():
     b = parse_bfile("-2 -7\n-1 0\n0 7")
-    assert b.offset == -2
+    assert b.min_index == -2
     assert b.values == (-7, 0, 7)
 
 
@@ -59,17 +64,18 @@ def test_round_trip_is_bit_exact():
     b = parse_bfile("3 10\n4 38\n5 126", sequence_id="A032123")
     text = b.to_text()
     assert text == "3 10\n4 38\n5 126\n"
-    assert parse_bfile(text, sequence_id="A032123") == b
+    assert window(parse_bfile(text, sequence_id="A032123")) == window(b)
 
 
-def test_entries_view():
+def test_index_window():
     b = parse_bfile("3 10\n4 38")
-    assert b.entries == ((3, 10), (4, 38))
+    assert (b.min_index, b.max_index) == (3, 4)
+    assert b.terms(3, 4) == [10, 38]
 
 
 def test_bundled_fixture_matches_closed_form():
     b = bundled_a032123()
-    assert b.offset == 0 and len(b.values) == 20
+    assert b.min_index == 0 and len(b.values) == 20
     assert list(b.values[:13]) == A032123_HEAD
     rep = compare_sequence(builtin_sequence("A032123"), b, 0, 19)
     assert rep.passed
@@ -115,7 +121,7 @@ def test_fetch_warm_cache_never_touches_network(tmp_path, monkeypatch):
     b = fetch_bfile("A032123", cache_dir=tmp_path)
     assert b.values[:4] == (1, 1, 4, 10)
     again = fetch_bfile("A032123", cache_dir=tmp_path)
-    assert again == b
+    assert window(again) == window(b)
 
 
 def test_fetch_cold_cache_offline_errors(tmp_path, monkeypatch):
@@ -155,12 +161,13 @@ def test_fetch_cold_cache_online_populates_cache(tmp_path, monkeypatch):
     assert calls == ["https://oeis.org/A032123/b032123.txt"]
     assert b.values[:13] == tuple(A032123_HEAD)
     assert (tmp_path / "A032123.txt").read_bytes() == payload
-    assert b.fetched_at is not None
+    assert b.source == "https://oeis.org/A032123/b032123.txt"
 
     # second call is a cache hit: no further network operations
     b2 = fetch_bfile("A032123", cache_dir=tmp_path)
     assert calls == ["https://oeis.org/A032123/b032123.txt"]
-    assert b2 == b
+    assert window(b2) == window(b)
+    assert b2.source == str(tmp_path / "A032123.txt")
 
 
 def test_fetch_network_failure_is_fetch_error(tmp_path, monkeypatch):
@@ -192,14 +199,15 @@ def test_refresh_forces_refetch(tmp_path, monkeypatch):
     assert (tmp_path / "A032123.txt").read_bytes() == payload
 
 
-def test_sequence_source_adapter():
-    s = bundled_a032123().to_sequence_source()
+def test_bfile_is_a_sequence_source():
+    s = bundled_a032123()
+    assert isinstance(s, SequenceSource)
     assert s.term(12) == 1352540
     assert s.min_index == 0 and s.max_index == 19
 
 
 def test_bfile_term_range():
-    b = BFileSequence(sequence_id="X", offset=2, values=(5, 6))
+    b = BFileSequence("X", 2, (5, 6))
     assert b.term(3) == 6
-    with pytest.raises(Exception):
+    with pytest.raises(TermRangeError):
         b.term(4)

@@ -8,7 +8,6 @@ from recurra.exact import Polynomial, n
 from recurra.operators import (
     LclmCapError,
     ShiftOperator,
-    apply_at,
     builtin_operator,
     builtin_operator_names,
     lclm,
@@ -16,7 +15,7 @@ from recurra.operators import (
     operator_mul,
     verify_range,
 )
-from recurra.sequences import BFileBackedSequence, TermRangeError, builtin_sequence
+from recurra.sequences import BFileSequence, TermRangeError, builtin_sequence
 
 A032123_HEAD = [1, 1, 4, 10, 38, 126, 472, 1716, 6470, 24310, 92504, 352716, 1352540]
 
@@ -67,30 +66,30 @@ def test_apply_at_mathar_direct_arithmetic():
     weights = [30, -140, 28, 376, -384, 192]
     direct = sum(w * A032123_HEAD[6 - j] for j, w in enumerate(weights))
     assert direct == 0
-    assert apply_at(builtin_operator("mathar"), builtin_sequence("A032123"), 6) == direct
+    assert builtin_operator("mathar").apply(builtin_sequence("A032123"), 6) == direct
 
 
 def test_apply_at_u_op_on_central_binomial():
     # 10*C(20,10) - 38*C(18,9) = 10*184756 - 38*48620
     assert 10 * 184756 - 38 * 48620 == 0
-    assert apply_at(builtin_operator("u-op"), builtin_sequence("central-binomial"), 10) == 0
+    assert builtin_operator("u-op").apply(builtin_sequence("central-binomial"), 10) == 0
 
 
 def test_apply_at_below_claimed_range_returns_residual():
     # no error and no zero claim at n = 5; the value is whatever it is
-    value = apply_at(builtin_operator("mathar"), builtin_sequence("A032123"), 5)
+    value = builtin_operator("mathar").apply(builtin_sequence("A032123"), 5)
     assert isinstance(value, int)
 
 
 def test_apply_at_needs_order_terms():
     with pytest.raises(ValueError):
-        apply_at(builtin_operator("mathar"), builtin_sequence("A032123"), 4)
+        builtin_operator("mathar").apply(builtin_sequence("A032123"), 4)
 
 
 def test_apply_at_propagates_term_range():
-    short = BFileBackedSequence("short", 0, [1, 1, 4])
+    short = BFileSequence("short", 0, [1, 1, 4])
     with pytest.raises(TermRangeError):
-        apply_at(builtin_operator("mathar"), short, 6)
+        builtin_operator("mathar").apply(short, 6)
 
 
 def test_verify_range_passes():
@@ -123,9 +122,9 @@ def test_apply_linear_in_sequence():
     u_op = builtin_operator("u-op")
     s_vals = [rng.randint(-99, 99) for _ in range(12)]
     t_vals = [rng.randint(-99, 99) for _ in range(12)]
-    s = BFileBackedSequence("s", 0, s_vals)
-    t = BFileBackedSequence("t", 0, t_vals)
-    st = BFileBackedSequence("s+t", 0, [a + b for a, b in zip(s_vals, t_vals)])
+    s = BFileSequence("s", 0, s_vals)
+    t = BFileSequence("t", 0, t_vals)
+    st = BFileSequence("s+t", 0, [a + b for a, b in zip(s_vals, t_vals)])
     for i in range(1, 12):
         assert u_op.apply(st, i) == u_op.apply(s, i) + u_op.apply(t, i)
 

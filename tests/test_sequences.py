@@ -5,20 +5,21 @@ import pytest
 from recurra.sequences import (
     ORACLE_LENGTH_CAP,
     TermRangeError,
-    a005418_closed,
-    a032123_closed,
     binomial,
     builtin_sequence,
     builtin_sequence_names,
     orbit_count_oracle,
     reversal_fixed_count,
-    u_term,
-    v_term,
     verify_ogf,
 )
 
 # First terms of A032123 as catalogued.
 A032123_HEAD = [1, 1, 4, 10, 38, 126, 472, 1716, 6470, 24310, 92504, 352716, 1352540]
+
+U = builtin_sequence("central-binomial")
+V = builtin_sequence("aerated-central-binomial")
+A = builtin_sequence("A032123")
+R = builtin_sequence("A005418")
 
 
 @pytest.mark.parametrize(
@@ -34,47 +35,47 @@ def test_binomial_rejects_negative_upper():
 
 
 def test_u_term_examples():
-    assert u_term(0) == 1
-    assert u_term(1) == 2
-    assert u_term(5) == 252
-    assert u_term(5) == binomial(10, 5)
+    assert U.term(0) == 1
+    assert U.term(1) == 2
+    assert U.term(5) == 252
+    assert U.term(5) == binomial(10, 5)
 
 
 def test_v_term_examples():
-    assert v_term(1) == 0
-    assert v_term(4) == 6
-    assert v_term(7) == 0
-    assert v_term(0) == 1
+    assert V.term(1) == 0
+    assert V.term(4) == 6
+    assert V.term(7) == 0
+    assert V.term(0) == 1
 
 
 def test_uv_against_direct_binomials():
     for k in range(0, 201):
-        assert u_term(k) == math.comb(2 * k, k)
+        assert U.term(k) == math.comb(2 * k, k)
         expected = math.comb(k, k // 2) if k % 2 == 0 else 0
-        assert v_term(k) == expected
+        assert V.term(k) == expected
 
 
 def test_uv_ratio_recurrences_to_200():
     for k in range(1, 201):
-        assert k * u_term(k) == (4 * k - 2) * u_term(k - 1)
+        assert k * U.term(k) == (4 * k - 2) * U.term(k - 1)
     for k in range(2, 201):
-        assert k * v_term(k) == 4 * (k - 1) * v_term(k - 2)
+        assert k * V.term(k) == 4 * (k - 1) * V.term(k - 2)
 
 
 def test_a032123_closed_head():
-    assert [a032123_closed(k) for k in range(13)] == A032123_HEAD
+    assert [A.term(k) for k in range(13)] == A032123_HEAD
 
 
 def test_a032123_closed_specific():
-    assert a032123_closed(0) == 1
-    assert a032123_closed(3) == 10
-    assert a032123_closed(12) == 1352540
+    assert A.term(0) == 1
+    assert A.term(3) == 10
+    assert A.term(12) == 1352540
 
 
 def test_half_sum_parity_holds_far_out():
     for k in range(0, 501):
-        assert (u_term(k) + v_term(k)) % 2 == 0
-        assert 2 * a032123_closed(k) == u_term(k) + v_term(k)
+        assert (U.term(k) + V.term(k)) % 2 == 0
+        assert 2 * A.term(k) == U.term(k) + V.term(k)
 
 
 @pytest.mark.parametrize("length,ones,expected", [(6, 3, 10), (4, 2, 4), (2, None, 3)])
@@ -103,18 +104,18 @@ def test_orbit_oracle_cap_is_configurable():
 
 def test_closed_form_matches_oracle():
     for k in range(13):
-        assert a032123_closed(k) == orbit_count_oracle(2 * k, k)
+        assert A.term(k) == orbit_count_oracle(2 * k, k)
 
 
 def test_a005418_examples():
-    assert a005418_closed(1) == 2
-    assert a005418_closed(2) == 3
-    assert a005418_closed(3) == 6
+    assert R.term(1) == 2
+    assert R.term(2) == 3
+    assert R.term(3) == 6
 
 
 def test_a005418_matches_oracle():
     for k in range(1, 17):
-        assert a005418_closed(k) == orbit_count_oracle(k)
+        assert R.term(k) == orbit_count_oracle(k)
 
 
 def test_a005418_offset_starts_at_one():
