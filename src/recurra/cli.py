@@ -24,6 +24,9 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
+#: First index of the order-5 sweep: Mathar's recurrence holds from n = 6.
+SWEEP_FROM = 6
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -110,7 +113,7 @@ def run_prove_a032123(max_n: int = 5000, operator: ops.ShiftOperator | None = No
 
     def mathar_numeric():
         a = seqs.builtin_sequence("A032123")
-        rep = ops.verify_range(op, a, 6, max_n)
+        rep = ops.verify_range(op, a, SWEEP_FROM, max_n)
         note = f"; n=5 residual (informational): {op.apply(a, 5)}"
         return rep.passed, rep.detail() + note
 
@@ -199,12 +202,25 @@ def _build_parser() -> argparse.ArgumentParser:
     bp.add_argument("--to", dest="n_to", type=int, required=True)
 
     p = sub.add_parser("prove-a032123", help="run the full offline proof pipeline")
-    p.add_argument("--max-n", type=int, default=5000,
+    p.add_argument("--max-n", type=_sweep_end, default=5000,
                    help="upper end of the numeric sweep (default 5000)")
     p.add_argument("--operator", default=None,
                    help="operator file overriding the builtin order-5 operator")
 
     return parser
+
+
+def _sweep_end(text: str) -> int:
+    """``--max-n``: an integer no smaller than ``SWEEP_FROM``."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < SWEEP_FROM:
+        raise argparse.ArgumentTypeError(
+            f"must be at least {SWEEP_FROM}, where the numeric sweep starts; got {n}"
+        )
+    return n
 
 
 def _load_operator(spec: str) -> ops.ShiftOperator:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import re
+import sys
 import tempfile
 import urllib.error
 import urllib.request
@@ -21,6 +22,8 @@ from .sequences import BFileSequence, SequenceSource
 
 CACHE_ENV_VAR = "RECURRA_CACHE"
 _ID_RE = re.compile(r"\AA\d{6}\Z")
+#: How much of an offending line a parse error echoes.
+_ECHO_CHARS = 80
 
 
 class BFileError(ValueError):
@@ -28,10 +31,13 @@ class BFileError(ValueError):
 
 
 class BFileParseError(BFileError):
-    """A line is not two integer tokens."""
+    """A line is not two integer tokens; the message shows at most its start."""
 
-    def __init__(self, line_no: int, line: str):
-        super().__init__(f"line {line_no}: expected '<index> <value>', got {line!r}")
+    def __init__(self, line_no: int, line: str, problem: str = "expected '<index> <value>'"):
+        shown = repr(line[:_ECHO_CHARS])
+        if len(line) > _ECHO_CHARS:
+            shown += f"... ({len(line)} characters)"
+        super().__init__(f"line {line_no}: {problem}, got {shown}")
         self.line_no = line_no
 
 
@@ -61,10 +67,7 @@ def parse_bfile(text: str, sequence_id: str = "", source: str = "") -> BFileSequ
         tokens = stripped.split()
         if len(tokens) != 2:
             raise BFileParseError(line_no, line)
-        try:
-            idx, val = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise BFileParseError(line_no, line) from None
+        idx, val = (_parse_int(t, line_no, line) for t in tokens)
         entries.append((idx, val))
     if not entries:
         raise BFileStructureError("no data lines found")
@@ -76,6 +79,23 @@ def parse_bfile(text: str, sequence_id: str = "", source: str = "") -> BFileSequ
     return BFileSequence(
         sequence_id or "b-file", entries[0][0], [v for _, v in entries], source
     )
+
+
+def _parse_int(token: str, line_no: int, line: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        pass
+    digits = token.lstrip("+-")
+    get_limit = getattr(sys, "get_int_max_str_digits", None)  # absent before 3.10.7
+    limit = get_limit() if get_limit is not None else 0
+    if limit and digits.isdecimal() and len(digits) > limit:
+        raise BFileParseError(
+            line_no, line,
+            f"value has {len(digits)} digits, more than the int parsing limit of {limit} "
+            "(sys.get_int_max_str_digits()), which stays on for untrusted input on purpose",
+        )
+    raise BFileParseError(line_no, line)
 
 
 def default_cache_dir() -> Path:

@@ -7,11 +7,15 @@ Builtin sequences (exact identifiers):
 * ``central-binomial``          C(2n, n)
 * ``aerated-central-binomial``  C(n, n/2) for even n, 0 for odd n
 
-Closed-form terms are produced incrementally from their one- and two-step
-ratio recurrences with append-only memo lists, so sweeping to n = 5000 costs
-one big-integer multiplication per step. The orbit oracles below count
-equivalence classes of binary strings under reversal by direct enumeration;
-they share no code with the closed forms and exist to cross-check them.
+Each source keeps a short window of recent terms, never its whole history,
+so a sweep's memory stays flat in its length. The binomials step their one-
+and two-step ratio recurrences from the window's end, so sweeping to
+n = 5000 costs one big-integer multiplication per step, and reseed from
+``math.comb`` when a read lands behind the window or far ahead of it.
+``builtin_sequence`` hands out a fresh source on every call. The orbit
+oracles below count equivalence classes of binary strings under reversal by
+direct enumeration; they share no code with the closed forms and exist to
+cross-check them.
 """
 from __future__ import annotations
 
@@ -24,6 +28,13 @@ from .exact import TruncatedSeries, series_inv_sqrt
 
 #: Enumeration guard for the orbit oracles; (24, 12) is ~2.7M strings.
 ORACLE_LENGTH_CAP = 24
+
+#: A source's window keeps at least its last WINDOW terms, and a read at
+#: most WINDOW past the window's last term steps forward instead of
+#: reseeding. WINDOW exceeds the order caps of ``guess`` and ``lclm`` (8 by
+#: default), so applying an operator they build along a sweep only ever hits
+#: or steps; a higher order stays exact and only reseeds more often.
+WINDOW = 32
 
 
 class TermRangeError(LookupError):
@@ -40,11 +51,18 @@ def binomial(n: int, k: int) -> int:
 
 
 class SequenceSource:
-    """An integer sequence addressable by index, with memoized terms.
+    """An integer sequence addressable by index, through a window of terms.
 
-    Subclasses implement ``_extend(upto)`` to grow the append-only cache;
-    reads never observe a partially computed entry (the cache is only ever
-    appended to, under the interpreter's single-writer semantics).
+    ``_cache`` holds the terms at indices ``_lo``, ``_lo + 1``, ... A read
+    inside the window is a hit. A read at most ``WINDOW`` past its last term
+    calls ``_extend`` to step forward to it; any other read (behind the
+    window, or far ahead) replaces the window with ``_seed(n)``. Past
+    ``2 * WINDOW`` terms the window drops all but its last ``WINDOW``, so an
+    operator of order below ``WINDOW`` applied along a sweep only ever hits
+    or steps. ``term`` is the one read path and subclasses supply only the
+    hooks: the defaults compute every term with ``_at``, and a source with a
+    cheaper step overrides ``_extend`` and ``_seed``. A source is not safe
+    to share between threads: a read may move the window under another.
     """
 
     name = "?"
@@ -52,37 +70,57 @@ class SequenceSource:
     max_index: int | None = None  # inclusive; None = unbounded
 
     def __init__(self):
-        self._cache: list[int] = []
+        self._lo, self._cache = self._seed(self.min_index)
 
     def term(self, n: int) -> int:
         if n < self.min_index or (self.max_index is not None and n > self.max_index):
             span = f"{self.min_index}..{self.max_index if self.max_index is not None else 'inf'}"
             raise TermRangeError(f"{self.name} has no term at n={n} (available: {span})")
-        idx = n - self.min_index
-        if idx >= len(self._cache):
-            self._extend(idx)
-        return self._cache[idx]
+        c = self._cache
+        idx = n - self._lo
+        if 0 <= idx < len(c):
+            return c[idx]
+        if idx < 0 or idx >= len(c) + WINDOW:
+            self._lo, c = self._seed(n)
+            self._cache = c
+            idx = n - self._lo
+        if idx >= len(c):
+            self._extend(n)
+            if len(c) > 2 * WINDOW:
+                drop = len(c) - WINDOW
+                del c[:drop]
+                self._lo += drop
+                idx -= drop
+        return c[idx]
 
     def terms(self, n_from: int, n_to: int) -> list[int]:
         return [self.term(i) for i in range(n_from, n_to + 1)]
 
-    def _extend(self, upto: int) -> None:
+    def _seed(self, n: int) -> tuple[int, list[int]]:
+        """A fresh window holding index n: its first index and its terms."""
+        return n, [self._at(n)]
+
+    def _extend(self, n: int) -> None:
+        """Append terms to the window until it holds index n."""
+        c = self._cache
+        c.extend(self._at(m) for m in range(self._lo + len(c), n + 1))
+
+    def _at(self, n: int) -> int:
+        """The term at index n, computed on its own."""
         raise NotImplementedError
 
 
 class CentralBinomial(SequenceSource):
-    """u(n) = C(2n, n) via n*u(n) = (4n-2)*u(n-1), u(0) = 1."""
+    """u(n) = C(2n, n) via n*u(n) = (4n-2)*u(n-1), seeded by ``math.comb``."""
 
     name = "central-binomial"
 
-    def __init__(self):
-        super().__init__()
-        self._cache.append(1)
+    def _seed(self, n: int) -> tuple[int, list[int]]:
+        return n, [math.comb(2 * n, n)]
 
-    def _extend(self, upto: int) -> None:
+    def _extend(self, n: int) -> None:
         c = self._cache
-        while len(c) <= upto:
-            m = len(c)
+        for m in range(self._lo + len(c), n + 1):
             c.append(c[-1] * (4 * m - 2) // m)
 
 
@@ -91,14 +129,14 @@ class AeratedCentralBinomial(SequenceSource):
 
     name = "aerated-central-binomial"
 
-    def __init__(self):
-        super().__init__()
-        self._cache.extend([1, 0])
+    def _seed(self, n: int) -> tuple[int, list[int]]:
+        # The two-step ratio steps from a pair of terms: seed the pair holding n.
+        lo = max(n - 1, 0)
+        return lo, [math.comb(m, m // 2) if m % 2 == 0 else 0 for m in (lo, lo + 1)]
 
-    def _extend(self, upto: int) -> None:
+    def _extend(self, n: int) -> None:
         c = self._cache
-        while len(c) <= upto:
-            m = len(c)
+        for m in range(self._lo + len(c), n + 1):
             c.append(4 * (m - 1) * c[-2] // m if m % 2 == 0 else 0)
 
 
@@ -112,18 +150,15 @@ class ReversibleBalancedStrings(SequenceSource):
     name = "A032123"
 
     def __init__(self):
-        super().__init__()
         self._u = CentralBinomial()
         self._v = AeratedCentralBinomial()
+        super().__init__()
 
-    def _extend(self, upto: int) -> None:
-        c = self._cache
-        while len(c) <= upto:
-            m = len(c)
-            s = self._u.term(m) + self._v.term(m)
-            if s % 2:
-                raise AssertionError(f"u({m}) + v({m}) is odd; generator is broken")
-            c.append(s // 2)
+    def _at(self, n: int) -> int:
+        s = self._u.term(n) + self._v.term(n)
+        if s % 2:
+            raise AssertionError(f"u({n}) + v({n}) is odd; generator is broken")
+        return s // 2
 
 
 class ReversibleStrings(SequenceSource):
@@ -136,24 +171,22 @@ class ReversibleStrings(SequenceSource):
     name = "A005418"
     min_index = 1
 
-    def _extend(self, upto: int) -> None:
-        c = self._cache
-        while len(c) <= upto:
-            m = len(c) + 1
-            c.append((2 ** m + 2 ** ((m + 1) // 2)) // 2)
+    def _at(self, n: int) -> int:
+        return (2 ** n + 2 ** ((n + 1) // 2)) // 2
 
 
 class BFileSequence(SequenceSource):
     """A fixed window of terms, e.g. a parsed b-file; ``min_index`` is its offset.
 
-    ``values`` doubles as the term cache, so reads go through the inherited
-    range-checked ``term``; ``source`` records where the terms came from.
+    ``values`` doubles as the term window, which the range check never lets a
+    read leave, so reads go through the inherited ``term`` and never step or
+    reseed; ``source`` records where the terms came from.
     """
 
     def __init__(self, name: str, offset: int, values: Iterable[int], source: str = ""):
         self.values = self._cache = tuple(values)
         self.name = name
-        self.min_index = offset
+        self.min_index = self._lo = offset
         self.max_index = offset + len(self.values) - 1
         self.source = source
 
@@ -173,32 +206,27 @@ class OrbitOracleSequence(SequenceSource):
     name = "A032123-oracle"
     max_index = ORACLE_LENGTH_CAP // 2
 
-    def _extend(self, upto: int) -> None:
-        c = self._cache
-        while len(c) <= upto:
-            m = len(c)
-            c.append(orbit_count_oracle(2 * m, m))
+    def _at(self, n: int) -> int:
+        return orbit_count_oracle(2 * n, n)
 
 
-_BUILTINS: dict[str, SequenceSource] = {
-    s.name: s
-    for s in (
-        ReversibleBalancedStrings(),
-        ReversibleStrings(),
-        CentralBinomial(),
-        AeratedCentralBinomial(),
+_BUILTINS: dict[str, type[SequenceSource]] = {
+    cls.name: cls
+    for cls in (
+        ReversibleBalancedStrings, ReversibleStrings, CentralBinomial, AeratedCentralBinomial
     )
 }
 
 
 def builtin_sequence(name: str) -> SequenceSource:
-    """Look up a builtin sequence by its exact identifier."""
+    """A fresh source for a builtin sequence, by its exact identifier."""
     try:
-        return _BUILTINS[name]
+        cls = _BUILTINS[name]
     except KeyError:
         raise ValueError(
             f"unknown sequence {name!r}; builtins: {', '.join(sorted(_BUILTINS))}"
         ) from None
+    return cls()
 
 
 def builtin_sequence_names() -> tuple[str, ...]:

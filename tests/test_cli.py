@@ -262,6 +262,16 @@ def test_unknown_flag_is_usage_error():
     assert exc.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("max_n", ["5", "3", "-1"])
+def test_prove_max_n_below_the_sweep_start_is_usage_error(max_n, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["prove-a032123", "--max-n", max_n])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--max-n: must be at least 6" in err
+    assert "Traceback" not in err
+
+
 def test_prove_pipeline_passes(capsys):
     code = main(["prove-a032123", "--max-n", "100"])
     out = capsys.readouterr().out

@@ -1,3 +1,4 @@
+import sys
 import urllib.error
 
 import pytest
@@ -53,6 +54,31 @@ def test_parse_malformed_line_reports_line_number():
         parse_bfile("0 1\n1 two\n2 4")
     with pytest.raises(BFileParseError, match="line 1"):
         parse_bfile("0 1 extra")
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int parsing digit cap"
+)
+def test_parse_value_over_the_int_digit_cap_names_the_cap():
+    limit = sys.get_int_max_str_digits()
+    digits = limit + 700
+    with pytest.raises(BFileParseError, match="line 2") as exc:
+        parse_bfile("0 1\n1 " + "9" * digits)
+    msg = str(exc.value)
+    assert f"value has {digits} digits" in msg
+    assert f"limit of {limit}" in msg
+    assert "untrusted input" in msg
+    assert len(msg) < 400  # the line is echoed only in part
+    assert sys.get_int_max_str_digits() == limit  # parsing keeps the cap
+
+
+def test_parse_error_echoes_only_the_start_of_a_long_line():
+    line = "1 two " + "x" * 5000
+    with pytest.raises(BFileParseError, match="line 2: expected '<index> <value>'") as exc:
+        parse_bfile("0 1\n" + line)
+    msg = str(exc.value)
+    assert repr(line[:80]) in msg and repr(line[:81]) not in msg
+    assert f"({len(line)} characters)" in msg
 
 
 def test_parse_empty_is_error():

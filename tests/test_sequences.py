@@ -1,9 +1,14 @@
 import math
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from recurra.operators import builtin_operator, verify_range
 from recurra.sequences import (
     ORACLE_LENGTH_CAP,
+    WINDOW,
     TermRangeError,
     binomial,
     builtin_sequence,
@@ -148,6 +153,66 @@ def test_term_queries_are_deterministic():
     first = [s.term(k) for k in range(50)]
     second = [s.term(k) for k in range(50)]
     assert first == second
+
+
+def test_builtin_sequences_are_fresh_and_independent():
+    a, b = builtin_sequence("A032123"), builtin_sequence("A032123")
+    assert a is not b
+    assert a.term(3000) == _reference("A032123", 3000)  # a's window moves far ahead
+    assert [b.term(k) for k in range(13)] == A032123_HEAD
+    assert a.term(2999) == _reference("A032123", 2999)
+    assert b.term(12) == A032123_HEAD[12]
+
+
+def test_sweep_memory_is_bounded():
+    # Holding every term up to n = 10000 takes about 29.5 MiB; a window of
+    # them about 0.4 MiB.
+    tracemalloc.start()
+    try:
+        rep = verify_range(builtin_operator("mathar"), builtin_sequence("A032123"), 6, 10000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 2 * 2**20
+
+
+def _reference(name: str, n: int) -> int:
+    """Direct closed forms, with no window and no ratio steps."""
+    u = math.comb(2 * n, n)
+    v = math.comb(n, n // 2) if n % 2 == 0 else 0
+    return {
+        "central-binomial": u,
+        "aerated-central-binomial": v,
+        "A032123": (u + v) // 2,
+        "A005418": (2**n + 2 ** ((n + 1) // 2)) // 2,
+    }[name]
+
+
+_LAST = 1500  # reads stay on min_index.._LAST, where math.comb is cheap
+_MOVES = st.one_of(
+    st.tuples(st.just("walk"), st.integers(1, 3 * WINDOW)),  # sequential reads
+    st.tuples(st.just("jump"), st.integers(-(WINDOW - 1), WINDOW - 1)),
+    st.tuples(st.just("jump"), st.integers(-10 * WINDOW, -WINDOW)),
+    st.tuples(st.just("jump"), st.integers(WINDOW, 10 * WINDOW)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(["central-binomial", "aerated-central-binomial", "A032123", "A005418"]),
+    start=st.integers(0, _LAST),
+    moves=st.lists(_MOVES, max_size=20),
+)
+def test_window_reads_match_the_closed_forms(name, start, moves):
+    s = builtin_sequence(name)
+    n = max(start, s.min_index)
+    assert s.term(n) == _reference(name, n)
+    for kind, k in moves:
+        targets = range(n + 1, n + k + 1) if kind == "walk" else [n + k]
+        for m in targets:
+            n = min(max(m, s.min_index), _LAST)
+            assert s.term(n) == _reference(name, n)
 
 
 def test_verify_ogf():
