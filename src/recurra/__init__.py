@@ -19,6 +19,7 @@ from .certify import (
     perturbed,
     reduce_to_polynomial,
 )
+from .check import Check
 from .exact import (
     NEG_INF,
     Polynomial,
@@ -40,7 +41,6 @@ from .guess import (
 from .oeis import (
     BFileParseError,
     BFileStructureError,
-    CompareReport,
     FetchError,
     OfflineError,
     bundled_a032123,
@@ -51,7 +51,6 @@ from .oeis import (
 from .operators import (
     LclmCapError,
     ShiftOperator,
-    VerificationReport,
     builtin_operator,
     builtin_operator_names,
     lclm,
@@ -79,7 +78,7 @@ __all__ = [
     "BFileSequence",
     "BFileStructureError",
     "CertificationReport",
-    "CompareReport",
+    "Check",
     "DegenerateRatioError",
     "FetchError",
     "GuessCandidate",
@@ -98,7 +97,6 @@ __all__ = [
     "TermRangeError",
     "TruncatedSeries",
     "UnsupportedChainError",
-    "VerificationReport",
     "binomial",
     "builtin_operator",
     "builtin_operator_names",

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .check import Check
 from .exact import NEG_INF, Polynomial, integer_roots, n
 from .operators import COEFFS, INTEGER, INTEGERS, ShiftOperator, builtin_operator, json_object
 
@@ -222,23 +223,7 @@ def certify_annihilation(op: ShiftOperator, t: HyperTermSpec) -> CertificationRe
     )
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class IdentityCheckReport:
-    checks: tuple[IdentityCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-def check_cancellation_identities() -> IdentityCheckReport:
+def check_cancellation_identities() -> tuple[Check, ...]:
     """Verify the parity-split cancellation identities behind the order-5 proof.
 
     Expands the even- and odd-class core combinations of the mathar
@@ -265,21 +250,12 @@ def check_cancellation_identities() -> IdentityCheckReport:
     )
     odd_factored = 32 * (n - 1) * (n - 4) * odd_core
 
-    checks = (
-        IdentityCheck("even-core-zero", even_core.is_zero, str(even_core)),
-        IdentityCheck("odd-core-zero", odd_core.is_zero, str(odd_core)),
-        IdentityCheck(
-            "even-factorization",
-            even_sum == even_factored,
-            f"{even_sum} vs {even_factored}",
-        ),
-        IdentityCheck(
-            "odd-factorization",
-            odd_sum == odd_factored,
-            f"{odd_sum} vs {odd_factored}",
-        ),
+    return (
+        Check("even-core-zero", even_core.is_zero, str(even_core)),
+        Check("odd-core-zero", odd_core.is_zero, str(odd_core)),
+        Check("even-factorization", even_sum == even_factored, f"{even_sum} vs {even_factored}"),
+        Check("odd-factorization", odd_sum == odd_factored, f"{odd_sum} vs {odd_factored}"),
     )
-    return IdentityCheckReport(checks=checks)
 
 
 def perturbed(op: ShiftOperator, shift: int, power: int, delta: int = 1) -> ShiftOperator:

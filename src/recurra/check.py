@@ -1,0 +1,36 @@
+"""The one record every exact check reports through, and how it writes integers.
+
+An exact check either holds or fails with a concrete witness: the index and
+residual of a sweep, or the index and both values of a comparison.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+#: ``decimal`` writes integers in chunks of this many digits, each well under
+#: CPython's int-to-str digit cap, so output never depends on that cap.
+_CHUNK_DIGITS = 1000
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+@dataclass(frozen=True)
+class Check:
+    """Verdict of one exact check; ``witness`` holds the failing values."""
+
+    name: str
+    passed: bool
+    detail: str
+    witness: tuple[int, ...] | None = None
+    seconds: float = 0.0
+
+
+def decimal(x: int) -> str:
+    """``str(x)`` for an int of any length, without touching the digit cap."""
+    if x < 0:
+        return "-" + decimal(-x)
+    chunks = []
+    while x >= _CHUNK:
+        x, low = divmod(x, _CHUNK)
+        chunks.append(str(low).zfill(_CHUNK_DIGITS))
+    chunks.append(str(x))
+    return "".join(reversed(chunks))

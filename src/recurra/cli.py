@@ -9,8 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import replace
 from pathlib import Path
 
 from . import certify as certify_mod
@@ -18,6 +17,7 @@ from . import guess as guess_mod
 from . import oeis
 from . import operators as ops
 from . import sequences as seqs
+from .check import Check, decimal
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -28,37 +28,30 @@ EXIT_IO = 3
 SWEEP_FROM = 6
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
+def render(checks: list[Check], fmt: str) -> str:
+    """Machine form: one tab-separated name, PASS|FAIL, detail line per check.
+
+    Human form: the pipeline table with seconds, then the overall verdict.
+    """
+    if fmt == "machine":
+        return "\n".join(
+            f"{c.name}\t{'PASS' if c.passed else 'FAIL'}\t{c.detail}" for c in checks
+        )
+    width = max(len(c.name) for c in checks)
+    lines = [
+        f"[{'ok ' if c.passed else 'FAIL'}] {c.name:<{width}}  {c.detail} ({c.seconds:.2f}s)"
+        for c in checks
+    ]
+    lines.append(f"overall: {'PASS' if all(c.passed for c in checks) else 'FAIL'}")
+    return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class PipelineReport:
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def render(self, fmt: str) -> str:
-        lines = []
-        if fmt == "machine":
-            for c in self.checks:
-                lines.append(f"{c.name}\t{'PASS' if c.passed else 'FAIL'}\t{c.detail}")
-        else:
-            width = max(len(c.name) for c in self.checks)
-            for c in self.checks:
-                mark = "ok " if c.passed else "FAIL"
-                lines.append(f"[{mark}] {c.name:<{width}}  {c.detail} ({c.seconds:.2f}s)")
-            lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
-        return "\n".join(lines)
+def _certify(op: ops.ShiftOperator, term: certify_mod.HyperTermSpec) -> Check:
+    rep = certify_mod.certify_annihilation(op, term)
+    return Check("certify", rep.certified, rep.detail())
 
 
-def run_prove_a032123(max_n: int = 5000, operator: ops.ShiftOperator | None = None) -> PipelineReport:
+def run_prove_a032123(max_n: int = 5000, operator: ops.ShiftOperator | None = None) -> list[Check]:
     """The four-stage offline proof pipeline plus the LCLM bonus stage.
 
     1. closed form against the bundled 20-term b-file,
@@ -69,78 +62,56 @@ def run_prove_a032123(max_n: int = 5000, operator: ops.ShiftOperator | None = No
     and finally the computed 3-step common left multiple re-verified.
     """
     op = operator if operator is not None else ops.builtin_operator("mathar")
-    checks: list[CheckResult] = []
+    checks: list[Check] = []
 
     def run(name, fn):
         start = time.perf_counter()
         try:
-            passed, detail = fn()
+            check = fn()
         except Exception as e:  # a component error counts as a failing check
-            passed, detail = False, f"error: {e}"
-        checks.append(CheckResult(name, passed, detail, time.perf_counter() - start))
-
-    def closed_vs_bfile():
-        rep = oeis.compare_sequence(
-            seqs.builtin_sequence("A032123"), oeis.bundled_a032123(), 0, 19
-        )
-        return rep.passed, rep.detail()
-
-    def u_recurrence():
-        rep = ops.verify_range(
-            ops.builtin_operator("u-op"), seqs.builtin_sequence("central-binomial"), 1, 200
-        )
-        return rep.passed, rep.detail()
-
-    def v_recurrence():
-        rep = ops.verify_range(
-            ops.builtin_operator("v-op"),
-            seqs.builtin_sequence("aerated-central-binomial"), 2, 200,
-        )
-        return rep.passed, rep.detail()
-
-    def certify_u():
-        rep = certify_mod.certify_annihilation(op, certify_mod.builtin_term("u-spec"))
-        return rep.certified, rep.detail()
-
-    def certify_v():
-        rep = certify_mod.certify_annihilation(op, certify_mod.builtin_term("v-spec"))
-        return rep.certified, rep.detail()
+            check = Check(name, False, f"error: {e}")
+        checks.append(replace(check, name=name, seconds=time.perf_counter() - start))
 
     def identities():
-        rep = certify_mod.check_cancellation_identities()
-        bad = [c.name for c in rep.checks if not c.passed]
-        return rep.passed, "all transcription identities hold" if rep.passed else f"failed: {bad}"
+        bad = [c.name for c in certify_mod.check_cancellation_identities() if not c.passed]
+        detail = f"failed: {bad}" if bad else "all transcription identities hold"
+        return Check("identities", not bad, detail)
 
     def mathar_numeric():
         a = seqs.builtin_sequence("A032123")
-        rep = ops.verify_range(op, a, SWEEP_FROM, max_n)
-        note = f"; n=5 residual (informational): {op.apply(a, 5)}"
-        return rep.passed, rep.detail() + note
+        check = ops.verify_range(op, a, SWEEP_FROM, max_n)
+        note = f"; n=5 residual (informational): {decimal(op.apply(a, 5))}"
+        return replace(check, detail=check.detail + note)
 
     stash: dict[str, ops.ShiftOperator] = {}
 
     def lclm_order():
         lcm_op = ops.lclm(ops.builtin_operator("u-op"), ops.builtin_operator("v-op"))
         stash["lclm"] = lcm_op
-        return lcm_op.order <= 3, f"computed order {lcm_op.order} (bound 3)"
+        return Check("lclm-order", lcm_op.order <= 3, f"computed order {lcm_op.order} (bound 3)")
 
     def lclm_numeric():
         lcm_op = stash.get("lclm")
         if lcm_op is None:
-            return False, "skipped: no LCLM available"
-        rep = ops.verify_range(lcm_op, seqs.builtin_sequence("A032123"), 3, 2000)
-        return rep.passed, rep.detail()
+            return Check("lclm-numeric", False, "skipped: no LCLM available")
+        return ops.verify_range(lcm_op, seqs.builtin_sequence("A032123"), 3, 2000)
 
-    run("closed-form-vs-bfile", closed_vs_bfile)
-    run("u-recurrence", u_recurrence)
-    run("v-recurrence", v_recurrence)
-    run("certify-u", certify_u)
-    run("certify-v", certify_v)
+    run("closed-form-vs-bfile", lambda: oeis.compare_sequence(
+        seqs.builtin_sequence("A032123"), oeis.bundled_a032123(), 0, 19
+    ))
+    run("u-recurrence", lambda: ops.verify_range(
+        ops.builtin_operator("u-op"), seqs.builtin_sequence("central-binomial"), 1, 200
+    ))
+    run("v-recurrence", lambda: ops.verify_range(
+        ops.builtin_operator("v-op"), seqs.builtin_sequence("aerated-central-binomial"), 2, 200
+    ))
+    run("certify-u", lambda: _certify(op, certify_mod.builtin_term("u-spec")))
+    run("certify-v", lambda: _certify(op, certify_mod.builtin_term("v-spec")))
     run("identities", identities)
     run("mathar-numeric", mathar_numeric)
     run("lclm-order", lclm_order)
     run("lclm-numeric", lclm_numeric)
-    return PipelineReport(checks=tuple(checks))
+    return checks
 
 
 # -- argument handling ---------------------------------------------------------
@@ -247,24 +218,6 @@ def _load_term(spec: str) -> certify_mod.HyperTermSpec:
     return certify_mod.HyperTermSpec.from_json(Path(spec).read_text())
 
 
-@contextmanager
-def _any_size_ints():
-    """Lift CPython's int-to-str digit cap while printing integers recurra computed.
-
-    Parsing untrusted input (b-files) keeps the cap; only output is exempt.
-    """
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    if get_limit is None:  # interpreters before 3.10.7 have no cap
-        yield
-        return
-    limit = get_limit()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 def main(argv: list[str]) -> int:
     """Route parsed arguments to a subcommand; returns the process exit code."""
     parser = _build_parser()
@@ -274,38 +227,22 @@ def main(argv: list[str]) -> int:
     try:
         if args.command == "gen":
             s = _load_sequence(args.sequence)
-            with _any_size_ints():
-                for i in range(args.n_from, args.n_to + 1):
-                    print(s.term(i), file=out)
+            for i in range(args.n_from, args.n_to + 1):
+                print(decimal(s.term(i)), file=out)
             return EXIT_PASS
 
         if args.command == "verify":
             op = _load_operator(args.operator)
             s = _load_sequence(args.sequence)
-            rep = ops.verify_range(op, s, args.n_from, args.n_to)
-            with _any_size_ints():
-                detail = rep.detail()
-            if args.format == "machine":
-                print(f"verify\t{'PASS' if rep.passed else 'FAIL'}\t{detail}", file=out)
-            else:
-                print("PASS" if rep.passed else f"FAIL: {detail}", file=out)
-            return EXIT_PASS if rep.passed else EXIT_FAIL
+            check = ops.verify_range(op, s, args.n_from, args.n_to)
+            return _report(check, args.format, "PASS" if check.passed else f"FAIL: {check.detail}")
 
         if args.command == "certify":
             op = _load_operator(args.operator)
             term = _load_term(args.term)
-            rep = certify_mod.certify_annihilation(op, term)
-            if args.format == "machine":
-                print(
-                    f"certify\t{'PASS' if rep.certified else 'FAIL'}\t{rep.detail()}",
-                    file=out,
-                )
-            else:
-                print(
-                    ("CERTIFIED" if rep.certified else "NOT CERTIFIED") + f": {rep.detail()}",
-                    file=out,
-                )
-            return EXIT_PASS if rep.certified else EXIT_FAIL
+            check = _certify(op, term)
+            verdict = "CERTIFIED" if check.passed else "NOT CERTIFIED"
+            return _report(check, args.format, f"{verdict}: {check.detail}")
 
         if args.command == "guess":
             s = _load_sequence(args.sequence)
@@ -341,9 +278,9 @@ def main(argv: list[str]) -> int:
 
         if args.command == "prove-a032123":
             override = _load_operator(args.operator) if args.operator else None
-            report = run_prove_a032123(max_n=args.max_n, operator=override)
-            print(report.render(args.format), file=out)
-            return EXIT_PASS if report.passed else EXIT_FAIL
+            checks = run_prove_a032123(max_n=args.max_n, operator=override)
+            print(render(checks, args.format), file=out)
+            return EXIT_PASS if all(c.passed for c in checks) else EXIT_FAIL
 
     except (oeis.OfflineError, oeis.FetchError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -381,13 +318,15 @@ def _dispatch_bfile(args, out) -> int:
     if args.bfile_command == "compare":
         s = _load_sequence(args.sequence)
         b = oeis.parse_bfile(Path(args.bfile).read_text(), source=args.bfile)
-        rep = oeis.compare_sequence(s, b, args.n_from, args.n_to)
-        if args.format == "machine":
-            print(f"compare\t{'PASS' if rep.passed else 'FAIL'}\t{rep.detail()}", file=out)
-        else:
-            print(("PASS" if rep.passed else "FAIL") + f": {rep.detail()}", file=out)
-        return EXIT_PASS if rep.passed else EXIT_FAIL
+        check = oeis.compare_sequence(s, b, args.n_from, args.n_to)
+        return _report(check, args.format, f"{'PASS' if check.passed else 'FAIL'}: {check.detail}")
     raise AssertionError(f"unhandled bfile command {args.bfile_command}")  # pragma: no cover
+
+
+def _report(check: Check, fmt: str, human: str) -> int:
+    """Print one check, machine-rendered or as its command's human verdict."""
+    print(render([check], fmt) if fmt == "machine" else human)
+    return EXIT_PASS if check.passed else EXIT_FAIL
 
 
 def entrypoint() -> None:

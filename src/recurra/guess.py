@@ -59,15 +59,13 @@ class GuessProblem:
 class GuessCandidate:
     """One nullspace basis element, normalized into an operator if possible."""
 
-    operator: ShiftOperator | None
+    operator: ShiftOperator | None  # None when the leading coefficient c_0 vanished
     holdout_verified: bool
-    degenerate: bool = False  # leading coefficient c_0 vanished
 
 
 @dataclass(frozen=True)
 class GuessResult:
     candidates: tuple[GuessCandidate, ...]
-    dropped_rows: int = 0
 
     @property
     def verified(self) -> tuple[ShiftOperator, ...]:
@@ -87,7 +85,6 @@ def guess_recurrence(problem: GuessProblem) -> GuessResult:
 
     sample_hi = hi - h
     rows = []
-    dropped = 0
     for i in range(lo + r, sample_hi + 1):
         row = []
         for j in range(r + 1):
@@ -96,8 +93,6 @@ def guess_recurrence(problem: GuessProblem) -> GuessResult:
                 row.append(a * i**e)
         if any(row):
             rows.append(row)
-        else:
-            dropped += 1
 
     basis = nullspace(rows, ncols=(r + 1) * (d + 1))
     seq = BFileSequence("guess-input", lo, terms)
@@ -107,9 +102,7 @@ def guess_recurrence(problem: GuessProblem) -> GuessResult:
         while polys and polys[-1].is_zero:
             polys.pop()
         if not polys or polys[0].is_zero:
-            candidates.append(
-                GuessCandidate(operator=None, holdout_verified=False, degenerate=True)
-            )
+            candidates.append(GuessCandidate(operator=None, holdout_verified=False))
             continue
         op = ShiftOperator(polys)
         ok = all(
@@ -117,7 +110,7 @@ def guess_recurrence(problem: GuessProblem) -> GuessResult:
             for i in range(max(sample_hi + 1, lo + op.order), hi + 1)
         )
         candidates.append(GuessCandidate(operator=op, holdout_verified=ok))
-    return GuessResult(candidates=tuple(candidates), dropped_rows=dropped)
+    return GuessResult(candidates=tuple(candidates))
 
 
 def minimal_guess(

@@ -14,10 +14,10 @@ import sys
 import tempfile
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from .check import Check, decimal
 from .sequences import BFileSequence, SequenceSource
 
 CACHE_ENV_VAR = "RECURRA_CACHE"
@@ -162,31 +162,13 @@ def fetch_bfile(
     return parse_bfile(raw.decode("utf-8"), sequence_id=sequence_id, source=url)
 
 
-@dataclass(frozen=True)
-class CompareReport:
-    """Per-index equality of a sequence source against a b-file window."""
+def compare_sequence(s: SequenceSource, b: BFileSequence, n_from: int, n_to: int) -> Check:
+    """Compare s against b term by term on an index range.
 
-    n_from: int
-    n_to: int
-    passed: bool
-    empty: bool = False
-    first_mismatch: tuple[int, int, int] | None = None  # (n, source value, b-file value)
-
-    def detail(self) -> str:
-        if self.empty:
-            return "empty range (vacuous pass)"
-        if self.passed:
-            return f"all terms equal on {self.n_from}..{self.n_to}"
-        i, a, b = self.first_mismatch
-        return f"mismatch at n={i}: {a} != {b}"
-
-
-def compare_sequence(
-    s: SequenceSource, b: BFileSequence, n_from: int, n_to: int
-) -> CompareReport:
-    """Compare s against b term by term on an index range."""
+    A mismatch's witness is ``(n, source value, b-file value)``.
+    """
     if n_from > n_to:
-        return CompareReport(n_from, n_to, passed=True, empty=True)
+        raise ValueError("empty comparison range")
     for src in (b, s):
         if n_from < src.min_index or (src.max_index is not None and n_to > src.max_index):
             hi = src.max_index if src.max_index is not None else "inf"
@@ -196,8 +178,9 @@ def compare_sequence(
     for i in range(n_from, n_to + 1):
         sv, bv = s.term(i), b.term(i)
         if sv != bv:
-            return CompareReport(n_from, n_to, passed=False, first_mismatch=(i, sv, bv))
-    return CompareReport(n_from, n_to, passed=True)
+            detail = f"mismatch at n={i}: {decimal(sv)} != {decimal(bv)}"
+            return Check("compare", False, detail, (i, sv, bv))
+    return Check("compare", True, f"all terms equal on {n_from}..{n_to}")
 
 
 def bundled_a032123() -> BFileSequence:

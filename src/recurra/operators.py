@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import json
 import math
-import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .check import Check, decimal
 from .exact import Polynomial, n
 from .linalg import nullspace
 from .sequences import SequenceSource
@@ -203,40 +202,20 @@ def _v_op() -> ShiftOperator:
 _builtin_factories = {"mathar": _mathar, "u-op": _u_op, "v-op": _v_op}
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of checking that an operator annihilates a range of terms."""
+def verify_range(op: ShiftOperator, s: SequenceSource, n_from: int, n_to: int) -> Check:
+    """Check op annihilates s on n_from..n_to, stopping at the first failure.
 
-    n_from: int
-    n_to: int
-    passed: bool
-    failure_index: int | None = None
-    residual: int | None = None
-    wall_time: float = 0.0
-
-    def detail(self) -> str:
-        if self.passed:
-            return f"all residuals zero on {self.n_from}..{self.n_to}"
-        return f"residual {self.residual} at n={self.failure_index}"
-
-
-def verify_range(
-    op: ShiftOperator, s: SequenceSource, n_from: int, n_to: int
-) -> VerificationReport:
-    """Check op annihilates s on n_from..n_to, stopping at the first failure."""
+    A failure's witness is ``(n, residual)``.
+    """
     if n_from < op.order:
         raise ValueError(f"range must start at or above the order {op.order}")
     if n_from > n_to:
         raise ValueError("empty verification range")
-    start = time.perf_counter()
     for i in range(n_from, n_to + 1):
         r = op.apply(s, i)
         if r != 0:
-            return VerificationReport(
-                n_from, n_to, False, failure_index=i, residual=r,
-                wall_time=time.perf_counter() - start,
-            )
-    return VerificationReport(n_from, n_to, True, wall_time=time.perf_counter() - start)
+            return Check("verify", False, f"residual {decimal(r)} at n={i}", (i, r))
+    return Check("verify", True, f"all residuals zero on {n_from}..{n_to}")
 
 
 def operator_mul(a: ShiftOperator, b: ShiftOperator) -> ShiftOperator:

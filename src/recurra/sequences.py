@@ -247,9 +247,6 @@ def _reverse_bits(x: int, width: int) -> int:
     return out >> (nbytes * 8 - width)
 
 
-_tally_cache: dict[tuple[int, int | None], tuple[int, int]] = {}
-
-
 def _reversal_tally(length: int, ones: int | None, cap: int) -> tuple[int, int]:
     """(orbit count, reversal-fixed count) over the requested string set.
 
@@ -266,10 +263,6 @@ def _reversal_tally(length: int, ones: int | None, cap: int) -> tuple[int, int]:
             f"length {length} exceeds the enumeration cap {cap}; "
             "the string count grows exponentially"
         )
-    key = (length, ones)
-    if key in _tally_cache:
-        return _tally_cache[key]
-
     orbits = fixed = 0
     if length == 0 or ones == 0 or ones == length:
         orbits = fixed = 1  # a single constant string, its own reversal
@@ -294,7 +287,6 @@ def _reversal_tally(length: int, ones: int | None, cap: int) -> tuple[int, int]:
             ripple = s + low
             s = ripple | (((s ^ ripple) // low) >> 2)
 
-    _tally_cache[key] = (orbits, fixed)
     return orbits, fixed
 
 

@@ -88,7 +88,7 @@ def test_criterion_05_symbolic_certification():
         assert u_rep.certified
         assert v_rep.certified
         assert u_rep.degree_bound <= 11  # formal degree of the cleared u-part
-        assert check_cancellation_identities().passed
+        assert all(c.passed for c in check_cancellation_identities())
 
 
 def test_criterion_06_numeric_sweep_to_5000():
@@ -130,7 +130,7 @@ def test_criterion_09_mutation_soundness():
             mutated = perturbed(m, shift, power)
             assert not certify_annihilation(mutated, u_spec).certified, (shift, power)
             numeric = verify_range(mutated, a, 6, 50)
-            assert not numeric.passed and numeric.failure_index <= 50, (shift, power)
+            assert not numeric.passed and numeric.witness[0] <= 50, (shift, power)
 
 
 def test_criterion_10_ogf_identity():

@@ -11,10 +11,12 @@ from recurra.cli import (
     EXIT_PASS,
     EXIT_USAGE,
     main,
+    render,
     run_prove_a032123,
 )
 from recurra.oeis import bundled_a032123
-from recurra.operators import builtin_operator
+from recurra.operators import builtin_operator, verify_range
+from recurra.sequences import builtin_sequence
 
 A032123_HEAD = [1, 1, 4, 10, 38, 126, 472, 1716, 6470, 24310, 92504, 352716, 1352540]
 
@@ -86,6 +88,43 @@ def test_verify_prints_residuals_past_the_int_str_digit_cap(tmp_path, capsys):
     # the +1 on c_0 leaves exactly a(7200) as the residual
     expected = f"FAIL: residual {_str_any_size(_a032123(7200))} at n=7200\n"
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit cap"
+)
+def test_verify_range_detail_past_the_int_str_digit_cap():
+    limit = sys.get_int_max_str_digits()
+    mutated = perturbed(builtin_operator("mathar"), 0, 0)
+    rep = verify_range(mutated, builtin_sequence("A032123"), 7200, 7200)
+    assert not rep.passed
+    assert rep.witness == (7200, _a032123(7200))
+    assert rep.detail == f"residual {_str_any_size(_a032123(7200))} at n=7200"
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit cap"
+)
+def test_prove_pipeline_prints_residuals_past_the_int_str_digit_cap(tmp_path, capsys):
+    doc = json.loads(builtin_operator("mathar").to_json())
+    assert doc["coeffs"][0][0] == "0"
+    doc["coeffs"][0][0] = "1e5000"  # c_0 gains 10**5000
+    op_file = tmp_path / "big.json"
+    op_file.write_text(json.dumps(doc))
+    code = main(
+        ["--format", "machine", "prove-a032123", "--max-n", "50",
+         "--operator", str(op_file)]
+    )
+    out = capsys.readouterr().out
+    assert code == EXIT_FAIL
+    assert "error:" not in out
+    # mathar leaves zero at n = 5 and 6, so the residuals are 10**5000 * a(n)
+    expected = (
+        f"mathar-numeric\tFAIL\tresidual {_str_any_size(10**5000 * _a032123(6))} at n=6; "
+        f"n=5 residual (informational): {_str_any_size(10**5000 * _a032123(5))}"
+    )
+    assert expected in out.splitlines()
 
 
 def test_verify_pass(capsys):
@@ -250,6 +289,59 @@ def test_bfile_compare_reads_a_bfile_sequence(tmp_path, capsys):
     assert capsys.readouterr().out == "PASS: all terms equal on 0..19\n"
 
 
+def test_bfile_compare_empty_range_is_an_error(tmp_path, capsys):
+    f = tmp_path / "b.txt"
+    f.write_text(bundled_a032123().to_text())
+    code = main(
+        ["bfile", "compare", "--sequence", "A032123", "--bfile", str(f),
+         "--from", "7", "--to", "3"]
+    )
+    assert code == EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: empty comparison range\n"
+
+
+def _write_files(tmp_path):
+    (tmp_path / "good.txt").write_text(bundled_a032123().to_text())
+    (tmp_path / "bad.txt").write_text(
+        bundled_a032123().to_text().replace("\n10 92504\n", "\n10 92505\n")
+    )
+    (tmp_path / "mutated.json").write_text(
+        perturbed(builtin_operator("mathar"), 0, 0).to_json()
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, code, line",
+    [
+        (["verify", "--operator", "mathar", "--sequence", "A032123",
+          "--from", "6", "--to", "200"],
+         EXIT_PASS, "verify\tPASS\tall residuals zero on 6..200"),
+        (["verify", "--operator", "u-op", "--sequence", "A032123",
+          "--from", "2", "--to", "10"],
+         EXIT_FAIL, "verify\tFAIL\tresidual 2 at n=2"),
+        (["certify", "--operator", "mathar", "--term", "v-spec"],
+         EXIT_PASS, "certify\tPASS\tall residue numerators vanish; valid from n=5"),
+        (["certify", "--operator", "{tmp}/mutated.json", "--term", "u-spec"],
+         EXIT_FAIL, "certify\tFAIL\tnonzero numerator in residue class(es) [0]"),
+        (["bfile", "compare", "--sequence", "A032123", "--bfile", "{tmp}/good.txt",
+          "--from", "0", "--to", "19"],
+         EXIT_PASS, "compare\tPASS\tall terms equal on 0..19"),
+        (["bfile", "compare", "--sequence", "A032123", "--bfile", "{tmp}/bad.txt",
+          "--from", "0", "--to", "19"],
+         EXIT_FAIL, "compare\tFAIL\tmismatch at n=10: 92504 != 92505"),
+    ],
+)
+def test_machine_format_prints_one_check_line(tmp_path, capsys, argv, code, line):
+    _write_files(tmp_path)
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert main(["--format", "machine", *argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == line + "\n"
+    assert captured.err == ""
+
+
 def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -324,15 +416,16 @@ def test_prove_pipeline_with_mutated_operator(tmp_path, capsys):
 def test_pipeline_report_is_deterministic():
     r1 = run_prove_a032123(max_n=60)
     r2 = run_prove_a032123(max_n=60)
-    strip = lambda rep: [(c.name, c.passed, c.detail) for c in rep.checks]
+    strip = lambda checks: [(c.name, c.passed, c.detail, c.witness) for c in checks]
     assert strip(r1) == strip(r2)
 
 
 def test_machine_and_human_agree_on_facts():
-    rep = run_prove_a032123(max_n=60)
-    human = rep.render("human")
-    machine = rep.render("machine")
-    for check in rep.checks:
+    checks = run_prove_a032123(max_n=60)
+    human = render(checks, "human")
+    machine = render(checks, "machine")
+    for check in checks:
         assert check.name in human and check.name in machine
-    assert ("overall: PASS" in human) == rep.passed
-    assert all("PASS" in line for line in machine.splitlines()) == rep.passed
+    passed = all(c.passed for c in checks)
+    assert ("overall: PASS" in human) == passed
+    assert all("PASS" in line for line in machine.splitlines()) == passed

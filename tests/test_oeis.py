@@ -112,13 +112,12 @@ def test_compare_reports_first_mismatch():
     rep = compare_sequence(builtin_sequence("A005418"), b, 1, 5)
     assert not rep.passed
     # A005418: 2, 3, 6, ... vs A032123: 1, 4, 10, ... differ from n = 1
-    assert rep.first_mismatch == (1, 2, 1)
+    assert rep.witness == (1, 2, 1)
 
 
-def test_compare_empty_range_is_vacuous():
-    rep = compare_sequence(builtin_sequence("A032123"), bundled_a032123(), 7, 3)
-    assert rep.passed and rep.empty
-    assert "empty" in rep.detail()
+def test_compare_empty_range_is_refused():
+    with pytest.raises(ValueError, match="empty comparison range"):
+        compare_sequence(builtin_sequence("A032123"), bundled_a032123(), 7, 3)
 
 
 def test_compare_rejects_uncovered_range():

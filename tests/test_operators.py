@@ -94,7 +94,7 @@ def test_apply_at_propagates_term_range():
 
 def test_verify_range_passes():
     rep = verify_range(builtin_operator("u-op"), builtin_sequence("central-binomial"), 1, 200)
-    assert rep.passed and rep.failure_index is None
+    assert rep.passed and rep.witness is None
     rep = verify_range(
         builtin_operator("v-op"), builtin_sequence("aerated-central-binomial"), 2, 200
     )
@@ -105,8 +105,7 @@ def test_verify_range_reports_first_failure():
     # 2*a(2) - 6*a(1) = 8 - 6 = 2
     rep = verify_range(builtin_operator("u-op"), builtin_sequence("A032123"), 2, 10)
     assert not rep.passed
-    assert rep.failure_index == 2
-    assert rep.residual == 2
+    assert rep.witness == (2, 2)
 
 
 def test_verify_range_validates_bounds():
