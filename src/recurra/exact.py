@@ -1,15 +1,20 @@
 """Exact rational arithmetic, dense univariate polynomials, truncated power series.
 
-All rationals are ``fractions.Fraction`` (always stored reduced, positive
-denominator). Polynomials are dense coefficient tuples over Fraction in the
-formal variable ``n``; everything here is an immutable value and every
-operation is a pure function, so sharing across threads is safe.
+Polynomials are dense coefficient tuples over Q in the formal variable ``n``.
+One rule, kept in ``Polynomial.__init__``: an integral coefficient is stored
+as an ``int`` (``Fraction(6, 3)`` becomes ``2``), and only a value that is not
+an integer stays a ``Fraction``, so Z[n] is plain ints and no ``/`` may reach
+a coefficient. Truncated series stay over ``Fraction`` (``series_inv_sqrt``
+divides by 2). Every value is immutable and every operation pure, so sharing
+across threads is safe.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
+
+from .check import decimal
 
 #: Degree of the zero polynomial. A tagged sentinel rather than -1 so that
 #: degree comparisons and sums stay honest (NEG_INF + d == NEG_INF).
@@ -18,25 +23,43 @@ NEG_INF = float("-inf")
 _Scalar = Union[int, Fraction]
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+def _canonical(x) -> _Scalar:
+    """The stored form of a coefficient: an int when integral, else a Fraction."""
+    if isinstance(x, (int, Fraction)):
+        return x.numerator if x.denominator == 1 else x
     raise TypeError(f"expected an integer or Fraction, got {type(x).__name__}")
+
+
+def primitive(values: Sequence[_Scalar]) -> list[int]:
+    """The values times one positive rational: coprime integers (content 1).
+
+    Signs are kept, and an all-zero input comes back as zeros.
+    """
+    den = math.lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (den // v.denominator) for v in values]
+    g = math.gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
+def _text(c: _Scalar) -> str:
+    """A coefficient in decimal, of any length: ``-7`` or ``-7/2``."""
+    if type(c) is int:
+        return decimal(c)
+    return f"{decimal(c.numerator)}/{decimal(c.denominator)}"
 
 
 class Polynomial:
     """Dense univariate polynomial over exact rationals.
 
-    ``coeffs[i]`` is the coefficient of n^i; the trailing coefficient is
-    nonzero (the zero polynomial has an empty coefficient tuple).
+    ``coeffs[i]`` is the coefficient of n^i, an int when integral; the
+    trailing coefficient is nonzero (the zero polynomial has an empty
+    coefficient tuple).
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[_Scalar] = ()):
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = [_canonical(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -55,15 +78,15 @@ class Polynomial:
         return not self.coeffs
 
     @property
-    def leading_coefficient(self) -> Fraction:
+    def leading_coefficient(self) -> _Scalar:
         if not self.coeffs:
-            return Fraction(0)
+            return 0
         return self.coeffs[-1]
 
-    def __getitem__(self, i: int) -> Fraction:
+    def __getitem__(self, i: int) -> _Scalar:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return Fraction(0)
+        return 0
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -116,7 +139,7 @@ class Polynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Polynomial()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai == 0:
                 continue
@@ -142,11 +165,8 @@ class Polynomial:
         """Horner evaluation; x may be an int, a Fraction, or a Polynomial."""
         if isinstance(x, Polynomial):
             acc = Polynomial()
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-            return acc
-        x = _as_fraction(x)
-        acc = Fraction(0)
+        else:
+            x, acc = _canonical(x), 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -159,30 +179,16 @@ class Polynomial:
 
     def normalized(self) -> "Polynomial":
         """Rational rescaling to integer coefficients, content 1, positive lead."""
-        if not self.coeffs:
-            return self
-        den_lcm = 1
-        for c in self.coeffs:
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        ints = [int(c * den_lcm) for c in self.coeffs]
-        content = 0
-        for v in ints:
-            content = math.gcd(content, v)
-        if ints[-1] < 0:
-            content = -content
-        return Polynomial([v // content for v in ints])
-
-    def integer_coeffs(self) -> tuple[int, ...]:
-        """Coefficients as plain ints; raises if any coefficient is fractional."""
-        if any(c.denominator != 1 for c in self.coeffs):
-            raise ValueError(f"polynomial {self} has non-integer coefficients")
-        return tuple(int(c) for c in self.coeffs)
+        ints = primitive(self.coeffs)
+        if ints and ints[-1] < 0:
+            ints = [-v for v in ints]
+        return Polynomial(ints)
 
     # -- text forms ----------------------------------------------------------
 
     def to_strings(self) -> list[str]:
         """Coefficient list low-to-high as decimal strings (file format)."""
-        return [str(c) for c in self.coeffs]
+        return [_text(c) for c in self.coeffs]
 
     @classmethod
     def from_strings(cls, items: Sequence[str]) -> "Polynomial":
@@ -200,9 +206,9 @@ class Polynomial:
             if c == 0:
                 continue
             if i == 0:
-                term = str(abs(c))
+                term = _text(abs(c))
             else:
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
+                mag = "" if abs(c) == 1 else f"{_text(abs(c))}*"
                 term = f"{mag}n" if i == 1 else f"{mag}n^{i}"
             if not parts:
                 parts.append(term if c > 0 else f"-{term}")
@@ -211,7 +217,7 @@ class Polynomial:
         return " ".join(parts)
 
     def __repr__(self) -> str:
-        return f"Polynomial({[str(c) for c in self.coeffs]})"
+        return f"Polynomial({self.to_strings()})"
 
 
 def _coerce(x):
@@ -225,42 +231,45 @@ def _coerce(x):
 #: The formal variable. Module-level so callers can write e.g. 8*(n**2 + 5*n - 19).
 n = Polynomial([0, 1])
 
-ZERO = Polynomial()
-ONE = Polynomial([1])
-
 
 def falling_factorial(j: int) -> Polynomial:
     """n(n-1)...(n-j+1), the monic degree-j falling factorial; j=0 gives 1."""
     if j < 0:
         raise ValueError("falling factorial length must be nonnegative")
-    out = ONE
+    out = Polynomial([1])
     for i in range(j):
         out = out * (n - i)
     return out
 
 
 def integer_roots(p: Polynomial) -> list[int]:
-    """All integer roots of a nonzero polynomial, ascending."""
+    """All integer roots of a nonzero polynomial, ascending.
+
+    Bisects [-B, B], B = 1 + max|c_i| // |c_d| the Cauchy bound, so the work
+    grows with the coefficients' bit length. An interval of half-width h about
+    m has no root if the Taylor coefficients a_k of p(m + t) give
+    |a_0| > sum_{k>=1} |a_k| h^k; one of at most 8 integers is scanned.
+    """
     if p.is_zero:
         raise ValueError("the zero polynomial vanishes everywhere")
-    coeffs = list(p.normalized().integer_coeffs())
-    roots = []
-    low = 0
-    while coeffs[low] == 0:
-        low += 1
-    if low > 0:
-        roots.append(0)
-        coeffs = coeffs[low:]
-    const = abs(coeffs[0])
-    if len(coeffs) > 1:
-        d = 1
-        while d * d <= const:
-            if const % d == 0:
-                for r in (d, -d, const // d, -(const // d)):
-                    if p(r) == 0:
-                        roots.append(r)
-            d += 1
-    return sorted(set(roots))
+    coeffs = p.normalized().coeffs
+    low = next(i for i, c in enumerate(coeffs) if c)
+    roots = [0] if low else []
+    q = Polynomial(coeffs[low:])  # q(0) != 0
+    bound = 1 + max(map(abs, q.coeffs[:-1]), default=0) // abs(q.leading_coefficient)
+    intervals = [(-bound, bound)]
+    while intervals:
+        lo, hi = intervals.pop()
+        if hi - lo < 8:
+            roots.extend(r for r in range(lo, hi + 1) if q(r) == 0)
+            continue
+        mid = (lo + hi) // 2
+        h = hi - mid
+        a = q.shifted(mid).coeffs
+        if abs(a[0]) > sum(abs(c) * h**k for k, c in enumerate(a) if k):
+            continue
+        intervals += [(lo, mid), (mid + 1, hi)]
+    return sorted(roots)
 
 
 class TruncatedSeries:
@@ -271,7 +280,7 @@ class TruncatedSeries:
     def __init__(self, coeffs: Iterable[_Scalar], order: int):
         if order < 0:
             raise ValueError("truncation order must be nonnegative")
-        cs = [_as_fraction(c) for c in coeffs][: order + 1]
+        cs = [Fraction(_canonical(c)) for c in coeffs][: order + 1]
         cs += [Fraction(0)] * (order + 1 - len(cs))
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "order", order)
@@ -298,8 +307,7 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            k = _as_fraction(other)
-            return TruncatedSeries([c * k for c in self.coeffs], self.order)
+            return TruncatedSeries([c * other for c in self.coeffs], self.order)
         order = min(self.order, other.order)
         return TruncatedSeries(
             _mul_trunc(self.coeffs, other.coeffs, order + 1), order

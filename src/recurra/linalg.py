@@ -1,29 +1,19 @@
 """Exact nullspace computation via fraction-free (Bareiss) elimination.
 
-Input rows may mix ints and Fractions; each row is cleared to integers
-first, so all elimination arithmetic stays in Z and every division is
-exact. Results are deterministic: basis vectors come out ordered by their
-free column, each with the free coordinate set to 1.
+Input rows may mix ints and Fractions; each is scaled to coprime integers
+first, and elimination and back-substitution stay in Z, every division exact.
+The basis is deterministic: one primitive integer vector (content 1) per free
+column, ascending, positive there and zero at the other free columns.
 """
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
-
-def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
-    out = []
-    for row in rows:
-        fr = [Fraction(x) for x in row]
-        den = 1
-        for x in fr:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        out.append([int(x * den) for x in fr])
-    return out
+from .exact import primitive
 
 
-def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[tuple[Fraction, ...]]:
+def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[tuple[int, ...]]:
     """Basis of {x : A x = 0} for the matrix with the given rows.
 
     Returns one vector per free column, ascending. An empty row list (or a
@@ -33,7 +23,7 @@ def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[tuple[
         if not rows:
             raise ValueError("column count required for an empty matrix")
         ncols = len(rows[0])
-    m = _integer_rows(rows)
+    m = [primitive(row) for row in rows]
     for row in m:
         if len(row) != ncols:
             raise ValueError("ragged matrix")
@@ -63,15 +53,22 @@ def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[tuple[
         if rank == len(m):
             break
 
+    # Back-substitution in Z: before solving a pivot's coordinate, scale the
+    # vector by the least positive factor that makes that division exact.
     pivot_cols = {c for _, c in pivots}
     basis = []
     for free in range(ncols):
         if free in pivot_cols:
             continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
+        v = [0] * ncols
+        v[free] = 1
         for row, col in reversed(pivots):
-            s = sum((m[row][c] * v[c] for c in range(col + 1, ncols)), Fraction(0))
-            v[col] = -s / m[row][col]
-        basis.append(tuple(v))
+            lead = m[row][col]
+            s = sum(m[row][c] * v[c] for c in range(col + 1, ncols) if v[c])
+            scale = abs(lead) // math.gcd(s, lead)
+            if scale != 1:
+                v = [x * scale for x in v]
+                s *= scale
+            v[col] = -s // lead
+        basis.append(tuple(primitive(v)))
     return basis

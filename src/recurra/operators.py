@@ -3,6 +3,7 @@
 An operator of order r maps a sequence a to n -> sum_j c_j(n) * a(n - j),
 j = 0..r. Operators are immutable and always held in normalized form:
 integer coefficients, joint content 1, positive leading coefficient on c_0.
+So every coefficient is an ``int`` (rational input is scaled on the way in).
 
 Builtin operators (exact names):
 
@@ -13,12 +14,10 @@ Builtin operators (exact names):
 from __future__ import annotations
 
 import json
-import math
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .check import Check, decimal
-from .exact import Polynomial, n
+from .exact import Polynomial, n, primitive
 from .linalg import nullspace
 from .sequences import SequenceSource
 
@@ -30,7 +29,7 @@ class LclmCapError(RuntimeError):
 class ShiftOperator:
     """Backward recurrence operator sum_{j=0..r} c_j(n) * a(n-j)."""
 
-    __slots__ = ("coeffs", "_rows")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Polynomial]):
         polys = [p if isinstance(p, Polynomial) else Polynomial([p]) for p in coeffs]
@@ -38,10 +37,7 @@ class ShiftOperator:
             raise ValueError("an operator needs at least the order-0 coefficient")
         if polys[0].is_zero or polys[-1].is_zero:
             raise ValueError("c_0 and the top coefficient must be nonzero")
-        normalized = tuple(_joint_normalize(polys))
-        object.__setattr__(self, "coeffs", normalized)
-        # Integer coefficient rows for apply's Horner loop, built once.
-        object.__setattr__(self, "_rows", tuple(p.integer_coeffs() for p in normalized))
+        object.__setattr__(self, "coeffs", tuple(_joint_normalize(polys)))
 
     def __setattr__(self, name, value):
         raise AttributeError("ShiftOperator is immutable")
@@ -71,9 +67,9 @@ class ShiftOperator:
         if at < self.order:
             raise ValueError(f"need at >= order={self.order}, got {at}")
         total = 0
-        for j, row in enumerate(self._rows):
+        for j, p in enumerate(self.coeffs):
             acc = 0
-            for c in reversed(row):
+            for c in reversed(p.coeffs):
                 acc = acc * at + c
             if acc:
                 total += acc * s.term(at - j)
@@ -150,18 +146,10 @@ def json_object(text: str, what: str, **fields) -> dict:
 
 
 def _joint_normalize(polys: list[Polynomial]) -> list[Polynomial]:
-    den = 1
-    for p in polys:
-        for c in p.coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-    content = 0
-    for p in polys:
-        for c in p.coeffs:
-            content = math.gcd(content, int(c * den))
-    scale = Fraction(den, content)
-    if polys[0].leading_coefficient < 0:
-        scale = -scale
-    return [p * scale for p in polys]
+    """Scale all coefficients to coprime integers, c_0's lead positive."""
+    sign = -1 if polys[0].leading_coefficient < 0 else 1
+    flat = iter(primitive([sign * c for p in polys for c in p.coeffs]))
+    return [Polynomial([next(flat) for _ in p.coeffs]) for p in polys]
 
 
 def builtin_operator(name: str) -> ShiftOperator:

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,20 @@ def test_term_spec_json_round_trip():
         assert (back.step, back.p, back.q, back.support, back.n_min) == (
             t.step, t.p, t.q, t.support, t.n_min,
         )
+
+
+def test_term_spec_json_round_trip_keeps_rational_coefficients():
+    t = HyperTermSpec(
+        step=1, p=Polynomial([Fraction(1, 2), 3]), q=4 * n - 7, support=frozenset({0}), n_min=1
+    )
+    assert json.loads(t.to_json())["p"] == ["1/2", "3"]
+    back = HyperTermSpec.from_json(t.to_json())
+    assert (back.p, back.q) == (t.p, t.q)
+
+
+def test_term_spec_json_writes_coefficients_of_any_length():
+    t = HyperTermSpec(step=1, p=n, q=4 * n - 10**5000, support=frozenset({0}), n_min=1)
+    assert json.loads(t.to_json())["q"] == ["-1" + "0" * 5000, "4"]
 
 
 def test_reduce_u_part_vanishes_with_degree_bound():

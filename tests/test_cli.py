@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import time
 
 import pytest
 
@@ -125,6 +126,30 @@ def test_prove_pipeline_prints_residuals_past_the_int_str_digit_cap(tmp_path, ca
         f"n=5 residual (informational): {_str_any_size(10**5000 * _a032123(5))}"
     )
     assert expected in out.splitlines()
+
+
+def test_lclm_prints_coefficients_past_the_int_str_digit_cap(tmp_path, capsys):
+    doc = json.loads(builtin_operator("u-op").to_json())
+    doc["coeffs"][0][0] = "1e5000"  # c_0 = n + 10**5000
+    op_file = tmp_path / "big.json"
+    op_file.write_text(json.dumps(doc))
+    code = main(["lclm", "--a", str(op_file), "--b", str(op_file)])
+    captured = capsys.readouterr()
+    assert code == EXIT_PASS
+    assert captured.err == ""
+    assert json.loads(captured.out)["coeffs"] == [["1" + "0" * 5000, "1"], ["2", "-4"]]
+
+
+def test_certify_with_a_25_digit_root_bound_is_fast(tmp_path, capsys):
+    term = {"step": 1, "p": ["0", "1"], "q": ["-1000000000000000000000007", "4"],
+            "support": [0], "n_min": 1}
+    term_file = tmp_path / "q25.json"
+    term_file.write_text(json.dumps(term))
+    start = time.perf_counter()
+    code = main(["certify", "--operator", "u-op", "--term", str(term_file)])
+    assert time.perf_counter() - start < 2.0
+    assert code == EXIT_FAIL
+    assert capsys.readouterr().out.startswith("NOT CERTIFIED: ")
 
 
 def test_verify_pass(capsys):

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recurra.exact import (
     NEG_INF,
@@ -11,6 +13,7 @@ from recurra.exact import (
     falling_factorial,
     integer_roots,
     n,
+    primitive,
     series_inv_sqrt,
 )
 
@@ -136,7 +139,8 @@ def test_normalized_coeffs_are_integers_content_one():
         q = p.normalized()
         if q.is_zero:
             continue
-        ints = q.integer_coeffs()
+        ints = q.coeffs
+        assert all(type(c) is int for c in ints)
         g = 0
         for v in ints:
             g = math.gcd(g, v)
@@ -157,6 +161,35 @@ def test_integer_roots():
     assert integer_roots(Polynomial([5])) == []
     with pytest.raises(ValueError):
         integer_roots(Polynomial())
+
+
+def test_integer_roots_far_from_zero():
+    assert integer_roots((n - 5) ** 3 * (n - 10**20) ** 2 * (3 * n + 1)) == [5, 10**20]
+    assert integer_roots(4 * n - (10**24 + 7)) == []
+    assert integer_roots(n**2 * (n + 10**30)) == [-(10**30), 0]
+
+
+def _divisor_roots(p):
+    """Integer roots by trial of every divisor of the lowest nonzero coefficient."""
+    cs = p.normalized().coeffs
+    low = next(i for i, c in enumerate(cs) if c)
+    candidates = {0} if low else set()
+    if len(cs) - low > 1:
+        a = abs(cs[low])
+        candidates |= {s * d for d in range(1, a + 1) if a % d == 0 for s in (1, -1)}
+    return sorted(r for r in candidates if p(r) == 0)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 3), st.integers(-30, 30)), max_size=3),
+    st.lists(st.integers(-20, 20), min_size=1, max_size=4).filter(any),
+)
+def test_integer_roots_match_divisor_enumeration(factors, cofactor):
+    p = Polynomial(cofactor)
+    for a, b in factors:
+        p = p * (a * n - b)
+    assert integer_roots(p) == _divisor_roots(p)
 
 
 def test_series_inv_sqrt_identity():
@@ -205,3 +238,52 @@ def test_polynomial_text_form_round_trip():
 def test_polynomial_immutable():
     with pytest.raises(AttributeError):
         n.coeffs = ()
+
+
+def test_integral_fraction_is_stored_as_int():
+    p = Polynomial([Fraction(6, 3), Fraction(1, 2), True])
+    assert [type(c) for c in p.coeffs] == [int, Fraction, int]
+    assert p.coeffs == (2, Fraction(1, 2), 1)
+    assert type((p * 2).coeffs[1]) is int
+    with pytest.raises(TypeError):
+        Polynomial([0.5])
+
+
+_rationals = st.one_of(
+    st.integers(-50, 50), st.builds(Fraction, st.integers(-600, 600), st.integers(1, 12))
+)
+_polys = st.lists(_rationals, max_size=6).map(Polynomial)
+
+
+def _canonical(p):
+    return all(type(c) is (int if c.denominator == 1 else Fraction) for c in p.coeffs)
+
+
+@settings(deadline=None)
+@given(_polys, _polys, st.integers(-20, 20))
+def test_coefficients_are_int_exactly_when_integral(p, q, delta):
+    for r in (p, q, p + q, p - q, p * q, p.shifted(delta), p.normalized(), (p * q).normalized()):
+        assert _canonical(r)
+    assert all(type(c) is int for c in p.normalized().coeffs)
+
+
+@settings(deadline=None)
+@given(st.lists(_rationals, max_size=6))
+def test_primitive_is_a_coprime_positive_multiple(values):
+    ints = primitive(values)
+    assert all(type(v) is int for v in ints)
+    assert math.gcd(*ints) == (1 if any(values) else 0)
+    nonzero = [(v, x) for v, x in zip(ints, values) if x]
+    if nonzero:
+        scale = Fraction(nonzero[0][0]) / nonzero[0][1]
+        assert scale > 0
+        assert all(v == scale * x for v, x in zip(ints, values))
+
+
+def test_text_forms_write_coefficients_of_any_length():
+    big = 10**5000
+    p = Polynomial([Fraction(-big, 3), big])
+    digits = "1" + "0" * 5000
+    assert p.to_strings() == [f"-{digits}/3", digits]
+    assert str(p) == f"{digits}*n - {digits}/3"
+    assert repr(p) == f"Polynomial({[f'-{digits}/3', digits]})"

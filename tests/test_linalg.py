@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recurra.linalg import nullspace
 
@@ -55,9 +58,14 @@ def test_rank_nullity_and_membership_random():
 
 
 def _reference_rank(m):
+    return len(_reference_pivot_columns(m, len(m[0])))
+
+
+def _reference_pivot_columns(m, ncols):
     a = [[Fraction(x) for x in row] for row in m]
-    rank = 0
-    for col in range(len(a[0])):
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
         piv = next((r for r in range(rank, len(a)) if a[r][col] != 0), None)
         if piv is None:
             continue
@@ -66,10 +74,44 @@ def _reference_rank(m):
             if r != rank and a[r][col] != 0:
                 f = a[r][col] / a[rank][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return pivots
 
 
 def test_deterministic_output():
     m = [[3, 1, -2, 0], [1, 1, 1, 1]]
     assert nullspace(m) == nullspace(m)
+
+
+def test_basis_vectors_are_primitive_integer_vectors():
+    assert nullspace([[1, 1, 1], [1, 0, -1]]) == [(1, -2, 1)]
+    assert nullspace([[Fraction(1, 2), Fraction(1, 3)]]) == [(-2, 3)]
+    assert nullspace([[4, 6, 0]]) == [(-3, 2, 0), (0, 0, 1)]
+
+
+_entries = st.one_of(
+    st.integers(-9, 9), st.builds(Fraction, st.integers(-54, 54), st.integers(1, 6))
+)
+_matrices = st.integers(1, 6).flatmap(
+    lambda cols: st.tuples(
+        st.lists(st.lists(_entries, min_size=cols, max_size=cols), max_size=6),
+        st.just(cols),
+    )
+)
+
+
+@settings(deadline=None)
+@given(_matrices)
+def test_nullspace_contract(matrix):
+    rows, ncols = matrix
+    basis = nullspace(rows, ncols=ncols)
+    pivots = _reference_pivot_columns(rows, ncols)
+    free = [c for c in range(ncols) if c not in pivots]
+    assert len(basis) == ncols - len(pivots)  # rank-nullity
+    for col, v in zip(free, basis):
+        assert all(type(x) is int for x in v)
+        assert math.gcd(*v) == 1
+        assert v[col] > 0
+        assert all(v[c] == 0 for c in free if c != col)
+        for row in rows:
+            assert sum(a * x for a, x in zip(row, v)) == 0

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recurra.exact import Polynomial, n
 from recurra.operators import (
@@ -239,10 +241,70 @@ def test_mathar_annihilates_each_summand_separately():
     assert verify_range(m, builtin_sequence("aerated-central-binomial"), 6, 300).passed
 
 
-def test_mathar_annihilates_oracle_terms():
+def test_mathar_annihilates_oracle_terms(oracle):
     # independent cross-check: terms recomputed by brute-force enumeration
-    from recurra.sequences import OrbitOracleSequence
-
-    oracle = OrbitOracleSequence()
     rep = verify_range(builtin_operator("mathar"), oracle, 6, oracle.max_index)
     assert rep.passed
+
+
+_scalars = st.one_of(
+    st.integers(-5, 5), st.builds(Fraction, st.integers(-20, 20), st.integers(1, 4))
+)
+_nonzero = st.one_of(st.integers(1, 5), st.integers(-5, -1))
+# c_0 and the top coefficient get a nonzero leading term, so no draw is rejected.
+_end_polys = st.tuples(st.lists(_scalars, max_size=2), _nonzero).map(
+    lambda t: Polynomial([*t[0], t[1]])
+)
+_operators = st.tuples(
+    _end_polys, st.lists(st.lists(_scalars, max_size=3).map(Polynomial), max_size=1), _end_polys
+).map(lambda t: ShiftOperator([t[0], *t[1], t[2]]))
+
+
+def _all_int(op):
+    return all(type(c) is int for p in op.coeffs for c in p.coeffs)
+
+
+@settings(deadline=None)
+@given(_operators, _operators, _operators)
+def test_operator_mul_is_associative(a, b, c):
+    assert (a * b) * c == a * (b * c)
+    assert all(map(_all_int, (a, b, c, a * b, (a * b) * c)))
+
+
+class _Applied:
+    """The sequence m -> op.apply(s, m), read through ``term`` like a source."""
+
+    def __init__(self, op, s):
+        self.op, self.s = op, s
+
+    def term(self, m):
+        return self.op.apply(self.s, m)
+
+
+@settings(deadline=None)
+@given(
+    _operators,
+    _operators,
+    st.lists(st.integers(-(10**6), 10**6), min_size=12, max_size=12),
+    st.integers(4, 11),
+)
+def test_product_applies_as_composition(p, q, values, at):
+    # p and q are primitive with c_0's lead positive, so by Gauss's lemma their
+    # composition already is too: normalizing p * q does not rescale it.
+    s = BFileSequence("s", 0, values)
+    assert (p * q).apply(s, at) == p.apply(_Applied(q, s), at)
+
+
+def test_json_round_trip_of_long_coefficients():
+    # 4000 digits: written in full, and still under the int parsing cap on reading
+    big = ShiftOperator([n + 10**3999, Polynomial([-7, 3 * 10**3999])])
+    text = big.to_json()
+    assert f'"{10**3999}"' in text
+    assert ShiftOperator.from_json(text) == big
+    assert repr(big).startswith("ShiftOperator(order=1")
+
+
+@settings(deadline=None)
+@given(_operators)
+def test_json_round_trip(op):
+    assert ShiftOperator.from_json(op.to_json()) == op
