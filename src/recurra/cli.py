@@ -247,6 +247,7 @@ def main(argv: list[str]) -> int:
         if args.command == "guess":
             s = _load_sequence(args.sequence)
             count = args.terms or guess_mod.required_terms(args.order, args.degree)
+            guess_mod.check_size(args.order, args.degree, count)
             terms = s.terms(s.min_index, s.min_index + count - 1)
             if args.minimal:
                 op = guess_mod.minimal_guess(

@@ -11,16 +11,32 @@ across threads is safe.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .check import decimal
+from .check import decimal, from_decimal
 
 #: Degree of the zero polynomial. A tagged sentinel rather than -1 so that
 #: degree comparisons and sums stay honest (NEG_INF + d == NEG_INF).
 NEG_INF = float("-inf")
 
 _Scalar = Union[int, Fraction]
+
+#: Most decimal digits a coefficient read from text may have in its numerator
+#: or in its denominator, as written. It is checked on the digit count and the
+#: exponent before any integer is built: ``"1e10000000"`` alone would be a
+#: 33-million-bit integer.
+COEFF_DIGITS = 100_000
+
+#: The grammar of ``Fraction(str)`` in CPython 3.11: ``[sign] num[/den]`` or
+#: ``[sign] digits[.digits][e exp]``, underscores between digit groups.
+_COEFF_TEXT = re.compile(
+    r"""\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(_\d+)*)
+    (?:/(?P<den>\d+(_\d+)*)
+      |(?:\.(?P<frac>\d*|\d+(_\d+)*))?(?:E(?P<exp>[-+]?\d+(_\d+)*))?)\s*""",
+    re.VERBOSE | re.IGNORECASE,
+)
 
 
 def _canonical(x) -> _Scalar:
@@ -39,6 +55,48 @@ def primitive(values: Sequence[_Scalar]) -> list[int]:
     ints = [v.numerator * (den // v.denominator) for v in values]
     g = math.gcd(*ints)
     return [v // g for v in ints] if g > 1 else ints
+
+
+def parse_coefficient(text: str) -> _Scalar:
+    """The value of one coefficient written as ``Fraction(str)`` reads it.
+
+    Reads any length up to ``COEFF_DIGITS`` digits without touching CPython's
+    int-from-string cap, and refuses longer ones by name before building them.
+    """
+    match = _COEFF_TEXT.fullmatch(text)
+    if match is None:
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    sign = "-" if match["sign"] == "-" else ""
+    num = match["num"].replace("_", "")
+    if match["den"] is not None:
+        num, den = num.lstrip("0"), match["den"].replace("_", "").lstrip("0")
+        if not den:
+            raise ValueError(f"zero denominator in coefficient {text!r}")
+        if max(len(num), len(den)) > COEFF_DIGITS:
+            raise _over_cap(text)
+        return _canonical(Fraction(from_decimal(sign + (num or "0")), from_decimal(den)))
+    frac = (match["frac"] or "").replace("_", "")
+    digits = (num + frac).lstrip("0")
+    if not digits:
+        return 0
+    exp = (match["exp"] or "0").replace("_", "")
+    if len(exp.lstrip("+-0")) > 18:  # no text is long enough to cancel it
+        raise _over_cap(text)
+    shift = int(exp) - len(frac)
+    if len(digits) + max(shift, 0) > COEFF_DIGITS or 1 - shift > COEFF_DIGITS:
+        raise _over_cap(text)
+    value = from_decimal(sign + digits)
+    if shift >= 0:
+        return value * 10**shift
+    return _canonical(Fraction(value, 10**-shift))
+
+
+def _over_cap(text: str) -> ValueError:
+    shown = text if len(text) <= 40 else f"{text[:20]}... ({len(text)} characters)"
+    return ValueError(
+        f"coefficient {shown!r} has more than COEFF_DIGITS = {COEFF_DIGITS} digits "
+        "in its numerator or denominator"
+    )
 
 
 def _text(c: _Scalar) -> str:
@@ -191,11 +249,9 @@ class Polynomial:
         return [_text(c) for c in self.coeffs]
 
     @classmethod
-    def from_strings(cls, items: Sequence[str]) -> "Polynomial":
-        try:
-            return cls([Fraction(s) for s in items])
-        except ZeroDivisionError:  # "1/0" in a file is bad input, not a bug
-            raise ValueError(f"zero denominator among coefficients {list(items)}") from None
+    def from_strings(cls, items: Sequence[str | int]) -> "Polynomial":
+        """Inverse of ``to_strings``; JSON integers pass through as they are."""
+        return cls([s if isinstance(s, int) else parse_coefficient(s) for s in items])
 
     def __str__(self) -> str:
         if not self.coeffs:

@@ -18,6 +18,13 @@ from .sequences import BFileSequence
 
 #: Extra equations demanded beyond the unknown count before a fit is trusted.
 MARGIN = 10
+#: Most unknowns (order+1)(degree+1) one guess may solve for: the system is
+#: dense, about that many columns by that many rows. (14, 19), 300 unknowns on
+#: the default 334 terms of A032123, takes about 5 s.
+MAX_UNKNOWNS = 300
+#: Most terms one guess may sample; each adds an equation. 1000 terms at 300
+#: unknowns take about 16 s and 155 MB on A032123.
+MAX_TERMS = 1000
 
 
 class InsufficientTermsError(ValueError):
@@ -31,6 +38,19 @@ class GuessNotFoundError(RuntimeError):
 def required_terms(order: int, degree: int, holdout: int = 10) -> int:
     """Minimum term count for a trustworthy (order, degree) guess."""
     return (order + 1) * (degree + 1) + order + MARGIN + holdout
+
+
+def check_size(order: int, degree: int, terms: int) -> None:
+    """Refuse a guess past ``MAX_UNKNOWNS`` or ``MAX_TERMS``; call it before
+    generating the terms, which grow with the count too."""
+    unknowns = (order + 1) * (degree + 1)
+    if unknowns > MAX_UNKNOWNS:
+        raise ValueError(
+            f"order={order}, degree={degree} has {unknowns} unknowns, over the cap "
+            f"MAX_UNKNOWNS = {MAX_UNKNOWNS}"
+        )
+    if terms > MAX_TERMS:
+        raise ValueError(f"{terms} terms requested, over the cap MAX_TERMS = {MAX_TERMS}")
 
 
 @dataclass(frozen=True)
@@ -47,6 +67,7 @@ class GuessProblem:
         object.__setattr__(self, "terms", tuple(self.terms))
         if self.order < 1 or self.degree < 0 or self.holdout < 0:
             raise ValueError("order must be >= 1 and degree/holdout >= 0")
+        check_size(self.order, self.degree, len(self.terms))
         need = required_terms(self.order, self.degree, self.holdout)
         if len(self.terms) < need:
             raise InsufficientTermsError(

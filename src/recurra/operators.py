@@ -17,9 +17,16 @@ import json
 from typing import Iterable, Sequence
 
 from .check import Check, decimal
-from .exact import Polynomial, n, primitive
+from .exact import Polynomial, n, parse_coefficient, primitive
 from .linalg import nullspace
 from .sequences import SequenceSource
+
+#: Largest ``order_cap`` and ``degree_cap`` an LCLM search accepts. A failing
+#: search tries every shape up to both, and the worst systems come from two
+#: order-1 operators: u-op against one with degree-20 coefficients fails at
+#: (10, 16) in about 22 s; at (8, 10), the defaults, with degree 12, in 3 s.
+MAX_ORDER_CAP = 10
+MAX_DEGREE_CAP = 16
 
 
 class LclmCapError(RuntimeError):
@@ -134,7 +141,7 @@ def json_object(text: str, what: str, **fields) -> dict:
     A missing or mistyped field raises ValueError naming it, so a malformed
     file fails like any other bad input instead of with a traceback.
     """
-    doc = json.loads(text)
+    doc = json.loads(text, parse_int=parse_coefficient)  # under COEFF_DIGITS
     if not isinstance(doc, dict):
         raise ValueError(f"{what} file must hold a JSON object, got {type(doc).__name__}")
     for key, (ok, expected) in fields.items():
@@ -239,6 +246,14 @@ def lclm_with_cofactors(
     """
     if order_cap <= 0 or degree_cap < 0:
         raise ValueError("caps must be positive")
+    if order_cap > MAX_ORDER_CAP:
+        raise ValueError(
+            f"order_cap={order_cap} is over the bound MAX_ORDER_CAP = {MAX_ORDER_CAP}"
+        )
+    if degree_cap > MAX_DEGREE_CAP:
+        raise ValueError(
+            f"degree_cap={degree_cap} is over the bound MAX_DEGREE_CAP = {MAX_DEGREE_CAP}"
+        )
     for order in range(max(a.order, b.order), order_cap + 1):
         for degree in range(degree_cap + 1):
             found = _lclm_at(a, b, order, degree)

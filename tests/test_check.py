@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from recurra.check import decimal
+from recurra.check import decimal, from_decimal
 
 
 def _reference(x):
@@ -36,3 +36,16 @@ def test_decimal_matches_str_across_chunk_boundaries(x):
 def test_decimal_matches_str_on_random_wide_ints(chunks, low, shift):
     x = low * 10 ** (1000 * chunks + shift) + low
     assert decimal(x) == _reference(x)
+
+
+@given(st.integers(min_value=0, max_value=4), st.integers(), st.integers(0, 2000))
+def test_from_decimal_inverts_decimal(chunks, low, shift):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    x = low * 10 ** (1000 * chunks + shift) + low
+    assert from_decimal(decimal(x)) == x
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_from_decimal_reads_leading_zeros_across_chunks():
+    assert from_decimal("0" * 2500 + "7") == 7
+    assert from_decimal("-" + "0" * 999 + "12") == -12

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import sys
@@ -454,3 +455,74 @@ def test_machine_and_human_agree_on_facts():
     passed = all(c.passed for c in checks)
     assert ("overall: PASS" in human) == passed
     assert all("PASS" in line for line in machine.splitlines()) == passed
+
+
+# sha256 of the stdout of two discovery commands, recorded before the modular
+# nullspace replaced fraction-free elimination; the bytes must not change.
+DISCOVERY_SHA256 = {
+    ("guess", "--sequence", "A032123", "--order", "8", "--degree", "12"):
+        "0218f253d44501abe2f78428be8fc17430323cb6f82c123634fffc66b9d2cd9b",
+    ("lclm", "--a", "u-op", "--b", "v-op"):
+        "752cfa5c6224440234a303af6dfd609b49e8db95822b0125f58b3a5b46a420b6",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(DISCOVERY_SHA256), ids=lambda a: a[0])
+def test_discovery_output_is_pinned(argv, capsys):
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert code == EXIT_PASS
+    assert hashlib.sha256(out.encode()).hexdigest() == DISCOVERY_SHA256[argv]
+
+
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        (["guess", "--sequence", "A032123", "--order", "200", "--degree", "200"],
+         "MAX_UNKNOWNS"),
+        (["guess", "--sequence", "A032123", "--order", "200", "--degree", "200",
+          "--minimal"], "MAX_UNKNOWNS"),
+        (["guess", "--sequence", "A032123", "--order", "2", "--degree", "2",
+          "--terms", "40621"], "MAX_TERMS"),
+        (["lclm", "--a", "u-op", "--b", "v-op", "--order-cap", "1000"], "MAX_ORDER_CAP"),
+        (["lclm", "--a", "u-op", "--b", "v-op", "--degree-cap", "1000"], "MAX_DEGREE_CAP"),
+    ],
+    ids=["guess-unknowns", "minimal-unknowns", "guess-terms", "lclm-order", "lclm-degree"],
+)
+def test_discovery_caps_fail_fast_and_name_the_cap(argv, cap, capsys):
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < 2.0
+    assert code == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and cap in err
+
+
+def test_operator_coefficient_digit_cap_fails_fast(tmp_path, capsys):
+    doc = json.loads(builtin_operator("u-op").to_json())
+    doc["coeffs"][0][0] = "1e10000000"  # a 33-million-bit integer if built
+    op_file = tmp_path / "huge.json"
+    op_file.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code = main(["lclm", "--a", str(op_file), "--b", "u-op"])
+    assert time.perf_counter() - start < 2.0
+    assert code == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "COEFF_DIGITS" in err
+    assert "set_int_max_str_digits" not in err
+
+
+def test_lclm_reads_back_coefficients_past_the_int_str_digit_cap(tmp_path, capsys):
+    doc = json.loads(builtin_operator("u-op").to_json())
+    doc["coeffs"][0][0] = "1e5000"
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(doc))
+    assert main(["lclm", "--a", str(big), "--b", str(big)]) == EXIT_PASS
+    written = capsys.readouterr().out
+    out_file = tmp_path / "out.json"
+    out_file.write_text(written)  # a 5001-digit coefficient, as recurra writes it
+    code = main(["lclm", "--a", str(out_file), "--b", str(out_file)])
+    captured = capsys.readouterr()
+    assert code == EXIT_PASS
+    assert captured.err == ""
+    assert captured.out == written

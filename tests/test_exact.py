@@ -1,18 +1,22 @@
 import math
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recurra.exact import (
+    COEFF_DIGITS,
     NEG_INF,
     Polynomial,
     TruncatedSeries,
     falling_factorial,
     integer_roots,
     n,
+    parse_coefficient,
     primitive,
     series_inv_sqrt,
 )
@@ -233,6 +237,71 @@ def test_polynomial_text_form_round_trip():
     p = Polynomial([0, -1, 1])
     assert p.to_strings() == ["0", "-1", "1"]
     assert Polynomial.from_strings(p.to_strings()) == p
+
+
+# Underscores between digit groups joined the ``Fraction(str)`` grammar in 3.11.
+_digits = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["", "0", "00"]),
+    st.integers(0, 10**9),
+    st.sampled_from(["", "_5", "_000"] if sys.version_info >= (3, 11) else [""]),
+)
+_signs = st.sampled_from(["", "-", "+"])
+_coefficient_texts = st.one_of(
+    st.builds("{}{}/{}".format, _signs, _digits, _digits),
+    st.builds(
+        "{}{}{}{}".format,
+        _signs,
+        _digits,
+        st.one_of(st.just(""), st.just("."), st.builds(".{}".format, _digits)),
+        st.one_of(st.just(""), st.builds("e{}".format, st.integers(-30, 30))),
+    ),
+    st.builds(".{}E{}".format, _digits, st.integers(-30, 30)),
+)
+
+
+def _assert_reads_like_fraction(text):
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError):
+            parse_coefficient(text)
+        return
+    value = parse_coefficient(text)
+    assert value == expected
+    assert type(value) is (int if expected.denominator == 1 else Fraction)
+
+
+@example(" 12 ")
+@example("\t-1.5e+2\n")
+@given(_coefficient_texts)
+def test_parse_coefficient_reads_what_fraction_reads(text):
+    _assert_reads_like_fraction(text)
+
+
+# No underscores or spaces: the versions' grammars differ there (3.12 allows
+# spaces around "/"). Up to 7 characters keeps every exponent small.
+@given(st.text(alphabet="+-./0123456789eE", max_size=7))
+def test_parse_coefficient_accepts_exactly_what_fraction_accepts(text):
+    _assert_reads_like_fraction(text)
+
+
+def test_coefficient_digit_cap_is_checked_before_building():
+    start = time.perf_counter()
+    over = ["1e10000000", "-1e-10000000", "1" * (COEFF_DIGITS + 1), "1e" + "9" * 40,
+            "2/1" + "0" * COEFF_DIGITS, "5" * COEFF_DIGITS + "e1", "1e-" + str(COEFF_DIGITS)]
+    for text in over:
+        with pytest.raises(ValueError, match="COEFF_DIGITS"):
+            parse_coefficient(text)
+    assert time.perf_counter() - start < 2.0
+    assert parse_coefficient("0e" + "9" * 40) == 0
+
+
+def test_coefficients_round_trip_up_to_the_digit_cap():
+    assert parse_coefficient("1e5000") == 10**5000
+    for c in (10**COEFF_DIGITS - 1, Fraction(-1, 10 ** (COEFF_DIGITS - 1))):
+        p = Polynomial([c, 1])
+        assert Polynomial.from_strings(p.to_strings()) == p
 
 
 def test_polynomial_immutable():

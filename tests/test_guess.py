@@ -120,3 +120,8 @@ def test_mathar_is_consistent_as_frozen_solution():
     m = builtin_operator("mathar")
     for i in range(6, 61):
         assert m.apply(a, i) == 0
+
+
+def test_problem_past_the_unknown_cap_is_refused():
+    with pytest.raises(ValueError, match="MAX_UNKNOWNS"):
+        GuessProblem(terms=[1] * 10, order=30, degree=30)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recurra import linalg
 from recurra.linalg import nullspace
 
 
@@ -115,3 +116,53 @@ def test_nullspace_contract(matrix):
         assert all(v[c] == 0 for c in free if c != col)
         for row in rows:
             assert sum(a * x for a, x in zip(row, v)) == 0
+
+
+MERSENNE_127 = 2**127 - 1
+#: The largest prime below 2^127 - 1, the second modulus ``nullspace`` uses.
+SECOND_PRIME = MERSENNE_127 - 24
+
+
+def test_rank_drop_mod_the_first_prime():
+    # The entry 2^127 - 1 vanishes mod the first prime, so the rank drops there.
+    assert nullspace([[MERSENNE_127, 1], [0, 1]]) == []
+    assert nullspace([[MERSENNE_127, 1, 1], [0, 1, 1]]) == [(0, -1, 1)]
+
+
+def test_kernel_past_one_prime_reconstruction_bound(monkeypatch):
+    primes_used = []
+    kernel_mod = linalg._kernel_mod
+
+    def counting(m, ncols, p):
+        primes_used.append(p)
+        return kernel_mod(m, ncols, p)
+
+    monkeypatch.setattr(linalg, "_kernel_mod", counting)
+    assert nullspace([[3**190, 2**300 + 1]]) == [(-(2**300 + 1), 3**190)]
+    assert len(primes_used) >= 5  # a 600-bit kernel, 127-bit primes
+    assert primes_used[:2] == [MERSENNE_127, SECOND_PRIME]
+
+
+def test_unlucky_prime_is_skipped_while_combining():
+    # Over Q the pivots are columns 0 and 1; mod SECOND_PRIME they are 0 and 2,
+    # which comes after the first prime's profile, so that prime is left out.
+    rows = [[3**190, 2**300 + 1, 0], [0, SECOND_PRIME, 1]]
+    assert nullspace(rows) == [(2**300 + 1, -(3**190), 3**190 * SECOND_PRIME)]
+
+
+_big_matrices = st.integers(1, 5).flatmap(
+    lambda cols: st.tuples(
+        st.lists(
+            st.lists(st.integers(-(2**200), 2**200), min_size=cols, max_size=cols),
+            max_size=5,
+        ),
+        st.just(cols),
+    )
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_big_matrices)
+def test_nullspace_contract_with_200_bit_entries(matrix):
+    # Kernel entries here reach about a thousand bits: many primes, combined by CRT.
+    test_nullspace_contract.hypothesis.inner_test(matrix)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recurra.exact import Polynomial, n
+from recurra.exact import COEFF_DIGITS, Polynomial, n
 from recurra.operators import (
     LclmCapError,
     ShiftOperator,
@@ -302,6 +302,20 @@ def test_json_round_trip_of_long_coefficients():
     assert f'"{10**3999}"' in text
     assert ShiftOperator.from_json(text) == big
     assert repr(big).startswith("ShiftOperator(order=1")
+
+
+def test_json_round_trip_past_the_int_str_digit_cap():
+    big = ShiftOperator([n + 10**6000, Polynomial([-7, 3 * 10**5999])])
+    assert ShiftOperator.from_json(big.to_json()) == big
+
+
+def test_json_integer_literals_read_like_coefficient_text():
+    # A bare JSON integer goes through the same reader and cap as a string.
+    text = '{"convention": "backward", "order": 1, "coeffs": [[%s, 1], [2, -4]]}'
+    op = ShiftOperator.from_json(text % ("1" + "0" * 5000))
+    assert op.coeffs[0] == n + 10**5000
+    with pytest.raises(ValueError, match="COEFF_DIGITS"):
+        ShiftOperator.from_json(text % ("1" * (COEFF_DIGITS + 1)))
 
 
 @settings(deadline=None)
