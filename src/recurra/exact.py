@@ -24,19 +24,17 @@ NEG_INF = float("-inf")
 _Scalar = Union[int, Fraction]
 
 #: Most decimal digits a coefficient read from text may have in its numerator
-#: or in its denominator, as written. It is checked on the digit count and the
-#: exponent before any integer is built: ``"1e10000000"`` alone would be a
-#: 33-million-bit integer.
+#: or in its denominator. It is checked on the text before any integer is
+#: built: ``"1e10000000"`` alone would be a 33-million-bit integer.
 COEFF_DIGITS = 100_000
+#: Longest coefficient text in a form other than ``[-]digits[/digits]``, such
+#: as ``1.5e3``; far below CPython's int-from-string cap.
+_SHORT_TEXT = 1000
 
-#: The grammar of ``Fraction(str)`` in CPython 3.11: ``[sign] num[/den]`` or
-#: ``[sign] digits[.digits][e exp]``, underscores between digit groups.
-_COEFF_TEXT = re.compile(
-    r"""\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(_\d+)*)
-    (?:/(?P<den>\d+(_\d+)*)
-      |(?:\.(?P<frac>\d*|\d+(_\d+)*))?(?:E(?P<exp>[-+]?\d+(_\d+)*))?)\s*""",
-    re.VERBOSE | re.IGNORECASE,
-)
+#: The form ``to_strings`` writes, which JSON integer literals share.
+_PLAIN = re.compile(r"(-?)(\d+)(?:/(\d+))?")
+#: The exponent that ends a decimal text, as ``int`` reads it.
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 def _canonical(x) -> _Scalar:
@@ -58,44 +56,37 @@ def primitive(values: Sequence[_Scalar]) -> list[int]:
 
 
 def parse_coefficient(text: str) -> _Scalar:
-    """The value of one coefficient written as ``Fraction(str)`` reads it.
+    """The value of one coefficient, as ``Fraction(text)`` reads it.
 
-    Reads any length up to ``COEFF_DIGITS`` digits without touching CPython's
-    int-from-string cap, and refuses longer ones by name before building them.
+    The form ``to_strings`` writes is read at any length up to
+    ``COEFF_DIGITS`` digits without touching CPython's int-from-string cap.
+    Any other form is left to ``Fraction`` when it has at most ``_SHORT_TEXT``
+    characters and its length plus its exponent stays within ``COEFF_DIGITS``.
+    Longer texts are refused by name before anything is built.
     """
-    match = _COEFF_TEXT.fullmatch(text)
-    if match is None:
-        raise ValueError(f"Invalid literal for Fraction: {text!r}")
-    sign = "-" if match["sign"] == "-" else ""
-    num = match["num"].replace("_", "")
-    if match["den"] is not None:
-        num, den = num.lstrip("0"), match["den"].replace("_", "").lstrip("0")
-        if not den:
-            raise ValueError(f"zero denominator in coefficient {text!r}")
-        if max(len(num), len(den)) > COEFF_DIGITS:
+    plain = _PLAIN.fullmatch(text)
+    if plain:
+        sign, num, den = plain.groups()
+        if max(len(num), len(den or "")) > COEFF_DIGITS:
             raise _over_cap(text)
-        return _canonical(Fraction(from_decimal(sign + (num or "0")), from_decimal(den)))
-    frac = (match["frac"] or "").replace("_", "")
-    digits = (num + frac).lstrip("0")
-    if not digits:
-        return 0
-    exp = (match["exp"] or "0").replace("_", "")
-    if len(exp.lstrip("+-0")) > 18:  # no text is long enough to cancel it
-        raise _over_cap(text)
-    shift = int(exp) - len(frac)
-    if len(digits) + max(shift, 0) > COEFF_DIGITS or 1 - shift > COEFF_DIGITS:
-        raise _over_cap(text)
-    value = from_decimal(sign + digits)
-    if shift >= 0:
-        return value * 10**shift
-    return _canonical(Fraction(value, 10**-shift))
+        value = from_decimal(sign + num)
+        if den is None:
+            return value
+    else:
+        exp = _EXPONENT.search(text)
+        if len(text) > _SHORT_TEXT or (exp and len(text) + abs(int(exp[1])) > COEFF_DIGITS):
+            raise _over_cap(text)
+    try:
+        return _canonical(Fraction(value, from_decimal(den)) if plain else Fraction(text))
+    except ZeroDivisionError:  # "1/0" in a file is bad input, not a bug
+        raise ValueError(f"zero denominator in coefficient {text!r}") from None
 
 
 def _over_cap(text: str) -> ValueError:
     shown = text if len(text) <= 40 else f"{text[:20]}... ({len(text)} characters)"
     return ValueError(
-        f"coefficient {shown!r} has more than COEFF_DIGITS = {COEFF_DIGITS} digits "
-        "in its numerator or denominator"
+        f"coefficient {shown!r} is over the cap COEFF_DIGITS = {COEFF_DIGITS} digits "
+        f"(and {_SHORT_TEXT} characters unless written as [-]digits[/digits])"
     )
 
 

@@ -10,9 +10,10 @@ integer vector, and A x = 0 is checked exactly over Z before it is returned.
 The result does not trust the primes. A verified vector is supported on its
 own free column and on pivot columns to its left, so that column is free over
 Q as well; and the nullity mod p is never below the nullity over Q. So once
-every free column mod p has a verified vector, the vectors are exactly the
-basis the contract defines: one primitive integer vector (content 1) per free
-column, ascending, positive there and zero at the other free columns.
+every free column of one pivot list has a vector verified under that list,
+the vectors are exactly the basis the contract defines: one primitive integer
+vector (content 1) per free column, ascending, positive there and zero at the
+other free columns.
 """
 from __future__ import annotations
 
@@ -60,6 +61,9 @@ def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[tuple[
             len(pivots) == len(best) and pivots < best
         ):  # nearer the profile over Q: restart the CRT from this prime
             best, modulus, residues = pivots, p, kernel
+            # A vector checked under the old pivot list may be nonzero at a
+            # free column of the new one, so it is no contract vector.
+            found.clear()
         elif pivots == best:  # same profile: extend the modulus by CRT
             scale = modulus * pow(modulus, -1, p)
             modulus *= p

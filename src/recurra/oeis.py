@@ -13,6 +13,7 @@ import re
 import sys
 import tempfile
 import urllib.error
+import urllib.request
 from importlib import resources
 from pathlib import Path
 
@@ -135,10 +136,6 @@ def fetch_bfile(
         raise OfflineError(
             f"{sequence_id} is not cached at {cache_path} and offline mode forbids fetching"
         )
-
-    # Imported here: http, email and ssl come with it, which would add about
-    # 30 ms (2-vCPU Xeon) to the start-up of every command that never fetches.
-    import urllib.request
 
     url = bfile_url(sequence_id)
     try:

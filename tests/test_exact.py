@@ -1,6 +1,5 @@
 import math
 import random
-import sys
 import time
 from fractions import Fraction
 
@@ -239,28 +238,14 @@ def test_polynomial_text_form_round_trip():
     assert Polynomial.from_strings(p.to_strings()) == p
 
 
-# Underscores between digit groups joined the ``Fraction(str)`` grammar in 3.11.
-_digits = st.builds(
-    "{}{}{}".format,
-    st.sampled_from(["", "0", "00"]),
-    st.integers(0, 10**9),
-    st.sampled_from(["", "_5", "_000"] if sys.version_info >= (3, 11) else [""]),
-)
-_signs = st.sampled_from(["", "-", "+"])
-_coefficient_texts = st.one_of(
-    st.builds("{}{}/{}".format, _signs, _digits, _digits),
-    st.builds(
-        "{}{}{}{}".format,
-        _signs,
-        _digits,
-        st.one_of(st.just(""), st.just("."), st.builds(".{}".format, _digits)),
-        st.one_of(st.just(""), st.builds("e{}".format, st.integers(-30, 30))),
-    ),
-    st.builds(".{}E{}".format, _digits, st.integers(-30, 30)),
-)
-
-
-def _assert_reads_like_fraction(text):
+@example(" 12 ")
+@example("\t-1.5e+2\n")
+@example("1_000")
+@example("+7/2")
+@example("-0/5")
+@example(" 1/0")
+@given(st.text(alphabet=" +-./0123456789_eE", max_size=6))
+def test_parse_coefficient_reads_what_fraction_reads(text):
     try:
         expected = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -272,29 +257,15 @@ def _assert_reads_like_fraction(text):
     assert type(value) is (int if expected.denominator == 1 else Fraction)
 
 
-@example(" 12 ")
-@example("\t-1.5e+2\n")
-@given(_coefficient_texts)
-def test_parse_coefficient_reads_what_fraction_reads(text):
-    _assert_reads_like_fraction(text)
-
-
-# No underscores or spaces: the versions' grammars differ there (3.12 allows
-# spaces around "/"). Up to 7 characters keeps every exponent small.
-@given(st.text(alphabet="+-./0123456789eE", max_size=7))
-def test_parse_coefficient_accepts_exactly_what_fraction_accepts(text):
-    _assert_reads_like_fraction(text)
-
-
 def test_coefficient_digit_cap_is_checked_before_building():
     start = time.perf_counter()
     over = ["1e10000000", "-1e-10000000", "1" * (COEFF_DIGITS + 1), "1e" + "9" * 40,
-            "2/1" + "0" * COEFF_DIGITS, "5" * COEFF_DIGITS + "e1", "1e-" + str(COEFF_DIGITS)]
+            "2/1" + "0" * COEFF_DIGITS, "5" * COEFF_DIGITS + "e1", "1e-" + str(COEFF_DIGITS),
+            "+" + "1" * 5000]
     for text in over:
         with pytest.raises(ValueError, match="COEFF_DIGITS"):
             parse_coefficient(text)
     assert time.perf_counter() - start < 2.0
-    assert parse_coefficient("0e" + "9" * 40) == 0
 
 
 def test_coefficients_round_trip_up_to_the_digit_cap():

@@ -127,6 +127,12 @@ def test_rank_drop_mod_the_first_prime():
     # The entry 2^127 - 1 vanishes mod the first prime, so the rank drops there.
     assert nullspace([[MERSENNE_127, 1], [0, 1]]) == []
     assert nullspace([[MERSENNE_127, 1, 1], [0, 1, 1]]) == [(0, -1, 1)]
+    # Column 2 has a kernel vector under the first prime's pivot list [1], but
+    # a later prime's list [0] makes column 1 free, where that vector is not 0.
+    assert nullspace([[MERSENNE_127, 1, 1]]) == [
+        (-1, MERSENNE_127, 0),
+        (-1, 0, MERSENNE_127),
+    ]
 
 
 def test_kernel_past_one_prime_reconstruction_bound(monkeypatch):
@@ -165,4 +171,28 @@ _big_matrices = st.integers(1, 5).flatmap(
 @given(_big_matrices)
 def test_nullspace_contract_with_200_bit_entries(matrix):
     # Kernel entries here reach about a thousand bits: many primes, combined by CRT.
+    test_nullspace_contract.hypothesis.inner_test(matrix)
+
+
+# Entries that vanish mod the first primes make those primes drop rank or
+# pivot on later columns, so the pivot list changes from one prime to the next.
+_prime_multiples = st.one_of(
+    st.integers(-3, 3),
+    st.builds(
+        lambda k, q: k * q,
+        st.integers(-3, 3),
+        st.sampled_from([MERSENNE_127, SECOND_PRIME, MERSENNE_127 * SECOND_PRIME]),
+    ),
+)
+_unlucky_matrices = st.integers(1, 5).flatmap(
+    lambda cols: st.tuples(
+        st.lists(st.lists(_prime_multiples, min_size=cols, max_size=cols), max_size=4),
+        st.just(cols),
+    )
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_unlucky_matrices)
+def test_nullspace_contract_with_entries_vanishing_mod_the_first_primes(matrix):
     test_nullspace_contract.hypothesis.inner_test(matrix)
