@@ -1,11 +1,11 @@
 """recurra: exact-arithmetic toolkit for P-recursive sequences.
 
-Everything computes over arbitrary-precision rationals; there is no
-floating point anywhere. The headline capability is the fully offline
-proof pipeline for the order-5 recurrence of OEIS A032123
-(``recurra prove-a032123``), built from reusable pieces: shift-operator
-algebra, symbolic annihilation certificates, exact recurrence guessing,
-orbit-counting oracles, and b-file handling.
+Everything computes over arbitrary-precision integers, with rationals only
+while a coefficient file is read; there is no floating point anywhere. The
+headline capability is the fully offline proof pipeline for the order-5
+recurrence of OEIS A032123 (``recurra prove-a032123``), built from reusable
+pieces: shift-operator algebra, symbolic annihilation certificates, exact
+recurrence guessing, orbit-counting oracles, and b-file handling.
 """
 from .certify import (
     CertificationReport,
@@ -23,10 +23,8 @@ from .check import Check
 from .exact import (
     NEG_INF,
     Polynomial,
-    TruncatedSeries,
     falling_factorial,
     integer_roots,
-    series_inv_sqrt,
 )
 from .guess import (
     GuessCandidate,
@@ -68,6 +66,7 @@ from .sequences import (
     builtin_sequence_names,
     orbit_count_oracle,
     reversal_fixed_count,
+    series_inv_sqrt,
     verify_ogf,
 )
 
@@ -95,7 +94,6 @@ __all__ = [
     "SequenceSource",
     "ShiftOperator",
     "TermRangeError",
-    "TruncatedSeries",
     "UnsupportedChainError",
     "binomial",
     "builtin_operator",

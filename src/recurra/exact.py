@@ -1,27 +1,24 @@
-"""Exact rational arithmetic, dense univariate polynomials, truncated power series.
+"""Dense univariate polynomials over Z, and coefficient text.
 
-Polynomials are dense coefficient tuples over Q in the formal variable ``n``.
-One rule, kept in ``Polynomial.__init__``: an integral coefficient is stored
-as an ``int`` (``Fraction(6, 3)`` becomes ``2``), and only a value that is not
-an integer stays a ``Fraction``, so Z[n] is plain ints and no ``/`` may reach
-a coefficient. Truncated series stay over ``Fraction`` (``series_inv_sqrt``
-divides by 2). Every value is immutable and every operation pure, so sharing
-across threads is safe.
+Polynomials are dense tuples of ``int`` coefficients in the formal variable
+``n``; ``Polynomial.__init__`` refuses any other type, so no ``/`` may reach a
+coefficient. Rationals appear only at the file boundary: ``parse_coefficient``
+reads one coefficient text as an exact rational, and ``read_polynomials``
+multiplies a file's rows by the lcm of their denominators. Every value is
+immutable and every operation pure, so sharing across threads is safe.
 """
 from __future__ import annotations
 
+import fractions
 import math
 import re
-from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .check import decimal, from_decimal
 
 #: Degree of the zero polynomial. A tagged sentinel rather than -1 so that
 #: degree comparisons and sums stay honest (NEG_INF + d == NEG_INF).
 NEG_INF = float("-inf")
-
-_Scalar = Union[int, Fraction]
 
 #: Most decimal digits a coefficient read from text may have in its numerator
 #: or in its denominator. It is checked on the text before any integer is
@@ -37,15 +34,8 @@ _PLAIN = re.compile(r"(-?)(\d+)(?:/(\d+))?")
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
-def _canonical(x) -> _Scalar:
-    """The stored form of a coefficient: an int when integral, else a Fraction."""
-    if isinstance(x, (int, Fraction)):
-        return x.numerator if x.denominator == 1 else x
-    raise TypeError(f"expected an integer or Fraction, got {type(x).__name__}")
-
-
-def primitive(values: Sequence[_Scalar]) -> list[int]:
-    """The values times one positive rational: coprime integers (content 1).
+def primitive(values: Sequence) -> list[int]:
+    """Rational values times one positive rational: coprime integers (content 1).
 
     Signs are kept, and an all-zero input comes back as zeros.
     """
@@ -55,8 +45,9 @@ def primitive(values: Sequence[_Scalar]) -> list[int]:
     return [v // g for v in ints] if g > 1 else ints
 
 
-def parse_coefficient(text: str) -> _Scalar:
-    """The value of one coefficient, as ``Fraction(text)`` reads it.
+def parse_coefficient(text: str) -> int | fractions.Fraction:
+    """The value of one coefficient, as ``Fraction(text)`` reads it; an int
+    when integral.
 
     The form ``to_strings`` writes is read at any length up to
     ``COEFF_DIGITS`` digits without touching CPython's int-from-string cap.
@@ -77,9 +68,10 @@ def parse_coefficient(text: str) -> _Scalar:
         if len(text) > _SHORT_TEXT or (exp and len(text) + abs(int(exp[1])) > COEFF_DIGITS):
             raise _over_cap(text)
     try:
-        return _canonical(Fraction(value, from_decimal(den)) if plain else Fraction(text))
+        value = fractions.Fraction(value, from_decimal(den)) if plain else fractions.Fraction(text)
     except ZeroDivisionError:  # "1/0" in a file is bad input, not a bug
         raise ValueError(f"zero denominator in coefficient {text!r}") from None
+    return value.numerator if value.denominator == 1 else value
 
 
 def _over_cap(text: str) -> ValueError:
@@ -90,25 +82,20 @@ def _over_cap(text: str) -> ValueError:
     )
 
 
-def _text(c: _Scalar) -> str:
-    """A coefficient in decimal, of any length: ``-7`` or ``-7/2``."""
-    if type(c) is int:
-        return decimal(c)
-    return f"{decimal(c.numerator)}/{decimal(c.denominator)}"
-
-
 class Polynomial:
-    """Dense univariate polynomial over exact rationals.
+    """Dense univariate polynomial with integer coefficients.
 
-    ``coeffs[i]`` is the coefficient of n^i, an int when integral; the
-    trailing coefficient is nonzero (the zero polynomial has an empty
-    coefficient tuple).
+    ``coeffs[i]`` is the ``int`` coefficient of n^i; the trailing coefficient
+    is nonzero (the zero polynomial has an empty coefficient tuple).
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[_Scalar] = ()):
-        cs = [_canonical(c) for c in coeffs]
+    def __init__(self, coeffs: Iterable[int] = ()):
+        cs = list(coeffs)
+        if any(type(c) is not int for c in cs):
+            kinds = sorted({type(c).__name__ for c in cs})
+            raise TypeError(f"polynomial coefficients must be int, got {kinds}")
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -127,12 +114,12 @@ class Polynomial:
         return not self.coeffs
 
     @property
-    def leading_coefficient(self) -> _Scalar:
+    def leading_coefficient(self) -> int:
         if not self.coeffs:
             return 0
         return self.coeffs[-1]
 
-    def __getitem__(self, i: int) -> _Scalar:
+    def __getitem__(self, i: int) -> int:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
         return 0
@@ -141,11 +128,8 @@ class Polynomial:
         return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == Polynomial([other])
-        return NotImplemented
+        other = _coerce(other)
+        return NotImplemented if other is NotImplemented else self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -170,16 +154,10 @@ class Polynomial:
         return Polynomial([-c for c in self.coeffs])
 
     def __sub__(self, other) -> "Polynomial":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other) -> "Polynomial":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return -self + other
 
     def __mul__(self, other) -> "Polynomial":
         other = _coerce(other)
@@ -211,23 +189,20 @@ class Polynomial:
         return result
 
     def __call__(self, x):
-        """Horner evaluation; x may be an int, a Fraction, or a Polynomial."""
-        if isinstance(x, Polynomial):
-            acc = Polynomial()
-        else:
-            x, acc = _canonical(x), 0
+        """Horner evaluation at a number, or at a Polynomial to compose."""
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
 
     def shifted(self, delta: int) -> "Polynomial":
         """The polynomial p(n + delta)."""
-        return self(Polynomial([delta, 1]))
+        return self(Polynomial([delta, 1])) if self.coeffs else self
 
     # -- canonical form ----------------------------------------------------
 
     def normalized(self) -> "Polynomial":
-        """Rational rescaling to integer coefficients, content 1, positive lead."""
+        """The primitive associate: content 1, positive lead."""
         ints = primitive(self.coeffs)
         if ints and ints[-1] < 0:
             ints = [-v for v in ints]
@@ -237,12 +212,7 @@ class Polynomial:
 
     def to_strings(self) -> list[str]:
         """Coefficient list low-to-high as decimal strings (file format)."""
-        return [_text(c) for c in self.coeffs]
-
-    @classmethod
-    def from_strings(cls, items: Sequence[str | int]) -> "Polynomial":
-        """Inverse of ``to_strings``; JSON integers pass through as they are."""
-        return cls([s if isinstance(s, int) else parse_coefficient(s) for s in items])
+        return [decimal(c) for c in self.coeffs]
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -253,9 +223,9 @@ class Polynomial:
             if c == 0:
                 continue
             if i == 0:
-                term = _text(abs(c))
+                term = decimal(abs(c))
             else:
-                mag = "" if abs(c) == 1 else f"{_text(abs(c))}*"
+                mag = "" if abs(c) == 1 else f"{decimal(abs(c))}*"
                 term = f"{mag}n" if i == 1 else f"{mag}n^{i}"
             if not parts:
                 parts.append(term if c > 0 else f"-{term}")
@@ -270,9 +240,21 @@ class Polynomial:
 def _coerce(x):
     if isinstance(x, Polynomial):
         return x
-    if isinstance(x, (int, Fraction)):
+    if type(x) is int:
         return Polynomial([x])
     return NotImplemented
+
+
+def read_polynomials(rows: Sequence[Sequence[str | int]]) -> list[Polynomial]:
+    """Coefficient rows read from a file, as polynomials over Z.
+
+    Each text is read by ``parse_coefficient`` (JSON integers pass as they
+    are), then every row is multiplied by the lcm of all the denominators.
+    Content is never divided out, so integer rows come back unchanged.
+    """
+    values = [[c if isinstance(c, int) else parse_coefficient(c) for c in row] for row in rows]
+    den = math.lcm(*(c.denominator for row in values for c in row))
+    return [Polynomial([c.numerator * (den // c.denominator) for c in row]) for row in values]
 
 
 #: The formal variable. Module-level so callers can write e.g. 8*(n**2 + 5*n - 19).
@@ -292,104 +274,82 @@ def falling_factorial(j: int) -> Polynomial:
 def integer_roots(p: Polynomial) -> list[int]:
     """All integer roots of a nonzero polynomial, ascending.
 
-    Bisects [-B, B], B = 1 + max|c_i| // |c_d| the Cauchy bound, so the work
-    grows with the coefficients' bit length. An interval of half-width h about
-    m has no root if the Taylor coefficients a_k of p(m + t) give
-    |a_0| > sum_{k>=1} |a_k| h^k; one of at most 8 integers is scanned.
+    The positive roots are isolated by Descartes' rule of signs (the
+    Vincent-Collins-Akritas method, Collins & Akritas 1976), the negative ones
+    as those of p(-n). Each lies in (0, 2^top) by Fujiwara's bound
+    2 max_k |c_(d-k) / c_d|^(1/k), which tracks the largest root rather than
+    the largest coefficient. An interval is split at a power of two, halving
+    its range of exponents, until it is one octave, then at its middle; every
+    split point is tried. An interval without a sign change (``_sign_changes``)
+    holds no root; an octave's with one holds one simple root, which
+    ``_simple_root`` finds or rules out. An interval narrower than 8 has its
+    integers tried, which ends the splitting around a multiple root.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial vanishes everywhere")
     coeffs = p.normalized().coeffs
     low = next(i for i, c in enumerate(coeffs) if c)
-    roots = [0] if low else []
     q = Polynomial(coeffs[low:])  # q(0) != 0
-    bound = 1 + max(map(abs, q.coeffs[:-1]), default=0) // abs(q.leading_coefficient)
-    intervals = [(-bound, bound)]
+    mirror = Polynomial([-c if k % 2 else c for k, c in enumerate(q.coeffs)])
+    return [-r for r in reversed(_positive_roots(mirror))] + [0] * (low > 0) + _positive_roots(q)
+
+
+def _positive_roots(q: Polynomial) -> list[int]:
+    # |c_(d-k) / c_d| < 2^e, e = bits(c_(d-k)) - bits(c_d) + 1: its k-th root
+    # is below 2^ceil(e / k).
+    lead = q.leading_coefficient.bit_length()
+    top = 1 + max(0, max((-((lead - 1 - abs(c).bit_length()) // k)
+                          for k, c in enumerate(reversed(q.coeffs[:-1]), 1) if c), default=0))
+    roots = [1] if q(1) == 0 else []
+    intervals = [(1, (1 << top) - 1)]  # (a, w): the open interval (a, a + w)
     while intervals:
-        lo, hi = intervals.pop()
-        if hi - lo < 8:
-            roots.extend(r for r in range(lo, hi + 1) if q(r) == 0)
+        a, w = intervals.pop()
+        if w < 8:
+            roots += [r for r in range(a + 1, a + w) if q(r) == 0]
             continue
-        mid = (lo + hi) // 2
-        h = hi - mid
-        a = q.shifted(mid).coeffs
-        if abs(a[0]) > sum(abs(c) * h**k for k, c in enumerate(a) if k):
-            continue
-        intervals += [(lo, mid), (mid + 1, hi)]
+        changes = _sign_changes(q, a, w)
+        if changes == 1 and w <= a:
+            roots += _simple_root(q, a, a + w)
+        elif changes:
+            # (2^i, 2^k) with k > i + 1 splits at 2^((i + k) // 2)
+            m = 1 << (a.bit_length() + (a + w).bit_length() - 2) // 2 if w > a else a + w // 2
+            if q(m) == 0:
+                roots.append(m)
+            intervals += [(a, m - a), (m, a + w - m)]
     return sorted(roots)
 
 
-class TruncatedSeries:
-    """Power series truncated at a fixed order: coefficients of x^0 .. x^N."""
-
-    __slots__ = ("coeffs", "order")
-
-    def __init__(self, coeffs: Iterable[_Scalar], order: int):
-        if order < 0:
-            raise ValueError("truncation order must be nonnegative")
-        cs = [Fraction(_canonical(c)) for c in coeffs][: order + 1]
-        cs += [Fraction(0)] * (order + 1 - len(cs))
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "order", order)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.coeffs[i]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        return TruncatedSeries(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], order
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TruncatedSeries([c * other for c in self.coeffs], self.order)
-        order = min(self.order, other.order)
-        return TruncatedSeries(
-            _mul_trunc(self.coeffs, other.coeffs, order + 1), order
-        )
-
-    __rmul__ = __mul__
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries({[str(c) for c in self.coeffs]}, order={self.order})"
+def _sign_changes(q: Polynomial, a: int, w: int) -> int:
+    """Sign changes in the coefficients of (1 + s)^d q(a + w / (1 + s)): by
+    Descartes' rule, the roots of q in (a, a + w) with multiplicity, up to an
+    even excess, so 0 and 1 are exact."""
+    f = q.shifted(a).coeffs
+    g = Polynomial([c * w**k for k, c in enumerate(f)][::-1]).shifted(1).coeffs
+    signs = [c > 0 for c in g if c]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
-def _mul_trunc(a, b, length):
-    out = [Fraction(0)] * length
-    for i, ai in enumerate(a[:length]):
-        if ai == 0:
-            continue
-        for j in range(min(length - i, len(b))):
-            out[i + j] += ai * b[j]
-    return out
+def _simple_root(q: Polynomial, lo: int, hi: int) -> list[int]:
+    """The integer root of q in (lo, hi), if any, when q has one simple root there.
 
-
-def series_inv_sqrt(f: TruncatedSeries, order: int) -> TruncatedSeries:
-    """f^(-1/2) mod x^(order+1) by Newton iteration with doubling precision.
-
-    Requires constant term 1; the result g satisfies g*g*f == 1 truncated.
+    q has one sign below the root and the other above, so each point tried
+    shrinks the bracket. The next is Newton's, rounded down (one less if that
+    is no move), or else the bracket's middle if Newton's leaves the bracket
+    or moves by over 1 and over half the last step ("rtsafe", Numerical Recipes).
     """
-    if f.coeffs[0] != 1:
-        raise ValueError("inverse square root needs constant term 1")
-    target = order + 1
-    fc = list(f.coeffs) + [Fraction(0)] * (target - len(f.coeffs))
-    g = [Fraction(1)]
-    prec = 1
-    while prec < target:
-        prec = min(2 * prec, target)
-        fg2 = _mul_trunc(_mul_trunc(g, g, prec), fc, prec)
-        corr = [Fraction(3) - fg2[0]] + [-c for c in fg2[1:]]
-        g = [c / 2 for c in _mul_trunc(g, corr, prec)]
-    return TruncatedSeries(g, order)
+    dq = Polynomial([k * c for k, c in enumerate(q.coeffs)][1:])
+    # The sign of q just above lo: q(lo), or if lo is a root (a split point
+    # found earlier), the first nonzero Taylor coefficient there.
+    neg = (q(lo) or next(c for c in q.shifted(lo).coeffs if c)) < 0
+    x, step = (lo + hi) // 2, hi - lo
+    while lo < x < hi:
+        y = q(x)
+        if y == 0:
+            return [x]
+        lo, hi = (x, hi) if (y < 0) == neg else (lo, x)
+        d = dq(x)
+        new = x - (y // d or 1) if d else lo
+        if not (lo < new < hi and abs(new - x) <= max(step // 2, 1)):
+            new = (lo + hi) // 2
+        x, step = new, abs(new - x)
+    return []

@@ -3,7 +3,7 @@
 An operator of order r maps a sequence a to n -> sum_j c_j(n) * a(n - j),
 j = 0..r. Operators are immutable and always held in normalized form:
 integer coefficients, joint content 1, positive leading coefficient on c_0.
-So every coefficient is an ``int`` (rational input is scaled on the way in).
+A file's rational coefficients are cleared jointly as it is read.
 
 Builtin operators (exact names):
 
@@ -17,7 +17,7 @@ import json
 from typing import Iterable, Sequence
 
 from .check import Check, decimal
-from .exact import Polynomial, n, parse_coefficient, primitive
+from .exact import Polynomial, n, parse_coefficient, primitive, read_polynomials
 from .linalg import nullspace
 from .sequences import SequenceSource
 
@@ -107,7 +107,7 @@ class ShiftOperator:
             raise ValueError(
                 f"operator convention must be backward or forward, got {convention!r}"
             )
-        coeffs = [Polynomial.from_strings(row) for row in doc["coeffs"]]
+        coeffs = read_polynomials(doc["coeffs"])
         if len(coeffs) != doc["order"] + 1:
             raise ValueError("declared order does not match the coefficient count")
         if convention == "forward":

@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recurra.certify import (
     DegenerateRatioError,
@@ -14,8 +16,8 @@ from recurra.certify import (
     perturbed,
     reduce_to_polynomial,
 )
-from recurra.certify import _reduce_residue
-from recurra.exact import Polynomial, n
+from recurra.certify import MAX_TERM_DEGREE, _reduce_residue
+from recurra.exact import Polynomial, integer_roots, n
 from recurra.operators import ShiftOperator, builtin_operator, verify_range
 from recurra.sequences import builtin_sequence
 
@@ -51,13 +53,18 @@ def test_term_spec_json_round_trip():
         )
 
 
-def test_term_spec_json_round_trip_keeps_rational_coefficients():
-    t = HyperTermSpec(
-        step=1, p=Polynomial([Fraction(1, 2), 3]), q=4 * n - 7, support=frozenset({0}), n_min=1
-    )
-    assert json.loads(t.to_json())["p"] == ["1/2", "3"]
+def test_term_spec_json_clears_rational_coefficients_jointly():
+    # p and q take one factor, so p(n) t(n) = q(n) t(n - step) still holds.
+    doc = {"step": 1, "p": ["1/2", "3"], "q": ["-7", "4"], "support": [0], "n_min": 1}
+    t = HyperTermSpec.from_json(json.dumps(doc))
+    assert (t.p, t.q) == (6 * n + 1, 8 * n - 14)
     back = HyperTermSpec.from_json(t.to_json())
     assert (back.p, back.q) == (t.p, t.q)
+    assert json.loads(t.to_json())["p"] == ["1", "6"]
+    # An all-integer file reads back unchanged: content is never divided out.
+    doc = {"step": 2, "p": ["0", "2"], "q": ["-8", "8"], "support": [0], "n_min": 2}
+    t = HyperTermSpec.from_json(json.dumps(doc))
+    assert (t.p, t.q) == (2 * n, 8 * n - 8)
 
 
 def test_term_spec_json_writes_coefficients_of_any_length():
@@ -190,15 +197,21 @@ def test_mutated_operator_fails_numerically():
     assert not rep.passed and rep.witness[0] <= 50
 
 
+def _scaled_json(op, num, den):
+    """An operator file holding op's coefficients times num/den."""
+    rows = [[f"{c * num}/{den}" for c in p.coeffs] for p in op.coeffs]
+    return json.dumps({"convention": "backward", "order": op.order, "coeffs": rows})
+
+
 def test_reduce_invariant_under_rational_scaling():
     # scaling the operator cannot change the zero/nonzero classification
-    m_scaled = ShiftOperator(
-        [c * Fraction(5, 3) for c in builtin_operator("mathar").coeffs]
-    )
+    m_scaled = ShiftOperator([c * 5 for c in builtin_operator("mathar").coeffs])
     assert m_scaled == builtin_operator("mathar")
     assert reduce_to_polynomial(m_scaled, builtin_term("u-spec"), 0).is_zero
-    u_scaled = ShiftOperator([c * Fraction(-7, 2) for c in builtin_operator("u-op").coeffs])
-    out = reduce_to_polynomial(u_scaled, builtin_term("v-spec"), 0)
+    m_file = ShiftOperator.from_json(_scaled_json(builtin_operator("mathar"), 5, 3))
+    assert m_file == builtin_operator("mathar")
+    u_file = ShiftOperator.from_json(_scaled_json(builtin_operator("u-op"), -7, 2))
+    out = reduce_to_polynomial(u_file, builtin_term("v-spec"), 0)
     assert out == n
 
 
@@ -219,3 +232,118 @@ def test_combined_certificates_imply_numeric_sweep():
     assert certify_annihilation(m, builtin_term("u-spec")).certified
     assert certify_annihilation(m, builtin_term("v-spec")).certified
     assert verify_range(m, builtin_sequence("A032123"), 6, 2000).passed
+
+
+def test_term_degree_cap_is_shared_by_reader_and_library():
+    top = Polynomial([1] * (MAX_TERM_DEGREE + 1))
+    HyperTermSpec(step=1, p=top, q=n, support=frozenset({0}), n_min=1)
+    with pytest.raises(ValueError, match="MAX_TERM_DEGREE"):
+        HyperTermSpec(step=1, p=n, q=top * n, support=frozenset({0}), n_min=1)
+    doc = {"step": 2, "p": ["1"] * (MAX_TERM_DEGREE + 2), "q": ["1"], "support": [0], "n_min": 2}
+    with pytest.raises(ValueError, match="MAX_TERM_DEGREE"):
+        HyperTermSpec.from_json(json.dumps(doc))
+
+
+def _per_shift_floors(op, t):
+    """Each residue's floor from the integer roots of q(n - s) for every shift s
+    of the rewrite chain: the reference for roots found once per term."""
+    floors = []
+    for residue in range(t.step):
+        r = _reduce_residue(op, t, residue)
+        floor = op.order
+        depth = (max(r.shifts) - r.anchor) // t.step if r.shifts else 0
+        if depth > 0:
+            floor = max(floor, t.n_min + r.anchor + (depth - 1) * t.step)
+            for m in range(depth):
+                for root in integer_roots(t.q.shifted(-(r.anchor + m * t.step))):
+                    floor = max(floor, root + 1)
+        floors.append(floor)
+    return floors
+
+
+def test_floors_match_the_roots_of_each_shifted_q_on_the_builtins():
+    for op_name in ("mathar", "u-op", "v-op"):
+        for term_name in builtin_term_names():
+            op, t = builtin_operator(op_name), builtin_term(term_name)
+            rep = certify_annihilation(op, t)
+            assert [r.floor for r in rep.residues] == _per_shift_floors(op, t)
+
+
+# Nonzero polynomials of degree <= 2: the top coefficient is drawn nonzero.
+_coeff_polys = st.tuples(st.lists(st.integers(-6, 6), max_size=2), st.integers(1, 6)).map(
+    lambda t: Polynomial([*t[0], t[1]])
+)
+_ops = st.lists(_coeff_polys, min_size=1, max_size=5).map(ShiftOperator)
+# Nonnegative coefficients with a positive constant: positive on n >= 0.
+_positive_polys = st.tuples(st.integers(1, 6), st.lists(st.integers(0, 6), max_size=2)).map(
+    lambda t: Polynomial([t[0], *t[1]])
+)
+
+
+@st.composite
+def _specs(draw, invertible=False):
+    """A single-chain step-1 or step-2 term; q gets up to two integer roots.
+
+    An invertible term has p and q nonzero from n_min on, so its terms from
+    nonzero seeds never vanish.
+    """
+    step = draw(st.sampled_from([1, 2]))
+    n_min = draw(st.integers(2, 4) if invertible else st.integers(0, 4))
+    polys = _positive_polys if invertible else _coeff_polys
+    q = draw(st.sampled_from([1, -1])) * draw(polys)
+    for root in draw(st.lists(st.integers(-5, n_min - 1 if invertible else 12), max_size=2)):
+        q = q * (n - root)
+    return HyperTermSpec(
+        step=step, p=draw(st.sampled_from([1, -1])) * draw(polys), q=q,
+        support=frozenset({draw(st.integers(0, step - 1))}), n_min=n_min,
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(_ops, _specs())
+def test_floors_match_the_roots_of_each_shifted_q(op, t):
+    rep = certify_annihilation(op, t)
+    assert [r.floor for r in rep.residues] == _per_shift_floors(op, t)
+
+
+class _Term:
+    """t with p(n) t(n) = q(n) t(n - step) from n_min on, exact as Fractions.
+
+    Below n_min the support class holds nonzero seeds; off it, t is 0.
+    """
+
+    def __init__(self, spec, seeds):
+        self.spec, self.seeds, self.memo = spec, seeds, {}
+
+    def term(self, m):
+        t = self.spec
+        if m < 0 or m % t.step not in t.support:
+            return 0
+        if m < t.n_min:
+            return Fraction(self.seeds[m % len(self.seeds)])
+        if m not in self.memo:
+            self.memo[m] = Fraction(t.q(m), t.p(m)) * self.term(m - t.step)
+        return self.memo[m]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    _specs(invertible=True),
+    _ops,
+    st.booleans(),
+    st.lists(st.integers(1, 9) | st.integers(-9, -1), min_size=4, max_size=4),
+)
+def test_certify_agrees_with_numerics(t, op, left_multiple, seeds):
+    if left_multiple:  # annihilates t by construction: op * (p - q S^step)
+        op = op * ShiftOperator([t.p] + [Polynomial()] * (t.step - 1) + [-t.q])
+    rep = certify_annihilation(op, t)
+    deg = max((r.numerator.degree for r in rep.residues if not r.is_zero), default=0)
+    top = rep.floor + max(20, t.step * (deg + 1))
+    s = _Term(t, seeds)
+    residuals = [op.apply(s, m) for m in range(rep.floor, top + 1)]
+    if rep.certified:
+        assert not any(residuals[:21])
+    else:
+        # A nonzero numerator of degree deg vanishes at most deg times in a class.
+        assert any(residuals[: t.step * (deg + 1)])
+    assert rep.certified or not left_multiple

@@ -526,3 +526,32 @@ def test_lclm_reads_back_coefficients_past_the_int_str_digit_cap(tmp_path, capsy
     assert code == EXIT_PASS
     assert captured.err == ""
     assert captured.out == written
+
+
+def _degree_d_term(tmp_path, d):
+    """A step-1 term file with p = 1 + n + ... + n^d, q = 3 + 3n + ... + 2n^d."""
+    term = {"step": 1, "p": ["1"] * (d + 1), "q": ["3"] * d + ["2"], "support": [0], "n_min": 1}
+    path = tmp_path / f"deg{d}.json"
+    path.write_text(json.dumps(term))
+    return str(path)
+
+
+def test_certify_with_a_degree_50_term_is_fast(tmp_path, capsys):
+    # Cheap only because q's integer roots are found once, not once per shift.
+    start = time.perf_counter()
+    code = main(["certify", "--operator", "mathar", "--term", _degree_d_term(tmp_path, 50)])
+    assert time.perf_counter() - start < 2.0
+    assert code == EXIT_FAIL
+    assert capsys.readouterr().out == "NOT CERTIFIED: nonzero numerator in residue class(es) [0]\n"
+
+
+def test_term_degree_cap_fails_fast_and_names_the_cap(tmp_path, capsys):
+    from recurra.certify import MAX_TERM_DEGREE
+
+    start = time.perf_counter()
+    code = main(["certify", "--operator", "mathar",
+                 "--term", _degree_d_term(tmp_path, MAX_TERM_DEGREE + 1)])
+    assert time.perf_counter() - start < 2.0
+    assert code == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "MAX_TERM_DEGREE" in err

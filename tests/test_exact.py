@@ -11,14 +11,14 @@ from recurra.exact import (
     COEFF_DIGITS,
     NEG_INF,
     Polynomial,
-    TruncatedSeries,
     falling_factorial,
     integer_roots,
     n,
     parse_coefficient,
     primitive,
-    series_inv_sqrt,
+    read_polynomials,
 )
+from recurra.sequences import series_inv_sqrt
 
 
 def rand_fraction(rng, bound=50):
@@ -26,7 +26,7 @@ def rand_fraction(rng, bound=50):
 
 
 def rand_poly(rng, max_deg=6, bound=20):
-    return Polynomial([rand_fraction(rng, bound) for _ in range(rng.randint(0, max_deg + 1))])
+    return Polynomial([rng.randint(-bound, bound) for _ in range(rng.randint(0, max_deg + 1))])
 
 
 def test_rational_field_axioms_random():
@@ -79,7 +79,7 @@ def test_eval_is_ring_morphism_random():
     rng = random.Random(3)
     for _ in range(100):
         p, q = rand_poly(rng), rand_poly(rng)
-        x = rand_fraction(rng)
+        x = rng.randint(-50, 50)
         assert (p * q)(x) == p(x) * q(x)
         assert (p + q)(x) == p(x) + q(x)
 
@@ -113,7 +113,7 @@ def test_falling_factorial_5_values():
 @pytest.mark.parametrize(
     "raw,expected",
     [
-        ([1, Fraction(1, 2)], [2, 1]),          # (1/2)n + 1 -> n + 2
+        ([4, 2], [2, 1]),                        # 2n + 4 -> n + 2
         ([8, 0, -4], [-2, 0, 1]),                # -4n^2 + 8 -> n^2 - 2
         ([], []),                                # zero stays zero
     ],
@@ -195,47 +195,121 @@ def test_integer_roots_match_divisor_enumeration(factors, cofactor):
     assert integer_roots(p) == _divisor_roots(p)
 
 
+# series_inv_sqrt lives in recurra.sequences, next to verify_ogf; its series
+# are plain int lists, truncated after x^order.
+
+
+def _mul_trunc(a, b, length):
+    return [sum(a[i] * b[k - i] for i in range(k + 1) if i < len(a) and k - i < len(b))
+            for k in range(length)]
+
+
+# Bisection splits intervals at 0 and at +-powers of two and their sums, so
+# roots there land on the ends of later intervals.
+_split_points = st.sampled_from([0, 1, -1, 2, -2, 3, 4, -4, 6, 8, -8, 9, 12, 16, -16, 24, 32,
+                                 64, -64, 96, 128, 2**20, -(2**20), 2**64 + 1])
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.tuples(_split_points, st.integers(1, 3)), max_size=4),
+    st.lists(st.integers(-20, 20), min_size=1, max_size=4).filter(any),
+)
+def test_integer_roots_on_interval_ends_and_with_multiplicity(roots, cofactor):
+    p = Polynomial(cofactor)
+    for r, mult in roots:
+        p = p * (n - r) ** mult
+    expected = {r for r, _ in roots} | set(_divisor_roots(Polynomial(cofactor)))
+    assert integer_roots(p) == sorted(expected)
+
+
+def test_integer_roots_of_huge_roots_take_few_steps():
+    start = time.perf_counter()
+    big = 10**3000
+    assert integer_roots((n + big) * (n - 7) * (n**2 + 5)) == [-big, 7]
+    assert integer_roots(n**2 + (big + 3) * n - 3 * big) == []  # roots near -10^3000 and 2.99
+    assert integer_roots((n - 2**200) ** 2 * (n + 2**199 + 1)) == [-(2**199) - 1, 2**200]
+    # Fujiwara's bound: a 100-digit constant leaves the roots below 2^18.
+    assert integer_roots(Polynomial([10**100] + [1] * 20)) == []
+    assert time.perf_counter() - start < 2.0
+
+
 def test_series_inv_sqrt_identity():
-    one = TruncatedSeries([1], 5)
-    assert series_inv_sqrt(one, 5) == one
+    assert series_inv_sqrt([1], 5) == [1, 0, 0, 0, 0, 0]
+    assert series_inv_sqrt([1, -4], 0) == [1]
 
 
 def test_series_inv_sqrt_central_binomial():
     # (1-4x)^(-1/2) generates C(2n, n)
-    g = series_inv_sqrt(TruncatedSeries([1, -4], 3), 3)
-    assert [g[k] for k in range(4)] == [1, 2, 6, 20]
-    assert [g[k] for k in range(4)] == [math.comb(2 * k, k) for k in range(4)]
+    g = series_inv_sqrt([1, -4], 3)
+    assert g == [1, 2, 6, 20]
+    assert g == [math.comb(2 * k, k) for k in range(4)]
 
 
 def test_series_inv_sqrt_aerated():
-    g = series_inv_sqrt(TruncatedSeries([1, 0, -4], 4), 4)
-    assert list(g.coeffs) == [1, 0, 2, 0, 6]
+    assert series_inv_sqrt([1, 0, -4], 4) == [1, 0, 2, 0, 6]
 
 
 def test_series_inv_sqrt_ogf_identity_long():
     N = 40
-    g = series_inv_sqrt(TruncatedSeries([1, -4], N), N)
+    g = series_inv_sqrt([1, -4], N)
     for k in range(N + 1):
         assert g[k] == math.comb(2 * k, k)
 
 
 def test_series_inv_sqrt_requires_unit_constant_term():
-    with pytest.raises(ValueError):
-        series_inv_sqrt(TruncatedSeries([2, 1], 4), 4)
+    for f in ([2, 1], [], [-1, 4]):
+        with pytest.raises(ValueError, match="constant term 1"):
+            series_inv_sqrt(f, 4)
+    with pytest.raises(ValueError, match="nonnegative"):
+        series_inv_sqrt([1, -4], -1)
+
+
+def test_series_inv_sqrt_refuses_a_non_integral_series():
+    # (1+x)^(-1/2) = 1 - x/2 + ...: the first halving leaves a remainder.
+    with pytest.raises(ValueError, match=r"coefficient of x\^1 "):
+        series_inv_sqrt([1, 1], 8)
+    # (1-8x)^(-1/2) = sum C(2k, k) 2^k x^k is integral, and
+    # (1-2x)^(-1/2) = 1 + x + (3/2)x^2 + ... only up to x^1.
+    assert series_inv_sqrt([1, -8], 3) == [1, 4, 24, 160]
+    assert series_inv_sqrt([1, -2], 1) == [1, 1]
+    with pytest.raises(ValueError, match=r"coefficient of x\^2 "):
+        series_inv_sqrt([1, -2], 2)
 
 
 def test_series_inv_sqrt_self_consistency():
+    # For an integer series h with h[0] = 1, f = h^(-2) is an integer series,
+    # and f^(-1/2) must give h back.
     rng = random.Random(6)
-    for _ in range(20):
-        f = TruncatedSeries([1] + [rng.randint(-5, 5) for _ in range(8)], 8)
-        g = series_inv_sqrt(f, 8)
-        assert (g * g * f).coeffs == TruncatedSeries([1], 8).coeffs
+    N = 12
+    for _ in range(50):
+        h = [1] + [rng.randint(-5, 5) for _ in range(N)]
+        f = [1] + [0] * N  # the inverse of h*h, term by term
+        hh = _mul_trunc(h, h, N + 1)
+        for k in range(1, N + 1):
+            f[k] = -sum(hh[i] * f[k - i] for i in range(1, k + 1))
+        assert _mul_trunc(hh, f, N + 1) == [1] + [0] * N
+        g = series_inv_sqrt(f, N)
+        assert g == h
+        assert _mul_trunc(_mul_trunc(g, g, N + 1), f, N + 1) == [1] + [0] * N
 
 
 def test_polynomial_text_form_round_trip():
     p = Polynomial([0, -1, 1])
     assert p.to_strings() == ["0", "-1", "1"]
-    assert Polynomial.from_strings(p.to_strings()) == p
+    assert read_polynomials([p.to_strings()]) == [p]
+
+
+def test_read_polynomials_clears_denominators_jointly():
+    # Every row is multiplied by one lcm, and content is never divided out.
+    assert read_polynomials([["1/2", "3"], ["-7/3", 4], []]) == [
+        Polynomial([3, 18]), Polynomial([-14, 24]), Polynomial()
+    ]
+    assert read_polynomials([["6", "-4"], [2]]) == [Polynomial([6, -4]), Polynomial([2])]
+    assert read_polynomials([["1.5e3", "0.25"]]) == [Polynomial([6000, 1])]
+    assert read_polynomials([]) == []
+    with pytest.raises(ValueError, match="zero denominator"):
+        read_polynomials([["1/0"]])
 
 
 @example(" 12 ")
@@ -270,9 +344,14 @@ def test_coefficient_digit_cap_is_checked_before_building():
 
 def test_coefficients_round_trip_up_to_the_digit_cap():
     assert parse_coefficient("1e5000") == 10**5000
-    for c in (10**COEFF_DIGITS - 1, Fraction(-1, 10 ** (COEFF_DIGITS - 1))):
-        p = Polynomial([c, 1])
-        assert Polynomial.from_strings(p.to_strings()) == p
+    assert parse_coefficient("-1/" + "1" + "0" * (COEFF_DIGITS - 1)) == Fraction(
+        -1, 10 ** (COEFF_DIGITS - 1)
+    )
+    p = Polynomial([10**COEFF_DIGITS - 1, 1])
+    assert read_polynomials([p.to_strings()]) == [p]
+    # A denominator at the cap is cleared on reading.
+    back = read_polynomials([["-1/" + "1" + "0" * (COEFF_DIGITS - 1), "1"]])
+    assert back == [Polynomial([-1, 10 ** (COEFF_DIGITS - 1)])]
 
 
 def test_polynomial_immutable():
@@ -280,31 +359,33 @@ def test_polynomial_immutable():
         n.coeffs = ()
 
 
-def test_integral_fraction_is_stored_as_int():
-    p = Polynomial([Fraction(6, 3), Fraction(1, 2), True])
-    assert [type(c) for c in p.coeffs] == [int, Fraction, int]
-    assert p.coeffs == (2, Fraction(1, 2), 1)
-    assert type((p * 2).coeffs[1]) is int
+def test_coefficients_must_be_int():
+    for c in (Fraction(1, 2), Fraction(6, 3), 0.5, True, "1"):
+        with pytest.raises(TypeError, match="must be int"):
+            Polynomial([1, c])
     with pytest.raises(TypeError):
-        Polynomial([0.5])
+        n * Fraction(1, 2)
+    with pytest.raises(TypeError):
+        n + 0.5
+    assert n != Fraction(1)
 
 
-_rationals = st.one_of(
-    st.integers(-50, 50), st.builds(Fraction, st.integers(-600, 600), st.integers(1, 12))
-)
-_polys = st.lists(_rationals, max_size=6).map(Polynomial)
-
-
-def _canonical(p):
-    return all(type(c) is (int if c.denominator == 1 else Fraction) for c in p.coeffs)
+_polys = st.lists(st.integers(-600, 600), max_size=6).map(Polynomial)
 
 
 @settings(deadline=None)
 @given(_polys, _polys, st.integers(-20, 20))
 def test_coefficients_are_int_exactly_when_integral(p, q, delta):
+    # Every coefficient is integral, so every result holds ints only.
     for r in (p, q, p + q, p - q, p * q, p.shifted(delta), p.normalized(), (p * q).normalized()):
-        assert _canonical(r)
-    assert all(type(c) is int for c in p.normalized().coeffs)
+        assert all(type(c) is int for c in r.coeffs)
+    assert p.shifted(delta).shifted(-delta) == p
+    assert p.shifted(delta)(0) == p(delta)
+
+
+_rationals = st.one_of(
+    st.integers(-50, 50), st.builds(Fraction, st.integers(-600, 600), st.integers(1, 12))
+)
 
 
 @settings(deadline=None)
@@ -322,8 +403,8 @@ def test_primitive_is_a_coprime_positive_multiple(values):
 
 def test_text_forms_write_coefficients_of_any_length():
     big = 10**5000
-    p = Polynomial([Fraction(-big, 3), big])
-    digits = "1" + "0" * 5000
-    assert p.to_strings() == [f"-{digits}/3", digits]
-    assert str(p) == f"{digits}*n - {digits}/3"
-    assert repr(p) == f"Polynomial({[f'-{digits}/3', digits]})"
+    p = Polynomial([-big, 3 * big])
+    one, three = "1" + "0" * 5000, "3" + "0" * 5000
+    assert p.to_strings() == [f"-{one}", three]
+    assert str(p) == f"{three}*n - {one}"
+    assert repr(p) == f"Polynomial({[f'-{one}', three]})"

@@ -2,6 +2,8 @@ import sys
 import urllib.error
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from recurra.oeis import (
     BFileParseError,
@@ -91,6 +93,26 @@ def test_round_trip_is_bit_exact():
     text = b.to_text()
     assert text == "3 10\n4 38\n5 126\n"
     assert window(parse_bfile(text, sequence_id="A032123")) == window(b)
+
+
+#: CPython's int-from-string digit cap, which the b-file parser keeps.
+_DIGIT_CAP = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 4300
+
+
+@st.composite
+def _values(draw):
+    """An int of 1 to _DIGIT_CAP digits, either sign."""
+    digits = draw(st.integers(1, 40) | st.integers(1, _DIGIT_CAP))
+    low = 10 ** (digits - 1) if digits > 1 else 0
+    return draw(st.sampled_from([1, -1])) * draw(st.integers(low, 10**digits - 1))
+
+
+@settings(deadline=None, max_examples=40)
+@example(-5, [-(10**_DIGIT_CAP - 1), 10**_DIGIT_CAP - 1, 0])
+@given(st.integers(-(10**6), 10**6), st.lists(_values(), min_size=1, max_size=8))
+def test_to_text_round_trips_through_parse(offset, values):
+    b = BFileSequence("A000001", offset, values)
+    assert window(parse_bfile(b.to_text(), sequence_id="A000001")) == window(b)
 
 
 def test_index_window():

@@ -1,6 +1,5 @@
 import json
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -58,8 +57,11 @@ def test_operator_requires_nonzero_ends():
 
 
 def test_operator_normalization_is_canonical():
-    scaled = ShiftOperator([n * Fraction(-3, 7), (4 * n - 2) * Fraction(3, 7)])
+    scaled = ShiftOperator([n * -21, (4 * n - 2) * 21])
     assert scaled == builtin_operator("u-op")
+    # Rational coefficients in a file are cleared jointly on reading.
+    doc = {"convention": "backward", "order": 1, "coeffs": [["0", "-3/7"], ["-6/7", "12/7"]]}
+    assert ShiftOperator.from_json(json.dumps(doc)) == builtin_operator("u-op")
 
 
 def test_apply_at_mathar_direct_arithmetic():
@@ -183,6 +185,8 @@ def test_from_json_converts_forward_convention():
     # substituting n -> n-1 recovers the backward builtin
     doc = {"convention": "forward", "order": 1, "coeffs": [["-2", "-4"], ["1", "1"]]}
     assert ShiftOperator.from_json(json.dumps(doc)) == builtin_operator("u-op")
+    doc["coeffs"] = [["-1", "-2"], ["1/2", "0.5"]]  # the same, halved
+    assert ShiftOperator.from_json(json.dumps(doc)) == builtin_operator("u-op")
 
 
 def test_from_json_rejects_unknown_convention():
@@ -247,9 +251,7 @@ def test_mathar_annihilates_oracle_terms(oracle):
     assert rep.passed
 
 
-_scalars = st.one_of(
-    st.integers(-5, 5), st.builds(Fraction, st.integers(-20, 20), st.integers(1, 4))
-)
+_scalars = st.integers(-20, 20)
 _nonzero = st.one_of(st.integers(1, 5), st.integers(-5, -1))
 # c_0 and the top coefficient get a nonzero leading term, so no draw is rejected.
 _end_polys = st.tuples(st.lists(_scalars, max_size=2), _nonzero).map(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recurra import sequences
 from recurra.operators import builtin_operator, verify_range
 from recurra.sequences import (
     ORACLE_LENGTH_CAP,
@@ -220,6 +221,21 @@ def test_verify_ogf():
     rep = verify_ogf(12)
     assert rep.passed and rep.order == 12
     assert verify_ogf(50).passed
+
+
+def test_verify_ogf_witnesses_are_int_triples(monkeypatch):
+    # verify_ogf looks series_inv_sqrt up in its module at each call.
+    real = sequences.series_inv_sqrt
+
+    def off_at_x3(f, order):
+        g = real(f, order)
+        return g[:3] + [g[3] + 1] + g[4:] if f == [1, -4] else g
+
+    monkeypatch.setattr(sequences, "series_inv_sqrt", off_at_x3)
+    rep = verify_ogf(5)
+    assert not rep.passed and rep.order == 5
+    assert rep.mismatches == ((3, 21, 20),)  # C(6,3) + 1 + 0 against 2*a(3)
+    assert all(type(x) is int for x in rep.mismatches[0])
 
 
 def test_verify_ogf_rejects_negative_order():
