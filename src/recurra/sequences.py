@@ -12,6 +12,8 @@ so a sweep's memory stays flat in its length. The binomials step their one-
 and two-step ratio recurrences from the window's end, so sweeping to
 n = 5000 costs one big-integer multiplication per step, and reseed from
 ``math.comb`` when a read lands behind the window or far ahead of it.
+A032123 steps both summands itself, with the same two ratio steps, and
+halves their sum by a shift.
 ``builtin_sequence`` hands out a fresh source on every call. The orbit
 oracles below count equivalence classes of binary strings under reversal by
 direct enumeration; they share no code with the closed forms and exist to
@@ -110,6 +112,29 @@ class SequenceSource:
         raise NotImplementedError
 
 
+def _u_step(u: int, m: int) -> int:
+    """u(m) = C(2m, m) from u(m-1), by m*u(m) = (4m-2)*u(m-1)."""
+    return u * (4 * m - 2) // m
+
+
+def _v_step(v: int, m: int) -> int:
+    """v(m) from v(m-2), by m*v(m) = 4(m-1)*v(m-2); odd m gets 0 from v(m-2) = 0."""
+    return 4 * (m - 1) * v // m
+
+
+def _half_sum(n: int, u: int, v: int) -> int:
+    """(u + v) / 2, halved by shift; an odd sum means a summand is wrong."""
+    s = u + v
+    if s & 1:
+        raise AssertionError(f"u({n}) + v({n}) is odd; generator is broken")
+    return s >> 1
+
+
+def _aerated(m: int) -> int:
+    """v(m) = C(m, m/2) for even m >= 0, else 0 (m = -1 included)."""
+    return math.comb(m, m // 2) if m % 2 == 0 else 0
+
+
 class CentralBinomial(SequenceSource):
     """u(n) = C(2n, n) via n*u(n) = (4n-2)*u(n-1), seeded by ``math.comb``."""
 
@@ -121,7 +146,7 @@ class CentralBinomial(SequenceSource):
     def _extend(self, n: int) -> None:
         c = self._cache
         for m in range(self._lo + len(c), n + 1):
-            c.append(c[-1] * (4 * m - 2) // m)
+            c.append(_u_step(c[-1], m))
 
 
 class AeratedCentralBinomial(SequenceSource):
@@ -132,33 +157,39 @@ class AeratedCentralBinomial(SequenceSource):
     def _seed(self, n: int) -> tuple[int, list[int]]:
         # The two-step ratio steps from a pair of terms: seed the pair holding n.
         lo = max(n - 1, 0)
-        return lo, [math.comb(m, m // 2) if m % 2 == 0 else 0 for m in (lo, lo + 1)]
+        return lo, [_aerated(lo), _aerated(lo + 1)]
 
     def _extend(self, n: int) -> None:
         c = self._cache
         for m in range(self._lo + len(c), n + 1):
-            c.append(4 * (m - 1) * c[-2] // m if m % 2 == 0 else 0)
+            c.append(_v_step(c[-2], m))
 
 
 class ReversibleBalancedStrings(SequenceSource):
     """A032123: length-2n binary strings with n ones, up to reversal.
 
     Terms come from the orbit-count closed form (u(n) + v(n)) / 2; the sum
-    is always even because the reversal action has even orbit defect.
+    is always even because the reversal action has even orbit defect. The
+    source steps both summands itself, with the ratio steps of the two
+    summand sources, and halves by shift: a term costs two products and
+    quotients by small factors, one addition and one shift.
     """
 
     name = "A032123"
 
-    def __init__(self):
-        self._u = CentralBinomial()
-        self._v = AeratedCentralBinomial()
-        super().__init__()
+    def _seed(self, n: int) -> tuple[int, list[int]]:
+        # _uv is (u(k), v(k-1), v(k)) at the window's last index k; v(-1) = 0.
+        u, v = math.comb(2 * n, n), _aerated(n)
+        self._uv = u, _aerated(n - 1), v
+        return n, [_half_sum(n, u, v)]
 
-    def _at(self, n: int) -> int:
-        s = self._u.term(n) + self._v.term(n)
-        if s % 2:
-            raise AssertionError(f"u({n}) + v({n}) is odd; generator is broken")
-        return s // 2
+    def _extend(self, n: int) -> None:
+        c = self._cache
+        u, w, v = self._uv
+        for m in range(self._lo + len(c), n + 1):
+            u, w, v = _u_step(u, m), v, _v_step(w, m)
+            c.append(_half_sum(m, u, v))
+        self._uv = u, w, v
 
 
 class ReversibleStrings(SequenceSource):

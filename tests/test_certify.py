@@ -16,9 +16,11 @@ from recurra.certify import (
     perturbed,
     reduce_to_polynomial,
 )
-from recurra.certify import MAX_TERM_DEGREE, _reduce_residue
+from recurra.certify import MAX_OPERATOR_ORDER, MAX_TERM_DEGREE, _reduce_residue
 from recurra.exact import Polynomial, integer_roots, n
-from recurra.operators import ShiftOperator, builtin_operator, verify_range
+from recurra.operators import (
+    MAX_ORDER_CAP, ShiftOperator, builtin_operator, operator_mul, verify_range,
+)
 from recurra.sequences import builtin_sequence
 
 
@@ -242,6 +244,18 @@ def test_term_degree_cap_is_shared_by_reader_and_library():
     doc = {"step": 2, "p": ["1"] * (MAX_TERM_DEGREE + 2), "q": ["1"], "support": [0], "n_min": 2}
     with pytest.raises(ValueError, match="MAX_TERM_DEGREE"):
         HyperTermSpec.from_json(json.dumps(doc))
+
+
+def test_operator_order_cap_admits_every_lclm_order():
+    # (1 - S)^(r-1) after u-op still annihilates u: order r = MAX_ORDER_CAP certifies.
+    assert MAX_OPERATOR_ORDER >= MAX_ORDER_CAP
+    diff = ShiftOperator([Polynomial([1]), Polynomial([-1])])
+    op = builtin_operator("u-op")
+    while op.order < MAX_OPERATOR_ORDER:
+        op = operator_mul(diff, op)
+    assert certify_annihilation(op, builtin_term("u-spec")).certified
+    with pytest.raises(ValueError, match="MAX_OPERATOR_ORDER"):
+        certify_annihilation(operator_mul(diff, op), builtin_term("u-spec"))
 
 
 def _per_shift_floors(op, t):

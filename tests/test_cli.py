@@ -555,3 +555,21 @@ def test_term_degree_cap_fails_fast_and_names_the_cap(tmp_path, capsys):
     assert code == EXIT_FAIL
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "MAX_TERM_DEGREE" in err
+
+
+def test_operator_order_cap_fails_fast_and_names_the_cap(tmp_path, capsys):
+    # Order 11 against the degree-100 term takes about 5 s uncapped.
+    from recurra.certify import MAX_OPERATOR_ORDER
+
+    r = MAX_OPERATOR_ORDER + 1
+    op_file = tmp_path / "order.json"
+    op_file.write_text(json.dumps(
+        {"convention": "backward", "order": r, "coeffs": [[str(j + 1), "1"] for j in range(r + 1)]}
+    ))
+    start = time.perf_counter()
+    code = main(["certify", "--operator", str(op_file),
+                 "--term", _degree_d_term(tmp_path, 100)])
+    assert time.perf_counter() - start < 2.0
+    assert code == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "MAX_OPERATOR_ORDER" in err

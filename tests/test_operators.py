@@ -273,6 +273,16 @@ def test_operator_mul_is_associative(a, b, c):
     assert all(map(_all_int, (a, b, c, a * b, (a * b) * c)))
 
 
+@settings(max_examples=20, deadline=None)
+@given(_operators, _operators)
+def test_lclm_cofactor_identity(a, b):
+    # Orders <= 2 and degrees <= 2: at order 4 and cofactor degree 10 the
+    # system has 66 unknowns and 65 equations, so the default caps always hold.
+    L, P, Q = lclm_with_cofactors(a, b)
+    assert operator_mul(P, a) == L == operator_mul(Q, b)
+    assert max(a.order, b.order) <= L.order <= a.order + b.order
+
+
 class _Applied:
     """The sequence m -> op.apply(s, m), read through ``term`` like a source."""
 

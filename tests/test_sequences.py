@@ -165,6 +165,35 @@ def test_builtin_sequences_are_fresh_and_independent():
     assert b.term(12) == A032123_HEAD[12]
 
 
+def test_a032123_first_reads_on_fresh_sources():
+    # n = 0 is the window __init__ seeds; 1 and 2 step from it, or seed there.
+    assert [builtin_sequence("A032123").term(k) for k in range(3)] == [1, 1, 4]
+    for k in range(3):
+        s = builtin_sequence("A032123")
+        s.term(10 * WINDOW)  # move the window away, so the next read reseeds at k
+        assert [s.term(m) for m in range(k, 6)] == A032123_HEAD[k:6]
+
+
+@pytest.mark.parametrize("target", [3 * WINDOW + 1, 3 * WINDOW + 2])
+def test_a032123_reseeds_on_either_parity(target):
+    # v steps two indices at a time, so a seed must carry v(n - 1) as well as v(n).
+    s = builtin_sequence("A032123")
+    assert s.term(5) == _reference("A032123", 5)
+    for n in range(target, target + WINDOW + 3):  # jump to target, then step on
+        assert s.term(n) == _reference("A032123", n)
+    back = target - 2 * WINDOW - 1  # behind the window: reseed there and step on
+    for n in range(back, back + 5):
+        assert s.term(n) == _reference("A032123", n)
+
+
+def test_a032123_odd_half_sum_still_raises(monkeypatch):
+    real = sequences._u_step
+    monkeypatch.setattr(sequences, "_u_step", lambda u, m: real(u, m) + 1)
+    s = builtin_sequence("A032123")
+    with pytest.raises(AssertionError, match=r"u\(1\) \+ v\(1\) is odd"):
+        s.term(1)
+
+
 def test_sweep_memory_is_bounded():
     # Holding every term up to n = 10000 takes about 29.5 MiB; a window of
     # them about 0.4 MiB.
