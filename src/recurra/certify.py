@@ -27,7 +27,19 @@ from .operators import (
 #: term of degree 100 takes 0.3 s with p = 1 + ... + n^100, q = 3 + ... + 2n^100,
 #: 0.9 s with q = (n-1)...(n-100), 0.8 s with random 30-digit coefficients and
 #: 14 s with 300-digit ones; at 200, 2, 9, 5 and 90 s (2-vCPU Xeon, CPython 3.11).
+#: At degree 100, q = (n-1)...(n-100) and the 300-digit case are over
+#: MAX_TERM_BITS.
 MAX_TERM_DEGREE = 100
+
+#: Most coefficient bits a term description may hold, each coefficient of p
+#: and of q counted at the width of the widest one in its polynomial: the
+#: products certification forms spread a wide coefficient into every other.
+#: A plain sum of bit lengths would not bound the work: one 9.9k-bit
+#: coefficient in q at degree 100 takes 48 s against the order-10 operator
+#: below. The worst case at all three caps is about 14 s: degree 100, q with
+#: 395-bit coefficients, against the order-10 operator with coefficients
+#: n+1, ..., n+11 (0.8 s against ``mathar``; 2-vCPU Xeon, CPython 3.11).
+MAX_TERM_BITS = 40_000
 
 #: Largest operator order ``certify_annihilation`` accepts: each shift deepens
 #: the rewrite chain. It is the largest order ``lclm`` can return, so every
@@ -72,6 +84,11 @@ class HyperTermSpec:
         if max(self.p.degree, self.q.degree) > MAX_TERM_DEGREE:
             raise ValueError(f"p and q have degrees {self.p.degree} and {self.q.degree}, "
                              f"over the cap MAX_TERM_DEGREE = {MAX_TERM_DEGREE}")
+        bits = sum(len(f.coeffs) * max(abs(c).bit_length() for c in f.coeffs)
+                   for f in (self.p, self.q))
+        if bits > MAX_TERM_BITS:
+            raise ValueError(f"p and q take {bits} bits at the width of their widest "
+                             f"coefficients, over the cap MAX_TERM_BITS = {MAX_TERM_BITS}")
         object.__setattr__(self, "support", frozenset(self.support))
         if not self.support:
             raise ValueError("support must be nonempty")
@@ -134,7 +151,6 @@ class ResidueReduction:
     anchor: int                          # the sum is rewritten against t(n - anchor)
     terms: tuple[Polynomial, ...]        # summand polynomials, one per shift
     denominator: Polynomial              # cleared common denominator
-    numerator_raw: Polynomial            # expanded sum before normalization
     numerator: Polynomial                # normalized form
     formal_degree: int | float           # max summand degree, before cancellation
     floor: int                           # smallest n with every rewrite step valid
@@ -170,8 +186,8 @@ def _reduce_residue(op: ShiftOperator, t: HyperTermSpec, residue: int) -> Residu
     if not shifts:
         return ResidueReduction(
             residue=residue, shifts=(), anchor=0, terms=(),
-            denominator=Polynomial([1]), numerator_raw=Polynomial(),
-            numerator=Polynomial(), formal_degree=NEG_INF, floor=op.order,
+            denominator=Polynomial([1]), numerator=Polynomial(),
+            formal_degree=NEG_INF, floor=op.order,
         )
     if len({j % k for j in shifts}) > 1:
         raise UnsupportedChainError(
@@ -216,7 +232,6 @@ def _reduce_residue(op: ShiftOperator, t: HyperTermSpec, residue: int) -> Residu
         anchor=anchor,
         terms=tuple(terms),
         denominator=denominator,
-        numerator_raw=total,
         numerator=total.normalized(),
         formal_degree=formal_degree,
         floor=floor,

@@ -148,8 +148,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sequence", required=True)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--terms", type=int, default=None,
-                   help="how many terms to sample (default: minimum required)")
+    p.add_argument("--terms", type=_int_at_least(1, ""), default=None,
+                   help="how many terms to sample, at least 1 (default: minimum required)")
     p.add_argument("--minimal", action="store_true",
                    help="search (order, degree) ascending and print the first hit")
 
@@ -173,7 +173,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bp.add_argument("--to", dest="n_to", type=int, required=True)
 
     p = sub.add_parser("prove-a032123", help="run the full offline proof pipeline")
-    p.add_argument("--max-n", type=_sweep_end, default=5000,
+    sweep_end = _int_at_least(SWEEP_FROM, ", where the numeric sweep starts")
+    p.add_argument("--max-n", type=sweep_end, default=5000,
                    help="upper end of the numeric sweep (default 5000)")
     p.add_argument("--operator", default=None,
                    help="operator file overriding the builtin order-5 operator")
@@ -181,17 +182,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sweep_end(text: str) -> int:
-    """``--max-n``: an integer no smaller than ``SWEEP_FROM``."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < SWEEP_FROM:
-        raise argparse.ArgumentTypeError(
-            f"must be at least {SWEEP_FROM}, where the numeric sweep starts; got {n}"
-        )
-    return n
+def _int_at_least(low: int, why: str):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}{why}; got {n}")
+        return n
+
+    return parse
 
 
 def _load_operator(spec: str) -> ops.ShiftOperator:

@@ -18,6 +18,8 @@ from .sequences import BFileSequence
 
 #: Extra equations demanded beyond the unknown count before a fit is trusted.
 MARGIN = 10
+#: Trailing terms left out of the system; every candidate must annihilate them.
+HOLDOUT = 10
 #: Most unknowns (order+1)(degree+1) one guess may solve for: the system is
 #: dense, about that many columns by that many rows. (14, 19), 300 unknowns on
 #: the default 334 terms of A032123, takes about 5 s.
@@ -35,9 +37,9 @@ class GuessNotFoundError(RuntimeError):
     """No holdout-verified operator exists within the search caps."""
 
 
-def required_terms(order: int, degree: int, holdout: int = 10) -> int:
+def required_terms(order: int, degree: int) -> int:
     """Minimum term count for a trustworthy (order, degree) guess."""
-    return (order + 1) * (degree + 1) + order + MARGIN + holdout
+    return (order + 1) * (degree + 1) + order + MARGIN + HOLDOUT
 
 
 def check_size(order: int, degree: int, terms: int) -> None:
@@ -61,17 +63,16 @@ class GuessProblem:
     order: int
     degree: int
     offset: int = 0
-    holdout: int = 10
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
-        if self.order < 1 or self.degree < 0 or self.holdout < 0:
+        if self.order < 1 or self.degree < 0:
             raise ValueError("order must be >= 1 and degree/holdout >= 0")
         check_size(self.order, self.degree, len(self.terms))
-        need = required_terms(self.order, self.degree, self.holdout)
+        need = required_terms(self.order, self.degree)
         if len(self.terms) < need:
             raise InsufficientTermsError(
-                f"order={self.order}, degree={self.degree}, holdout={self.holdout} "
+                f"order={self.order}, degree={self.degree}, holdout={HOLDOUT} "
                 f"needs at least {need} terms, got {len(self.terms)}"
             )
 
@@ -99,12 +100,12 @@ class GuessResult:
 
 def guess_recurrence(problem: GuessProblem) -> GuessResult:
     """Exact nullspace guess for the given problem shape."""
-    r, d, h = problem.order, problem.degree, problem.holdout
+    r, d = problem.order, problem.degree
     terms = problem.terms
     lo = problem.offset
     hi = lo + len(terms) - 1
 
-    sample_hi = hi - h
+    sample_hi = hi - HOLDOUT
     rows = []
     for i in range(lo + r, sample_hi + 1):
         row = []
@@ -139,7 +140,6 @@ def minimal_guess(
     max_order: int,
     max_degree: int,
     offset: int = 0,
-    holdout: int = 10,
 ) -> ShiftOperator:
     """Smallest holdout-verified recurrence within the caps.
 
@@ -151,9 +151,7 @@ def minimal_guess(
     for r in range(1, max_order + 1):
         for d in range(max_degree + 1):
             try:
-                problem = GuessProblem(
-                    terms=terms, order=r, degree=d, offset=offset, holdout=holdout
-                )
+                problem = GuessProblem(terms=terms, order=r, degree=d, offset=offset)
             except InsufficientTermsError:
                 skipped.append((r, d))
                 continue

@@ -276,53 +276,32 @@ def lclm(
 
 
 def _lclm_at(a, b, order, degree):
-    na, nb = order - a.order + 1, order - b.order + 1  # cofactor lengths
-    cols = (na + nb) * (degree + 1)
+    na = order - a.order + 1  # P's length; Q's is order - b.order + 1
+    width = degree + 1
 
-    # Multiplier polynomial for each unknown: x_{i,e} contributes
-    # n^e * c_{t-i}(n - i) to the shift-t coefficient of the product.
-    def multipliers(base, count, sign):
-        rows = {}
-        for i in range(count):
-            for e in range(degree + 1):
-                for j, cj in enumerate(base.coeffs):
-                    t = i + j
-                    poly = sign * Polynomial([0] * e + [1]) * cj.shifted(-i)
-                    rows.setdefault(t, []).append((i * (degree + 1) + e, poly))
-        return rows
-
-    a_terms = multipliers(a, na, 1)
-    b_terms = multipliers(b, nb, -1)
-    offset = na * (degree + 1)
-
+    # One unit per cofactor shift i: S^i*a for P, -S^i*b for Q. The unknown
+    # for n^e * S^i scales its unit by n^e, moving each coefficient up e powers.
+    units = [
+        _compose([Polynomial([sign] if j == i else []) for j in range(count)], op)
+        for op, count, sign in ((a, na, 1), (b, order - b.order + 1, -1))
+        for i in range(count)
+    ]
     eq_rows = []
     for t in range(order + 1):
-        per_col: list[Polynomial] = [Polynomial()] * cols
-        for col, poly in a_terms.get(t, ()):
-            per_col[col] = per_col[col] + poly
-        for col, poly in b_terms.get(t, ()):
-            per_col[offset + col] = per_col[offset + col] + poly
-        max_deg = max((p.degree for p in per_col if not p.is_zero), default=-1)
-        if max_deg < 0:
+        top = max(unit[t].degree for unit in units)
+        if top < 0:
             continue
-        for power in range(int(max_deg) + 1):
-            eq_rows.append([p[power] for p in per_col])
+        for k in range(top + width):
+            eq_rows.append([unit[t][k - e] for unit in units for e in range(width)])
 
-    basis = nullspace(eq_rows, ncols=cols)
     candidates = []
-    for vec in basis:
-        p_cof = [
-            Polynomial(vec[i * (degree + 1) : (i + 1) * (degree + 1)])
-            for i in range(na)
-        ]
-        q_cof = [
-            Polynomial(vec[offset + i * (degree + 1) : offset + (i + 1) * (degree + 1)])
-            for i in range(nb)
-        ]
+    for vec in nullspace(eq_rows, ncols=len(units) * width):
+        cof = [Polynomial(vec[c : c + width]) for c in range(0, len(vec), width)]
+        p_cof, q_cof = cof[:na], cof[na:]
         product = _compose(p_cof, a)
+        # product[order] is P's top times a's shifted top, and also Q's top
+        # times b's: it is zero exactly when either cofactor's top is.
         if product[0].is_zero or product[order].is_zero:
-            continue
-        if p_cof[-1].is_zero or q_cof[-1].is_zero:
             continue
         candidates.append((ShiftOperator(product), p_cof, q_cof))
     if not candidates:

@@ -278,7 +278,7 @@ def _reverse_bits(x: int, width: int) -> int:
     return out >> (nbytes * 8 - width)
 
 
-def _reversal_tally(length: int, ones: int | None, cap: int) -> tuple[int, int]:
+def _reversal_tally(length: int, ones: int | None) -> tuple[int, int]:
     """(orbit count, reversal-fixed count) over the requested string set.
 
     A string is counted as an orbit representative when it compares <= its
@@ -289,9 +289,9 @@ def _reversal_tally(length: int, ones: int | None, cap: int) -> tuple[int, int]:
         raise ValueError("string length must be nonnegative")
     if ones is not None and not 0 <= ones <= length:
         raise ValueError(f"ones={ones} is outside 0..{length}")
-    if length > cap:
+    if length > ORACLE_LENGTH_CAP:
         raise ValueError(
-            f"length {length} exceeds the enumeration cap {cap}; "
+            f"length {length} exceeds the enumeration cap {ORACLE_LENGTH_CAP}; "
             "the string count grows exponentially"
         )
     orbits = fixed = 0
@@ -321,23 +321,19 @@ def _reversal_tally(length: int, ones: int | None, cap: int) -> tuple[int, int]:
     return orbits, fixed
 
 
-def orbit_count_oracle(
-    length: int, ones: int | None = None, cap: int = ORACLE_LENGTH_CAP
-) -> int:
+def orbit_count_oracle(length: int, ones: int | None = None) -> int:
     """Equivalence classes of binary strings under s ~ reverse(s).
 
     Restricted to exactly ``ones`` one-bits when given. Pure enumeration;
-    independent of every closed form in this module. Lengths above ``cap``
-    are refused outright.
+    independent of every closed form in this module. Lengths above
+    ``ORACLE_LENGTH_CAP`` are refused outright.
     """
-    return _reversal_tally(length, ones, cap)[0]
+    return _reversal_tally(length, ones)[0]
 
 
-def reversal_fixed_count(
-    length: int, ones: int | None = None, cap: int = ORACLE_LENGTH_CAP
-) -> int:
+def reversal_fixed_count(length: int, ones: int | None = None) -> int:
     """How many enumerated strings are palindromes (fixed by reversal)."""
-    return _reversal_tally(length, ones, cap)[1]
+    return _reversal_tally(length, ones)[1]
 
 
 # -- generating function check ------------------------------------------------

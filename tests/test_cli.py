@@ -7,6 +7,7 @@ import time
 import pytest
 
 from recurra.certify import perturbed
+from recurra.check import decimal
 from recurra.cli import (
     EXIT_FAIL,
     EXIT_IO,
@@ -17,7 +18,7 @@ from recurra.cli import (
     run_prove_a032123,
 )
 from recurra.oeis import bundled_a032123
-from recurra.operators import builtin_operator, verify_range
+from recurra.operators import builtin_operator, operator_mul, verify_range
 from recurra.sequences import builtin_sequence
 
 A032123_HEAD = [1, 1, 4, 10, 38, 126, 472, 1716, 6470, 24310, 92504, 352716, 1352540]
@@ -464,15 +465,33 @@ DISCOVERY_SHA256 = {
         "0218f253d44501abe2f78428be8fc17430323cb6f82c123634fffc66b9d2cd9b",
     ("lclm", "--a", "u-op", "--b", "v-op"):
         "752cfa5c6224440234a303af6dfd609b49e8db95822b0125f58b3a5b46a420b6",
+    ("lclm", "--a", "mathar", "--b", "u-op"):
+        "2ec05ad77d50b03a3dcf726bdeee26bea1bd9c45f3770c49806a3caa94d487ba",
 }
 
 
-@pytest.mark.parametrize("argv", sorted(DISCOVERY_SHA256), ids=lambda a: a[0])
+@pytest.mark.parametrize(
+    "argv", sorted(DISCOVERY_SHA256), ids=lambda a: "lclm-mathar" if "mathar" in a else a[0]
+)
 def test_discovery_output_is_pinned(argv, capsys):
     code = main(list(argv))
     out = capsys.readouterr().out
     assert code == EXIT_PASS
     assert hashlib.sha256(out.encode()).hexdigest() == DISCOVERY_SHA256[argv]
+
+
+def test_order_6_lclm_output_is_pinned(tmp_path, capsys):
+    # The composed pair crosscheck runs: u*v and v*u, whose LCLM has order 6.
+    u, v = builtin_operator("u-op"), builtin_operator("v-op")
+    (tmp_path / "uv.json").write_text(operator_mul(u, v).to_json())
+    (tmp_path / "vu.json").write_text(operator_mul(v, u).to_json())
+    code = main(["lclm", "--a", str(tmp_path / "uv.json"), "--b", str(tmp_path / "vu.json")])
+    out = capsys.readouterr().out
+    assert code == EXIT_PASS
+    assert json.loads(out)["order"] == 6
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b8370fce94fd6fb3722ec9d1f742bdf0ec9d8f9e1ad350ad569836fb901fb0a3"
+    )
 
 
 @pytest.mark.parametrize(
@@ -555,6 +574,39 @@ def test_term_degree_cap_fails_fast_and_names_the_cap(tmp_path, capsys):
     assert code == EXIT_FAIL
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "MAX_TERM_DEGREE" in err
+
+
+@pytest.mark.parametrize("over", [0, 1], ids=["at-cap", "one-bit-over"])
+def test_term_bit_cap_fails_fast_and_names_the_cap(over, tmp_path, capsys):
+    # q = c + n with a b-bit c takes 2b bits; the constant p takes the rest.
+    from recurra.certify import MAX_TERM_BITS
+
+    b = MAX_TERM_BITS // 2 - 1
+    p = 1 << (MAX_TERM_BITS - 2 * b - 1 + over)
+    term = {"step": 1, "p": [decimal(p)], "q": [decimal((1 << (b - 1)) + 1), "1"],
+            "support": [0], "n_min": 1}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(term))
+    start = time.perf_counter()
+    code = main(["certify", "--operator", "mathar", "--term", str(path)])
+    assert time.perf_counter() - start < 2.0
+    assert code == EXIT_FAIL
+    captured = capsys.readouterr()
+    if over:
+        assert captured.err.startswith("error: ") and "MAX_TERM_BITS" in captured.err
+    else:
+        assert captured.out.startswith("NOT CERTIFIED")
+
+
+@pytest.mark.parametrize("terms", ["0", "-3"])
+def test_guess_terms_below_one_is_usage_error(terms, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["guess", "--sequence", "A032123", "--order", "1", "--degree", "1",
+              "--terms", terms])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"--terms: must be at least 1; got {terms}" in err
+    assert "Traceback" not in err
 
 
 def test_operator_order_cap_fails_fast_and_names_the_cap(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import pytest
 
 from recurra.guess import (
+    HOLDOUT,
+    MARGIN,
     GuessNotFoundError,
     GuessProblem,
     InsufficientTermsError,
@@ -13,8 +15,9 @@ from recurra.sequences import builtin_sequence
 
 
 def test_required_terms_formula():
-    assert required_terms(1, 1, holdout=10) == 4 + 1 + 10 + 10
-    assert required_terms(5, 2, holdout=10) == 18 + 5 + 10 + 10
+    assert required_terms(1, 1) == 4 + 1 + MARGIN + HOLDOUT
+    assert required_terms(5, 2) == 18 + 5 + MARGIN + HOLDOUT
+    assert (MARGIN, HOLDOUT) == (10, 10)
 
 
 def test_problem_rejects_too_few_terms():

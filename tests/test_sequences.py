@@ -102,10 +102,13 @@ def test_orbit_oracle_cap():
         orbit_count_oracle(ORACLE_LENGTH_CAP + 1, 3)
 
 
-def test_orbit_oracle_cap_is_configurable():
-    with pytest.raises(ValueError, match="cap"):
-        orbit_count_oracle(10, 5, cap=8)
-    assert orbit_count_oracle(10, 5, cap=10) == 126
+def test_orbit_oracle_cap_is_configurable(monkeypatch):
+    # The cap is read at call time, so the module constant is the one setting.
+    monkeypatch.setattr(sequences, "ORACLE_LENGTH_CAP", 8)
+    with pytest.raises(ValueError, match="cap 8"):
+        orbit_count_oracle(10, 5)
+    monkeypatch.setattr(sequences, "ORACLE_LENGTH_CAP", 10)
+    assert orbit_count_oracle(10, 5) == 126
 
 
 def test_closed_form_matches_oracle(oracle):
