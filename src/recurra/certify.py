@@ -23,7 +23,8 @@ from .operators import (
 )
 
 
-#: Largest degree of p or q in a term description. Against ``mathar``, a step-1
+#: Largest degree of p or q in a term description, and of an operator's
+#: coefficients in ``certify_annihilation``. Against ``mathar``, a step-1
 #: term of degree 100 takes 0.3 s with p = 1 + ... + n^100, q = 3 + ... + 2n^100,
 #: 0.9 s with q = (n-1)...(n-100), 0.8 s with random 30-digit coefficients and
 #: 14 s with 300-digit ones; at 200, 2, 9, 5 and 90 s (2-vCPU Xeon, CPython 3.11).
@@ -36,9 +37,10 @@ MAX_TERM_DEGREE = 100
 #: products certification forms spread a wide coefficient into every other.
 #: A plain sum of bit lengths would not bound the work: one 9.9k-bit
 #: coefficient in q at degree 100 takes 48 s against the order-10 operator
-#: below. The worst case at all three caps is about 14 s: degree 100, q with
-#: 395-bit coefficients, against the order-10 operator with coefficients
-#: n+1, ..., n+11 (0.8 s against ``mathar``; 2-vCPU Xeon, CPython 3.11).
+#: below. The worst case at the term caps and the order cap is about 14 s:
+#: degree 100, q with 395-bit coefficients, against the order-10 operator with
+#: coefficients n+1, ..., n+11 (0.8 s against ``mathar``; 2-vCPU Xeon, CPython
+#: 3.11). MAX_OPERATOR_BITS gives the worst case at all the caps together.
 MAX_TERM_BITS = 40_000
 
 #: Largest operator order ``certify_annihilation`` accepts: each shift deepens
@@ -48,6 +50,28 @@ MAX_TERM_BITS = 40_000
 #: r = 5 and 3.9 s at r = 10 (4.6 s with degree-16 coefficients), against
 #: 84 s at r = 20 (2-vCPU Xeon, CPython 3.11).
 MAX_OPERATOR_ORDER = MAX_ORDER_CAP
+
+#: Most coefficient bits an operator may hold in ``certify_annihilation``,
+#: counted as for MAX_TERM_BITS: each summand of a residue's numerator starts
+#: from one operator coefficient and carries its bits through up to
+#: MAX_OPERATOR_ORDER products. (Its coefficients' degree is capped by
+#: MAX_TERM_DEGREE; degree-2000 coefficients took 11.3 s.) The cap admits
+#: ``mathar`` with a 10^5000 constant (49,947 bits). Uncapped, an order-10
+#: operator with random 40,000-bit constants took 87 s against a degree-100
+#: term with 2-bit coefficients. The worst case at all the certify caps
+#: together is about 39 s: the degree-100 term with 395-bit coefficients in q
+#: (14 s under MAX_TERM_BITS) against an order-10 operator whose c_0 is one
+#: 50,000-bit constant and whose other coefficients are n+1, ..., n+10 (35 s
+#: with eleven 4,545-bit constants; 2-vCPU Xeon, CPython 3.11, whose speed
+#: drifts by up to 2x: a faster phase read 18.5 s against 6.6 s for the 14 s
+#: case).
+MAX_OPERATOR_BITS = 50_000
+
+
+def _width_bits(polys) -> int:
+    """Coefficient bits of polys, each coefficient at the width of the widest in its polynomial."""
+    return sum(len(f.coeffs) * max(abs(c).bit_length() for c in f.coeffs)
+               for f in polys if not f.is_zero)
 
 
 class DegenerateRatioError(ValueError):
@@ -84,8 +108,7 @@ class HyperTermSpec:
         if max(self.p.degree, self.q.degree) > MAX_TERM_DEGREE:
             raise ValueError(f"p and q have degrees {self.p.degree} and {self.q.degree}, "
                              f"over the cap MAX_TERM_DEGREE = {MAX_TERM_DEGREE}")
-        bits = sum(len(f.coeffs) * max(abs(c).bit_length() for c in f.coeffs)
-                   for f in (self.p, self.q))
+        bits = _width_bits((self.p, self.q))
         if bits > MAX_TERM_BITS:
             raise ValueError(f"p and q take {bits} bits at the width of their widest "
                              f"coefficients, over the cap MAX_TERM_BITS = {MAX_TERM_BITS}")
@@ -254,6 +277,14 @@ def certify_annihilation(op: ShiftOperator, t: HyperTermSpec) -> CertificationRe
     if op.order > MAX_OPERATOR_ORDER:
         raise ValueError(f"operator order {op.order} is over the cap "
                          f"MAX_OPERATOR_ORDER = {MAX_OPERATOR_ORDER}")
+    degree = max(f.degree for f in op.coeffs)
+    if degree > MAX_TERM_DEGREE:
+        raise ValueError(f"operator coefficients have degree {degree}, over the cap "
+                         f"MAX_TERM_DEGREE = {MAX_TERM_DEGREE}")
+    bits = _width_bits(op.coeffs)
+    if bits > MAX_OPERATOR_BITS:
+        raise ValueError(f"operator coefficients take {bits} bits at the width of their widest "
+                         f"coefficients, over the cap MAX_OPERATOR_BITS = {MAX_OPERATOR_BITS}")
     residues = tuple(_reduce_residue(op, t, r) for r in range(t.step))
     return CertificationReport(
         residues=residues,

@@ -17,8 +17,11 @@ from recurra.cli import (
     render,
     run_prove_a032123,
 )
+from recurra.exact import Polynomial
 from recurra.oeis import bundled_a032123
-from recurra.operators import builtin_operator, operator_mul, verify_range
+from recurra.operators import (
+    ShiftOperator, builtin_operator, operator_mul, verify_range,
+)
 from recurra.sequences import builtin_sequence
 
 A032123_HEAD = [1, 1, 4, 10, 38, 126, 472, 1716, 6470, 24310, 92504, 352716, 1352540]
@@ -596,6 +599,51 @@ def test_term_bit_cap_fails_fast_and_names_the_cap(over, tmp_path, capsys):
         assert captured.err.startswith("error: ") and "MAX_TERM_BITS" in captured.err
     else:
         assert captured.out.startswith("NOT CERTIFIED")
+
+
+def _left_multiple_of_u_op(tmp_path, g):
+    """An operator file for g(n) * u-op, which annihilates C(2n, n) for every nonzero g."""
+    op = ShiftOperator([g * c for c in builtin_operator("u-op").coeffs])
+    path = tmp_path / "g-u-op.json"
+    path.write_text(op.to_json())
+    return str(path)
+
+
+@pytest.mark.parametrize("over", [0, 1], ids=["at-cap", "over-cap"])
+def test_operator_degree_cap_fails_fast_and_names_the_cap(over, tmp_path, capsys):
+    from recurra.certify import MAX_TERM_DEGREE
+
+    g = Polynomial([1] * (MAX_TERM_DEGREE + over))  # g * n has degree MAX_TERM_DEGREE + over
+    start = time.perf_counter()
+    code = main(["certify", "--operator", _left_multiple_of_u_op(tmp_path, g), "--term", "u-spec"])
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    if over:
+        assert code == EXIT_FAIL
+        assert captured.err.startswith("error: ") and "MAX_TERM_DEGREE" in captured.err
+    else:
+        assert code == EXIT_PASS
+        assert captured.out.startswith("CERTIFIED")
+
+
+@pytest.mark.parametrize("over", [0, 1], ids=["at-cap", "over-cap"])
+def test_operator_bit_cap_fails_fast_and_names_the_cap(over, tmp_path, capsys):
+    # (c + n^2) * u-op = [c n + n^3, -(c + n^2)(4n - 2)] has four coefficients in
+    # each polynomial, the widest c and 4c: a b-bit power of two c takes 8b + 8 bits.
+    from recurra.certify import MAX_OPERATOR_BITS
+
+    b = (MAX_OPERATOR_BITS - 8) // 8 + over
+    g = Polynomial([1 << (b - 1), 0, 1])
+    start = time.perf_counter()
+    code = main(["certify", "--operator", _left_multiple_of_u_op(tmp_path, g), "--term", "u-spec"])
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    if over:
+        assert code == EXIT_FAIL
+        assert captured.err.startswith("error: ") and "MAX_OPERATOR_BITS" in captured.err
+    else:
+        assert code == EXIT_PASS
+        assert captured.out.startswith("CERTIFIED")
 
 
 @pytest.mark.parametrize("terms", ["0", "-3"])

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import pytest
@@ -10,6 +11,7 @@ from recurra.operators import builtin_operator, verify_range
 from recurra.sequences import (
     ORACLE_LENGTH_CAP,
     WINDOW,
+    OrbitOracleSequence,
     TermRangeError,
     binomial,
     builtin_sequence,
@@ -111,7 +113,30 @@ def test_orbit_oracle_cap_is_configurable(monkeypatch):
     assert orbit_count_oracle(10, 5) == 126
 
 
-def test_closed_form_matches_oracle(oracle):
+def _reversal_reference(length, ones):
+    # String-by-string: each {s, reverse(s)} counted once, palindromes apart.
+    strings = [format(s, f"0{length}b") for s in range(1 << length)]
+    strings = [b for b in strings if ones is None or b.count("1") == ones]
+    return sum(b <= b[::-1] for b in strings), sum(b == b[::-1] for b in strings)
+
+
+def test_orbit_oracle_matches_string_reversal_exhaustively():
+    for length in range(15):
+        for ones in (None, *range(length + 1)):
+            want = _reversal_reference(length, ones)
+            got = orbit_count_oracle(length, ones), reversal_fixed_count(length, ones)
+            assert got == want, (length, ones)
+
+
+def test_orbit_oracle_at_the_cap_is_fast():
+    start = time.perf_counter()
+    assert orbit_count_oracle(24, 12) == 1352540
+    assert orbit_count_oracle(24) == 8390656
+    assert time.perf_counter() - start < 1.0
+
+
+def test_closed_form_matches_oracle():
+    oracle = OrbitOracleSequence()
     for k in range(13):
         assert A.term(k) == oracle.term(k)
 
