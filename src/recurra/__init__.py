@@ -5,7 +5,7 @@ while a coefficient file is read; there is no floating point anywhere. The
 headline capability is the fully offline proof pipeline for the order-5
 recurrence of OEIS A032123 (``recurra prove-a032123``), built from reusable
 pieces: shift-operator algebra, symbolic annihilation certificates, exact
-recurrence guessing, orbit-counting oracles, and b-file handling.
+recurrence guessing, an orbit-counting oracle, and b-file handling.
 """
 from .certify import (
     CertificationReport,
@@ -17,13 +17,11 @@ from .certify import (
     certify_annihilation,
     check_cancellation_identities,
     perturbed,
-    reduce_to_polynomial,
 )
 from .check import Check
 from .exact import (
     NEG_INF,
     Polynomial,
-    falling_factorial,
     integer_roots,
 )
 from .guess import (
@@ -53,19 +51,15 @@ from .operators import (
     builtin_operator_names,
     lclm,
     lclm_with_cofactors,
-    operator_mul,
     verify_range,
 )
 from .sequences import (
     BFileSequence,
-    OrbitOracleSequence,
     SequenceSource,
     TermRangeError,
-    binomial,
     builtin_sequence,
     builtin_sequence_names,
     orbit_count_oracle,
-    reversal_fixed_count,
     series_inv_sqrt,
     verify_ogf,
 )
@@ -89,13 +83,11 @@ __all__ = [
     "LclmCapError",
     "NEG_INF",
     "OfflineError",
-    "OrbitOracleSequence",
     "Polynomial",
     "SequenceSource",
     "ShiftOperator",
     "TermRangeError",
     "UnsupportedChainError",
-    "binomial",
     "builtin_operator",
     "builtin_operator_names",
     "builtin_sequence",
@@ -106,20 +98,16 @@ __all__ = [
     "certify_annihilation",
     "check_cancellation_identities",
     "compare_sequence",
-    "falling_factorial",
     "fetch_bfile",
     "guess_recurrence",
     "integer_roots",
     "lclm",
     "lclm_with_cofactors",
     "minimal_guess",
-    "operator_mul",
     "orbit_count_oracle",
     "parse_bfile",
     "perturbed",
     "required_terms",
-    "reduce_to_polynomial",
-    "reversal_fixed_count",
     "series_inv_sqrt",
     "verify_ogf",
     "verify_range",

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 
 from .check import Check
-from .exact import NEG_INF, Polynomial, integer_roots, n, read_polynomials
+from .exact import Polynomial, integer_roots, n, read_polynomials
 from .operators import (
     COEFFS, INTEGER, INTEGERS, MAX_ORDER_CAP, ShiftOperator, builtin_operator, json_object,
 )
@@ -97,7 +97,6 @@ class HyperTermSpec:
     q: Polynomial
     support: frozenset[int]
     n_min: int
-    name: str = ""
     q_roots: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -152,12 +151,8 @@ def builtin_term(name: str) -> HyperTermSpec:
 
 
 _builtin_terms = {
-    "u-spec": HyperTermSpec(
-        step=1, p=n, q=4 * n - 2, support=frozenset({0}), n_min=1, name="u-spec"
-    ),
-    "v-spec": HyperTermSpec(
-        step=2, p=n, q=4 * (n - 1), support=frozenset({0}), n_min=2, name="v-spec"
-    ),
+    "u-spec": HyperTermSpec(step=1, p=n, q=4 * n - 2, support=frozenset({0}), n_min=1),
+    "v-spec": HyperTermSpec(step=2, p=n, q=4 * (n - 1), support=frozenset({0}), n_min=2),
 }
 
 
@@ -175,7 +170,6 @@ class ResidueReduction:
     terms: tuple[Polynomial, ...]        # summand polynomials, one per shift
     denominator: Polynomial              # cleared common denominator
     numerator: Polynomial                # normalized form
-    formal_degree: int | float           # max summand degree, before cancellation
     floor: int                           # smallest n with every rewrite step valid
 
     @property
@@ -190,7 +184,6 @@ class CertificationReport:
     residues: tuple[ResidueReduction, ...]
     certified: bool
     floor: int
-    degree_bound: int | float            # max formal degree across residues
 
     def detail(self) -> str:
         if self.certified:
@@ -209,8 +202,7 @@ def _reduce_residue(op: ShiftOperator, t: HyperTermSpec, residue: int) -> Residu
     if not shifts:
         return ResidueReduction(
             residue=residue, shifts=(), anchor=0, terms=(),
-            denominator=Polynomial([1]), numerator=Polynomial(),
-            formal_degree=NEG_INF, floor=op.order,
+            denominator=Polynomial([1]), numerator=Polynomial(), floor=op.order,
         )
     if len({j % k for j in shifts}) > 1:
         raise UnsupportedChainError(
@@ -230,7 +222,6 @@ def _reduce_residue(op: ShiftOperator, t: HyperTermSpec, residue: int) -> Residu
         denominator = denominator * f
 
     terms = []
-    formal_degree: int | float = NEG_INF
     total = Polynomial()
     for j in shifts:
         i = (j - anchor) // k
@@ -240,7 +231,6 @@ def _reduce_residue(op: ShiftOperator, t: HyperTermSpec, residue: int) -> Residu
         for f in q_shift[i:]:
             term = term * f
         terms.append(term)
-        formal_degree = max(formal_degree, term.degree)
         total = total + term
 
     floor = op.order
@@ -256,20 +246,8 @@ def _reduce_residue(op: ShiftOperator, t: HyperTermSpec, residue: int) -> Residu
         terms=tuple(terms),
         denominator=denominator,
         numerator=total.normalized(),
-        formal_degree=formal_degree,
         floor=floor,
     )
-
-
-def reduce_to_polynomial(op: ShiftOperator, t: HyperTermSpec, residue: int) -> Polynomial:
-    """Cleared numerator of op applied to t on the class n = residue (mod step).
-
-    The operator annihilates t on that class (above the validity floor) if
-    and only if the returned polynomial is zero.
-    """
-    if residue not in range(t.step):
-        raise ValueError(f"residue must lie in 0..{t.step - 1}")
-    return _reduce_residue(op, t, residue).numerator
 
 
 def certify_annihilation(op: ShiftOperator, t: HyperTermSpec) -> CertificationReport:
@@ -290,7 +268,6 @@ def certify_annihilation(op: ShiftOperator, t: HyperTermSpec) -> CertificationRe
         residues=residues,
         certified=all(r.is_zero for r in residues),
         floor=max(r.floor for r in residues),
-        degree_bound=max(r.formal_degree for r in residues),
     )
 
 

@@ -230,6 +230,8 @@ def main(argv: list[str]) -> int:
     try:
         if args.command == "gen":
             s = _load_sequence(args.sequence)
+            if args.n_from > args.n_to:
+                raise ValueError("empty term range")
             for i in range(args.n_from, args.n_to + 1):
                 print(decimal(s.term(i)), file=out)
             return EXIT_PASS

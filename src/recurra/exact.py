@@ -261,16 +261,6 @@ def read_polynomials(rows: Sequence[Sequence[str | int]]) -> list[Polynomial]:
 n = Polynomial([0, 1])
 
 
-def falling_factorial(j: int) -> Polynomial:
-    """n(n-1)...(n-j+1), the monic degree-j falling factorial; j=0 gives 1."""
-    if j < 0:
-        raise ValueError("falling factorial length must be nonnegative")
-    out = Polynomial([1])
-    for i in range(j):
-        out = out * (n - i)
-    return out
-
-
 def integer_roots(p: Polynomial) -> list[int]:
     """All integer roots of a nonzero polynomial, ascending.
 

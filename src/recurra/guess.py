@@ -67,7 +67,7 @@ class GuessProblem:
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
         if self.order < 1 or self.degree < 0:
-            raise ValueError("order must be >= 1 and degree/holdout >= 0")
+            raise ValueError("order must be >= 1 and degree >= 0")
         check_size(self.order, self.degree, len(self.terms))
         need = required_terms(self.order, self.degree)
         if len(self.terms) < need:

@@ -22,6 +22,7 @@ from .sequences import BFileSequence, SequenceSource
 
 CACHE_ENV_VAR = "RECURRA_CACHE"
 _ID_RE = re.compile(r"\AA\d{6}\Z")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
 #: How much of an offending line a parse error echoes.
 _ECHO_CHARS = 80
 
@@ -82,20 +83,19 @@ def parse_bfile(text: str, sequence_id: str = "", source: str = "") -> BFileSequ
 
 
 def _parse_int(token: str, line_no: int, line: str) -> int:
+    """A decimal integer token: an optional sign, then ASCII digits only."""
+    if not _INT_RE.fullmatch(token):
+        raise BFileParseError(line_no, line)
     try:
         return int(token)
-    except ValueError:
+    except ValueError:  # only the int-from-string digit limit refuses such a token
         pass
-    digits = token.lstrip("+-")
-    get_limit = getattr(sys, "get_int_max_str_digits", None)  # absent before 3.10.7
-    limit = get_limit() if get_limit is not None else 0
-    if limit and digits.isdecimal() and len(digits) > limit:
-        raise BFileParseError(
-            line_no, line,
-            f"value has {len(digits)} digits, more than the int parsing limit of {limit} "
-            "(sys.get_int_max_str_digits()), which stays on for untrusted input on purpose",
-        )
-    raise BFileParseError(line_no, line)
+    limit = sys.get_int_max_str_digits()
+    raise BFileParseError(
+        line_no, line,
+        f"value has {len(token.lstrip('+-'))} digits, more than the int parsing limit of {limit} "
+        "(sys.get_int_max_str_digits()), which stays on for untrusted input on purpose",
+    )
 
 
 def default_cache_dir() -> Path:

