@@ -25,46 +25,46 @@ from .operators import (
 
 #: Largest degree of p or q in a term description, and of an operator's
 #: coefficients in ``certify_annihilation``. Against ``mathar``, a step-1
-#: term of degree 100 takes 0.3 s with p = 1 + ... + n^100, q = 3 + ... + 2n^100,
-#: 0.9 s with q = (n-1)...(n-100), 0.8 s with random 30-digit coefficients and
-#: 14 s with 300-digit ones; at 200, 2, 9, 5 and 90 s (2-vCPU Xeon, CPython 3.11).
-#: At degree 100, q = (n-1)...(n-100) and the 300-digit case are over
-#: MAX_TERM_BITS.
+#: term of degree 100 takes 0.14 s with p = 1 + ... + n^100, q = 3 + ... + 2n^100,
+#: 0.2 s with q = (n-1)...(n-100), 0.4 s with random 30-digit coefficients and
+#: 4.3 s with 300-digit ones; at 200, 1.3, 3.7, 2.1 and 21 s (2-vCPU Xeon,
+#: CPython 3.11). At degree 100, q = (n-1)...(n-100) and the 300-digit case are
+#: over MAX_TERM_BITS.
 MAX_TERM_DEGREE = 100
 
 #: Most coefficient bits a term description may hold, each coefficient of p
 #: and of q counted at the width of the widest one in its polynomial: the
 #: products certification forms spread a wide coefficient into every other.
 #: A plain sum of bit lengths would not bound the work: one 9.9k-bit
-#: coefficient in q at degree 100 takes 48 s against the order-10 operator
-#: below. The worst case at the term caps and the order cap is about 14 s:
-#: degree 100, q with 395-bit coefficients, against the order-10 operator with
-#: coefficients n+1, ..., n+11 (0.8 s against ``mathar``; 2-vCPU Xeon, CPython
-#: 3.11). MAX_OPERATOR_BITS gives the worst case at all the caps together.
+#: coefficient in q at degree 100 takes 33 s against the order-10 operator
+#: below as q's constant term, and 299 s as its leading one. The worst case at
+#: the term caps and the order cap is about 7 s: degree 100, q with 395-bit
+#: coefficients, against the order-10 operator with coefficients n+1, ..., n+11
+#: (0.45 s against ``mathar``; 2-vCPU Xeon, CPython 3.11). MAX_OPERATOR_BITS
+#: gives the worst case at all the caps together.
 MAX_TERM_BITS = 40_000
 
 #: Largest operator order ``certify_annihilation`` accepts: each shift deepens
 #: the rewrite chain. It is the largest order ``lclm`` can return, so every
 #: LCLM result and every builtin operator certifies. Against the degree-100
-#: term above, the operator with coefficients n+1, ..., n+r+1 takes 0.3 s at
-#: r = 5 and 3.9 s at r = 10 (4.6 s with degree-16 coefficients), against
-#: 84 s at r = 20 (2-vCPU Xeon, CPython 3.11).
+#: term above, the operator with coefficients n+1, ..., n+r+1 takes 0.2 s at
+#: r = 5 and about 3 s at r = 10 (2.3 s with an n^16 term in each coefficient),
+#: against 103 s at r = 20 (2-vCPU Xeon, CPython 3.11).
 MAX_OPERATOR_ORDER = MAX_ORDER_CAP
 
 #: Most coefficient bits an operator may hold in ``certify_annihilation``,
-#: counted as for MAX_TERM_BITS: each summand of a residue's numerator starts
-#: from one operator coefficient and carries its bits through up to
-#: MAX_OPERATOR_ORDER products. (Its coefficients' degree is capped by
-#: MAX_TERM_DEGREE; degree-2000 coefficients took 11.3 s.) The cap admits
-#: ``mathar`` with a 10^5000 constant (49,947 bits). Uncapped, an order-10
-#: operator with random 40,000-bit constants took 87 s against a degree-100
-#: term with 2-bit coefficients. The worst case at all the certify caps
-#: together is about 39 s: the degree-100 term with 395-bit coefficients in q
-#: (14 s under MAX_TERM_BITS) against an order-10 operator whose c_0 is one
-#: 50,000-bit constant and whose other coefficients are n+1, ..., n+10 (35 s
-#: with eleven 4,545-bit constants; 2-vCPU Xeon, CPython 3.11, whose speed
-#: drifts by up to 2x: a faster phase read 18.5 s against 6.6 s for the 14 s
-#: case).
+#: counted as for MAX_TERM_BITS: each summand of a residue's numerator is one
+#: operator coefficient times a product of up to MAX_OPERATOR_ORDER shifted p
+#: and q. (Its coefficients' degree is capped by MAX_TERM_DEGREE; dense
+#: degree-2000 coefficients took 11 s.) The cap admits ``mathar`` with a
+#: 10^5000 constant (49,947 bits). Uncapped, an order-10 operator with random
+#: 40,000-bit constants took 4.1 s against a degree-100 term with 2-bit
+#: coefficients. The worst case at all the certify caps together is about 8 s:
+#: the degree-100 term p = 1 + ... + n^100 with 395-bit coefficients in q (7 s
+#: under MAX_TERM_BITS) against an order-10 operator whose c_0 is one
+#: 49,900-bit constant and whose other coefficients are n+1, ..., n+10 (2.5 s
+#: with p = n; 7.8 s with eleven 4,545-bit constants; 2-vCPU Xeon, CPython
+#: 3.11, whose speed drifts by up to 2x).
 MAX_OPERATOR_BITS = 50_000
 
 
@@ -213,23 +213,20 @@ def _reduce_residue(op: ShiftOperator, t: HyperTermSpec, residue: int) -> Residu
     anchor = min(shifts)
     depth = (max(shifts) - anchor) // k
     # Rewrite chain: t(n - anchor - m*k) picks up p/q evaluated at
-    # n - anchor - (m-1)*k for m = 1..depth.
-    p_shift = [t.p.shifted(-(anchor + m * k)) for m in range(depth)]
-    q_shift = [t.q.shifted(-(anchor + m * k)) for m in range(depth)]
-
-    denominator = Polynomial([1])
-    for f in q_shift:
-        denominator = denominator * f
+    # n - anchor - (m-1)*k for m = 1..depth. The summand at chain depth i is
+    # c_j * p_1...p_i * q_(i+1)...q_depth: prefix[i] * suffix[i].
+    prefix = [Polynomial([1])]
+    suffix = [Polynomial([1])]
+    for m in range(depth):
+        prefix.append(prefix[-1] * t.p.shifted(-(anchor + m * k)))
+        suffix.append(t.q.shifted(-(anchor + (depth - 1 - m) * k)) * suffix[-1])
+    suffix.reverse()
 
     terms = []
     total = Polynomial()
     for j in shifts:
         i = (j - anchor) // k
-        term = op.coeffs[j]
-        for f in p_shift[:i]:
-            term = term * f
-        for f in q_shift[i:]:
-            term = term * f
+        term = op.coeffs[j] * (prefix[i] * suffix[i])
         terms.append(term)
         total = total + term
 
@@ -244,7 +241,7 @@ def _reduce_residue(op: ShiftOperator, t: HyperTermSpec, residue: int) -> Residu
         shifts=tuple(shifts),
         anchor=anchor,
         terms=tuple(terms),
-        denominator=denominator,
+        denominator=suffix[0],
         numerator=total.normalized(),
         floor=floor,
     )

@@ -130,21 +130,25 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="print terms of a builtin sequence")
+    p.set_defaults(run=_gen)
     p.add_argument("sequence")
     p.add_argument("--from", dest="n_from", type=int, required=True)
     p.add_argument("--to", dest="n_to", type=int, required=True)
 
     p = sub.add_parser("verify", help="check an operator annihilates a sequence")
+    p.set_defaults(run=_verify)
     p.add_argument("--operator", required=True, help="builtin name or operator file")
     p.add_argument("--sequence", required=True, help="builtin id or b-file path")
     p.add_argument("--from", dest="n_from", type=int, required=True)
     p.add_argument("--to", dest="n_to", type=int, required=True)
 
     p = sub.add_parser("certify", help="symbolically certify annihilation of a term")
+    p.set_defaults(run=_certify_term)
     p.add_argument("--operator", required=True)
     p.add_argument("--term", required=True, help="u-spec, v-spec, or a term file")
 
     p = sub.add_parser("guess", help="recover a recurrence from terms")
+    p.set_defaults(run=_guess)
     p.add_argument("--sequence", required=True)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
@@ -154,6 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="search (order, degree) ascending and print the first hit")
 
     p = sub.add_parser("lclm", help="least common left multiple of two operators")
+    p.set_defaults(run=_lclm)
     p.add_argument("--a", required=True, dest="op_a")
     p.add_argument("--b", required=True, dest="op_b")
     p.add_argument("--order-cap", type=int, default=8)
@@ -162,17 +167,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bfile", help="b-file utilities")
     bsub = p.add_subparsers(dest="bfile_command", required=True)
     bp = bsub.add_parser("parse", help="parse and summarize a local b-file")
+    bp.set_defaults(run=_bfile_parse)
     bp.add_argument("path")
     bp = bsub.add_parser("fetch", help="fetch (or reuse cached) b-file from oeis.org")
+    bp.set_defaults(run=_bfile_fetch)
     bp.add_argument("sequence_id")
     bp.add_argument("--refresh", action="store_true")
     bp = bsub.add_parser("compare", help="compare a builtin sequence against a b-file")
+    bp.set_defaults(run=_bfile_compare)
     bp.add_argument("--sequence", required=True)
     bp.add_argument("--bfile", required=True, help="b-file path")
     bp.add_argument("--from", dest="n_from", type=int, required=True)
     bp.add_argument("--to", dest="n_to", type=int, required=True)
 
     p = sub.add_parser("prove-a032123", help="run the full offline proof pipeline")
+    p.set_defaults(run=_prove)
     sweep_end = _int_at_least(SWEEP_FROM, ", where the numeric sweep starts")
     p.add_argument("--max-n", type=sweep_end, default=5000,
                    help="upper end of the numeric sweep (default 5000)")
@@ -197,10 +206,14 @@ def _int_at_least(low: int, why: str):
     return parse
 
 
-def _load_operator(spec: str) -> ops.ShiftOperator:
-    if spec in ops.builtin_operator_names():
-        return ops.builtin_operator(spec)
-    return ops.ShiftOperator.from_json(Path(spec).read_text())
+def _load(spec: str, kind: str):
+    """The builtin operator or term (kind) named spec, else the JSON file at path spec."""
+    names, builtin, cls = {
+        "operator": (ops.builtin_operator_names, ops.builtin_operator, ops.ShiftOperator),
+        "term": (certify_mod.builtin_term_names, certify_mod.builtin_term,
+                 certify_mod.HyperTermSpec),
+    }[kind]
+    return builtin(spec) if spec in names() else cls.from_json(Path(spec).read_text())
 
 
 def _load_sequence(spec: str) -> seqs.SequenceSource:
@@ -215,124 +228,106 @@ def _load_sequence(spec: str) -> seqs.SequenceSource:
     )
 
 
-def _load_term(spec: str) -> certify_mod.HyperTermSpec:
-    if spec in certify_mod.builtin_term_names():
-        return certify_mod.builtin_term(spec)
-    return certify_mod.HyperTermSpec.from_json(Path(spec).read_text())
+# -- subcommands: each takes the parsed arguments and returns the exit code ----
 
 
-def main(argv: list[str]) -> int:
-    """Route parsed arguments to a subcommand; returns the process exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    out = sys.stdout
+def _gen(args) -> int:
+    s = _load_sequence(args.sequence)
+    if args.n_from > args.n_to:
+        raise ValueError("empty term range")
+    for i in range(args.n_from, args.n_to + 1):
+        print(decimal(s.term(i)))
+    return EXIT_PASS
 
-    try:
-        if args.command == "gen":
-            s = _load_sequence(args.sequence)
-            if args.n_from > args.n_to:
-                raise ValueError("empty term range")
-            for i in range(args.n_from, args.n_to + 1):
-                print(decimal(s.term(i)), file=out)
-            return EXIT_PASS
 
-        if args.command == "verify":
-            op = _load_operator(args.operator)
-            s = _load_sequence(args.sequence)
-            check = ops.verify_range(op, s, args.n_from, args.n_to)
-            return _report(check, args.format, "PASS" if check.passed else f"FAIL: {check.detail}")
+def _verify(args) -> int:
+    op, s = _load(args.operator, "operator"), _load_sequence(args.sequence)
+    check = ops.verify_range(op, s, args.n_from, args.n_to)
+    return _report(check, args.format, "PASS" if check.passed else f"FAIL: {check.detail}")
 
-        if args.command == "certify":
-            op = _load_operator(args.operator)
-            term = _load_term(args.term)
-            check = _certify(op, term)
-            verdict = "CERTIFIED" if check.passed else "NOT CERTIFIED"
-            return _report(check, args.format, f"{verdict}: {check.detail}")
 
-        if args.command == "guess":
-            s = _load_sequence(args.sequence)
-            count = args.terms or guess_mod.required_terms(args.order, args.degree)
-            guess_mod.check_size(args.order, args.degree, count)
-            terms = s.terms(s.min_index, s.min_index + count - 1)
-            if args.minimal:
-                op = guess_mod.minimal_guess(
-                    terms, args.order, args.degree, offset=s.min_index
-                )
-                out.write(op.to_json())
-                return EXIT_PASS
-            problem = guess_mod.GuessProblem(
-                terms=terms, order=args.order, degree=args.degree, offset=s.min_index
-            )
-            result = guess_mod.guess_recurrence(problem)
-            verified = result.verified
-            if not verified:
-                print("no holdout-verified recurrence found", file=sys.stderr)
-                return EXIT_FAIL
-            for op in verified:
-                out.write(op.to_json())
-            return EXIT_PASS
+def _certify_term(args) -> int:
+    check = _certify(_load(args.operator, "operator"), _load(args.term, "term"))
+    verdict = "CERTIFIED" if check.passed else "NOT CERTIFIED"
+    return _report(check, args.format, f"{verdict}: {check.detail}")
 
-        if args.command == "lclm":
-            a = _load_operator(args.op_a)
-            b = _load_operator(args.op_b)
-            result = ops.lclm(a, b, order_cap=args.order_cap, degree_cap=args.degree_cap)
-            out.write(result.to_json())
-            return EXIT_PASS
 
-        if args.command == "bfile":
-            return _dispatch_bfile(args, out)
-
-        if args.command == "prove-a032123":
-            override = _load_operator(args.operator) if args.operator else None
-            checks = run_prove_a032123(max_n=args.max_n, operator=override)
-            print(render(checks, args.format), file=out)
-            return EXIT_PASS if all(c.passed for c in checks) else EXIT_FAIL
-
-    except (oeis.OfflineError, oeis.FetchError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except (
-        ValueError,
-        seqs.TermRangeError,
-        ops.LclmCapError,
-        guess_mod.GuessNotFoundError,
-    ) as e:
-        print(f"error: {e}", file=sys.stderr)
+def _guess(args) -> int:
+    s = _load_sequence(args.sequence)
+    count = args.terms or guess_mod.required_terms(args.order, args.degree)
+    guess_mod.check_size(args.order, args.degree, count)
+    terms = s.terms(s.min_index, s.min_index + count - 1)
+    if args.minimal:  # one operator, or GuessNotFoundError
+        verified = [guess_mod.minimal_guess(terms, args.order, args.degree, offset=s.min_index)]
+    else:
+        problem = guess_mod.GuessProblem(
+            terms=terms, order=args.order, degree=args.degree, offset=s.min_index
+        )
+        verified = guess_mod.guess_recurrence(problem).verified
+    if not verified:
+        print("no holdout-verified recurrence found", file=sys.stderr)
         return EXIT_FAIL
+    for op in verified:
+        sys.stdout.write(op.to_json())
+    return EXIT_PASS
 
-    raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
+
+def _lclm(args) -> int:
+    a, b = _load(args.op_a, "operator"), _load(args.op_b, "operator")
+    result = ops.lclm(a, b, order_cap=args.order_cap, degree_cap=args.degree_cap)
+    sys.stdout.write(result.to_json())
+    return EXIT_PASS
 
 
-def _dispatch_bfile(args, out) -> int:
-    if args.bfile_command == "parse":
-        b = oeis.parse_bfile(Path(args.path).read_text(), source=args.path)
-        print(f"{len(b.values)} terms, indices {b.min_index}..{b.max_index}", file=out)
-        return EXIT_PASS
-    if args.bfile_command == "fetch":
-        b = oeis.fetch_bfile(
-            args.sequence_id,
-            cache_dir=args.cache_dir,
-            offline=args.offline,
-            refresh=args.refresh,
-        )
-        print(
-            f"{b.name}: {len(b.values)} terms, "
-            f"indices {b.min_index}..{b.max_index} ({b.source})",
-            file=out,
-        )
-        return EXIT_PASS
-    if args.bfile_command == "compare":
-        s = _load_sequence(args.sequence)
-        b = oeis.parse_bfile(Path(args.bfile).read_text(), source=args.bfile)
-        check = oeis.compare_sequence(s, b, args.n_from, args.n_to)
-        return _report(check, args.format, f"{'PASS' if check.passed else 'FAIL'}: {check.detail}")
-    raise AssertionError(f"unhandled bfile command {args.bfile_command}")  # pragma: no cover
+def _bfile_parse(args) -> int:
+    b = oeis.parse_bfile(Path(args.path).read_text(), source=args.path)
+    print(f"{len(b.values)} terms, indices {b.min_index}..{b.max_index}")
+    return EXIT_PASS
+
+
+def _bfile_fetch(args) -> int:
+    b = oeis.fetch_bfile(
+        args.sequence_id, cache_dir=args.cache_dir, offline=args.offline, refresh=args.refresh
+    )
+    print(f"{b.name}: {len(b.values)} terms, indices {b.min_index}..{b.max_index} ({b.source})")
+    return EXIT_PASS
+
+
+def _bfile_compare(args) -> int:
+    s = _load_sequence(args.sequence)
+    b = oeis.parse_bfile(Path(args.bfile).read_text(), source=args.bfile)
+    check = oeis.compare_sequence(s, b, args.n_from, args.n_to)
+    return _report(check, args.format, f"{'PASS' if check.passed else 'FAIL'}: {check.detail}")
+
+
+def _prove(args) -> int:
+    override = _load(args.operator, "operator") if args.operator else None
+    checks = run_prove_a032123(max_n=args.max_n, operator=override)
+    print(render(checks, args.format))
+    return EXIT_PASS if all(c.passed for c in checks) else EXIT_FAIL
 
 
 def _report(check: Check, fmt: str, human: str) -> int:
     """Print one check, machine-rendered or as its command's human verdict."""
     print(render([check], fmt) if fmt == "machine" else human)
     return EXIT_PASS if check.passed else EXIT_FAIL
+
+
+#: Built once per process; parsing never writes to it.
+_PARSER = _build_parser()
+
+
+def main(argv: list[str]) -> int:
+    """Parse argv and run its subcommand; returns the process exit code."""
+    args = _PARSER.parse_args(argv)
+    try:
+        return args.run(args)
+    except (oeis.OfflineError, oeis.FetchError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_IO
+    except (ValueError, seqs.TermRangeError, ops.LclmCapError, guess_mod.GuessNotFoundError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 def entrypoint() -> None:

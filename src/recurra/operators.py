@@ -142,7 +142,10 @@ def json_object(text: str, what: str, **fields) -> dict:
     A missing or mistyped field raises ValueError naming it, so a malformed
     file fails like any other bad input instead of with a traceback.
     """
-    doc = json.loads(text, parse_int=parse_coefficient)  # under COEFF_DIGITS
+    try:
+        doc = json.loads(text, parse_int=parse_coefficient)  # under COEFF_DIGITS
+    except RecursionError:
+        raise ValueError(f"{what} file is nested too deeply to read") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{what} file must hold a JSON object, got {type(doc).__name__}")
     for key, (ok, expected) in fields.items():
@@ -241,7 +244,8 @@ def lclm_with_cofactors(
     lexicographically smallest normalized coefficient vector.
     """
     if order_cap <= 0 or degree_cap < 0:
-        raise ValueError("caps must be positive")
+        raise ValueError(f"order_cap must be >= 1 and degree_cap >= 0, "
+                         f"got order_cap={order_cap}, degree_cap={degree_cap}")
     if order_cap > MAX_ORDER_CAP:
         raise ValueError(
             f"order_cap={order_cap} is over the bound MAX_ORDER_CAP = {MAX_ORDER_CAP}"

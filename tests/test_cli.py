@@ -278,6 +278,42 @@ def test_lclm_caps_exceeded(capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_lclm_negative_degree_cap_names_both_bounds(capsys):
+    code = main(["lclm", "--a", "u-op", "--b", "v-op", "--degree-cap", "-1"])
+    assert code == EXIT_FAIL
+    assert capsys.readouterr().err == (
+        "error: order_cap must be >= 1 and degree_cap >= 0, got order_cap=8, degree_cap=-1\n"
+    )
+
+
+@pytest.mark.parametrize("flag", ["--operator", "--term"])
+def test_deeply_nested_json_is_a_clean_error(tmp_path, capsys, flag):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    argv = ["certify", "--operator", "mathar", "--term", "u-spec"]
+    argv[argv.index(flag) + 1] = str(path)
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_FAIL
+    assert err.startswith("error: ") and "nested too deeply" in err
+    assert "Traceback" not in err
+
+
+def test_parser_keeps_no_option_between_calls(capsys):
+    # The parser is built once per process: a second call must see the defaults again.
+    verify = ["verify", "--operator", "mathar", "--sequence", "A032123", "--from", "6", "--to", "50"]
+    assert main(["--format", "machine", *verify]) == EXIT_PASS
+    assert capsys.readouterr().out == "verify\tPASS\tall residuals zero on 6..50\n"
+    assert main(verify) == EXIT_PASS
+    assert capsys.readouterr().out == "PASS\n"
+
+    guess = ["guess", "--sequence", "A032123", "--order", "5", "--degree", "4", "--terms", "80"]
+    assert main([*guess, "--minimal"]) == EXIT_PASS
+    assert capsys.readouterr().out.count('"convention"') == 1
+    assert main(guess) == EXIT_PASS
+    assert capsys.readouterr().out.count('"convention"') == 7
+
+
 def test_bfile_parse(tmp_path, capsys):
     f = tmp_path / "b.txt"
     f.write_text("0 1\n1 1\n2 4\n")
