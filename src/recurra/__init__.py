@@ -25,9 +25,7 @@ from .exact import (
     integer_roots,
 )
 from .guess import (
-    GuessCandidate,
     GuessNotFoundError,
-    GuessProblem,
     GuessResult,
     InsufficientTermsError,
     guess_recurrence,
@@ -74,9 +72,7 @@ __all__ = [
     "Check",
     "DegenerateRatioError",
     "FetchError",
-    "GuessCandidate",
     "GuessNotFoundError",
-    "GuessProblem",
     "GuessResult",
     "HyperTermSpec",
     "InsufficientTermsError",

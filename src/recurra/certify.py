@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 
 from .check import Check
-from .exact import Polynomial, integer_roots, n, read_polynomials
+from .exact import Polynomial, integer_roots, n, read_polynomials, width_bits
 from .operators import (
     COEFFS, INTEGER, INTEGERS, MAX_ORDER_CAP, ShiftOperator, builtin_operator, json_object,
 )
@@ -68,12 +68,6 @@ MAX_OPERATOR_ORDER = MAX_ORDER_CAP
 MAX_OPERATOR_BITS = 50_000
 
 
-def _width_bits(polys) -> int:
-    """Coefficient bits of polys, each coefficient at the width of the widest in its polynomial."""
-    return sum(len(f.coeffs) * max(abs(c).bit_length() for c in f.coeffs)
-               for f in polys if not f.is_zero)
-
-
 class DegenerateRatioError(ValueError):
     """The term ratio has a vanishing side and cannot be iterated."""
 
@@ -107,7 +101,7 @@ class HyperTermSpec:
         if max(self.p.degree, self.q.degree) > MAX_TERM_DEGREE:
             raise ValueError(f"p and q have degrees {self.p.degree} and {self.q.degree}, "
                              f"over the cap MAX_TERM_DEGREE = {MAX_TERM_DEGREE}")
-        bits = _width_bits((self.p, self.q))
+        bits = width_bits((self.p, self.q))
         if bits > MAX_TERM_BITS:
             raise ValueError(f"p and q take {bits} bits at the width of their widest "
                              f"coefficients, over the cap MAX_TERM_BITS = {MAX_TERM_BITS}")
@@ -256,7 +250,7 @@ def certify_annihilation(op: ShiftOperator, t: HyperTermSpec) -> CertificationRe
     if degree > MAX_TERM_DEGREE:
         raise ValueError(f"operator coefficients have degree {degree}, over the cap "
                          f"MAX_TERM_DEGREE = {MAX_TERM_DEGREE}")
-    bits = _width_bits(op.coeffs)
+    bits = width_bits(op.coeffs)
     if bits > MAX_OPERATOR_BITS:
         raise ValueError(f"operator coefficients take {bits} bits at the width of their widest "
                          f"coefficients, over the cap MAX_OPERATOR_BITS = {MAX_OPERATOR_BITS}")

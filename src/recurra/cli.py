@@ -260,10 +260,7 @@ def _guess(args) -> int:
     if args.minimal:  # one operator, or GuessNotFoundError
         verified = [guess_mod.minimal_guess(terms, args.order, args.degree, offset=s.min_index)]
     else:
-        problem = guess_mod.GuessProblem(
-            terms=terms, order=args.order, degree=args.degree, offset=s.min_index
-        )
-        verified = guess_mod.guess_recurrence(problem).verified
+        verified = guess_mod.guess_recurrence(terms, args.order, args.degree, s.min_index).verified
     if not verified:
         print("no holdout-verified recurrence found", file=sys.stderr)
         return EXIT_FAIL

@@ -245,6 +245,13 @@ def _coerce(x):
     return NotImplemented
 
 
+def width_bits(polys: Iterable[Polynomial]) -> int:
+    """Coefficient bits of polys, each coefficient at the width of the widest in
+    its polynomial: the caps on certify's and lclm's inputs count this."""
+    return sum(len(f.coeffs) * max(abs(c).bit_length() for c in f.coeffs)
+               for f in polys if not f.is_zero)
+
+
 def read_polynomials(rows: Sequence[Sequence[str | int]]) -> list[Polynomial]:
     """Coefficient rows read from a file, as polynomials over Z.
 

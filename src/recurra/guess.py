@@ -43,8 +43,11 @@ def required_terms(order: int, degree: int) -> int:
 
 
 def check_size(order: int, degree: int, terms: int) -> None:
-    """Refuse a guess past ``MAX_UNKNOWNS`` or ``MAX_TERMS``; call it before
-    generating the terms, which grow with the count too."""
+    """The one check on a guess's shape: order >= 1 and degree >= 0, then
+    ``MAX_UNKNOWNS``, then ``MAX_TERMS``. Call it before generating the terms,
+    which grow with the count too."""
+    if order < 1 or degree < 0:
+        raise ValueError("order must be >= 1 and degree >= 0")
     unknowns = (order + 1) * (degree + 1)
     if unknowns > MAX_UNKNOWNS:
         raise ValueError(
@@ -56,53 +59,33 @@ def check_size(order: int, degree: int, terms: int) -> None:
 
 
 @dataclass(frozen=True)
-class GuessProblem:
-    """Raw terms plus the shape of the recurrence to look for."""
-
-    terms: tuple[int, ...]
-    order: int
-    degree: int
-    offset: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
-        if self.order < 1 or self.degree < 0:
-            raise ValueError("order must be >= 1 and degree >= 0")
-        check_size(self.order, self.degree, len(self.terms))
-        need = required_terms(self.order, self.degree)
-        if len(self.terms) < need:
-            raise InsufficientTermsError(
-                f"order={self.order}, degree={self.degree}, holdout={HOLDOUT} "
-                f"needs at least {need} terms, got {len(self.terms)}"
-            )
-
-
-@dataclass(frozen=True)
-class GuessCandidate:
-    """One nullspace basis element, normalized into an operator if possible."""
-
-    operator: ShiftOperator | None  # None when the leading coefficient c_0 vanished
-    holdout_verified: bool
-
-
-@dataclass(frozen=True)
 class GuessResult:
-    candidates: tuple[GuessCandidate, ...]
+    """One guess's nullspace, read as operators.
 
-    @property
-    def verified(self) -> tuple[ShiftOperator, ...]:
-        return tuple(
-            c.operator
-            for c in self.candidates
-            if c.holdout_verified and c.operator is not None
+    ``candidates`` has one entry per basis vector: its operator, or None
+    where the leading coefficient c_0 vanished. ``verified`` holds the
+    candidates that also annihilate the holdout, in basis order.
+    """
+
+    candidates: tuple[ShiftOperator | None, ...]
+    verified: tuple[ShiftOperator, ...]
+
+
+def guess_recurrence(
+    terms: Sequence[int], order: int, degree: int, offset: int = 0
+) -> GuessResult:
+    """Exact nullspace guess of an (order, degree) recurrence for the terms
+    a(offset), a(offset + 1), ..."""
+    terms = tuple(terms)
+    check_size(order, degree, len(terms))
+    need = required_terms(order, degree)
+    if len(terms) < need:
+        raise InsufficientTermsError(
+            f"order={order}, degree={degree}, holdout={HOLDOUT} "
+            f"needs at least {need} terms, got {len(terms)}"
         )
-
-
-def guess_recurrence(problem: GuessProblem) -> GuessResult:
-    """Exact nullspace guess for the given problem shape."""
-    r, d = problem.order, problem.degree
-    terms = problem.terms
-    lo = problem.offset
+    r, d = order, degree
+    lo = offset
     hi = lo + len(terms) - 1
 
     sample_hi = hi - HOLDOUT
@@ -118,21 +101,22 @@ def guess_recurrence(problem: GuessProblem) -> GuessResult:
 
     basis = nullspace(rows, ncols=(r + 1) * (d + 1))
     seq = BFileSequence("guess-input", lo, terms)
-    candidates = []
+    candidates, verified = [], []
     for vec in basis:
         polys = [Polynomial(vec[j * (d + 1) : (j + 1) * (d + 1)]) for j in range(r + 1)]
         while polys and polys[-1].is_zero:
             polys.pop()
         if not polys or polys[0].is_zero:
-            candidates.append(GuessCandidate(operator=None, holdout_verified=False))
+            candidates.append(None)
             continue
         op = ShiftOperator(polys)
-        ok = all(
+        candidates.append(op)
+        if all(
             op.apply(seq, i) == 0
             for i in range(max(sample_hi + 1, lo + op.order), hi + 1)
-        )
-        candidates.append(GuessCandidate(operator=op, holdout_verified=ok))
-    return GuessResult(candidates=tuple(candidates))
+        ):
+            verified.append(op)
+    return GuessResult(candidates=tuple(candidates), verified=tuple(verified))
 
 
 def minimal_guess(
@@ -147,19 +131,16 @@ def minimal_guess(
     break toward the lexicographically smallest normalized coefficients.
     """
     terms = tuple(terms)
-    skipped = []
+    skipped = 0
     for r in range(1, max_order + 1):
         for d in range(max_degree + 1):
-            try:
-                problem = GuessProblem(terms=terms, order=r, degree=d, offset=offset)
-            except InsufficientTermsError:
-                skipped.append((r, d))
+            if len(terms) < required_terms(r, d):
+                skipped += 1
                 continue
-            result = guess_recurrence(problem)
-            verified = result.verified
+            verified = guess_recurrence(terms, r, d, offset).verified
             if verified:
                 return min(verified, key=lambda op: tuple(p.coeffs for p in op.coeffs))
-    hint = f" ({len(skipped)} shapes skipped for lack of terms)" if skipped else ""
+    hint = f" ({skipped} shapes skipped for lack of terms)" if skipped else ""
     raise GuessNotFoundError(
         f"no verified recurrence within order<={max_order}, degree<={max_degree}{hint}"
     )

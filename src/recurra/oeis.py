@@ -25,6 +25,8 @@ _ID_RE = re.compile(r"\AA\d{6}\Z")
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 #: How much of an offending line a parse error echoes.
 _ECHO_CHARS = 80
+#: Seconds a b-file fetch may wait on oeis.org before it fails.
+FETCH_TIMEOUT_S = 30.0
 
 
 class BFileError(ValueError):
@@ -115,7 +117,6 @@ def fetch_bfile(
     *,
     offline: bool = False,
     refresh: bool = False,
-    timeout: float = 30.0,
 ) -> BFileSequence:
     """Return the cached b-file, fetching it from oeis.org on a cold cache.
 
@@ -139,7 +140,7 @@ def fetch_bfile(
 
     url = bfile_url(sequence_id)
     try:
-        with urllib.request.urlopen(url, timeout=timeout) as resp:
+        with urllib.request.urlopen(url, timeout=FETCH_TIMEOUT_S) as resp:
             status = getattr(resp, "status", 200)
             if status != 200:
                 raise FetchError(f"GET {url} returned HTTP {status}")

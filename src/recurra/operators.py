@@ -17,7 +17,7 @@ import json
 from typing import Iterable, Sequence
 
 from .check import Check, decimal
-from .exact import Polynomial, n, parse_coefficient, primitive, read_polynomials
+from .exact import Polynomial, n, parse_coefficient, primitive, read_polynomials, width_bits
 from .linalg import nullspace
 from .sequences import SequenceSource
 
@@ -27,6 +27,19 @@ from .sequences import SequenceSource
 #: (10, 16) in about 22 s; at (8, 10), the defaults, with degree 12, in 3 s.
 MAX_ORDER_CAP = 10
 MAX_DEGREE_CAP = 16
+#: Most coefficient bits one LCLM system may be built from: each input's
+#: coefficients counted as certify counts them (``exact.width_bits``), once per
+#: cofactor term, (order - order(a) + 1)(degree + 1) times for a and likewise
+#: for b. The first system of two same-order inputs is built from their joint
+#: bits, so an operator with a 10^5000 constant still meets itself; a search
+#: stops at the first shape over the cap. Bits cost time only where the
+#: nullspace is nonempty, as its vectors grow with them: uncapped, v-op against
+#: n*a(n) + C*a(n-1) took 3.1 s at a 5,000-bit C and 22 s at 10,000 bits. The
+#: worst case measured at the cap: mathar against n*a(n) + C*a(n-5) with a
+#: 555-bit C, found at (10, 16) in 13 s at the largest caps; at the defaults,
+#: mathar against n*a(n) + C*a(n-2) with a 1,010-bit C in 3 s (2-vCPU Xeon,
+#: CPython 3.11). The failing search above, with small bits, stays the slowest.
+MAX_LCLM_BITS = 70_000
 
 
 class LclmCapError(RuntimeError):
@@ -254,8 +267,15 @@ def lclm_with_cofactors(
         raise ValueError(
             f"degree_cap={degree_cap} is over the bound MAX_DEGREE_CAP = {MAX_DEGREE_CAP}"
         )
+    bits_a, bits_b = width_bits(a.coeffs), width_bits(b.coeffs)
     for order in range(max(a.order, b.order), order_cap + 1):
         for degree in range(degree_cap + 1):
+            bits = ((order - a.order + 1) * bits_a + (order - b.order + 1) * bits_b) * (degree + 1)
+            if bits > MAX_LCLM_BITS:
+                raise ValueError(
+                    f"the LCLM system at order={order}, degree={degree} is built from {bits} "
+                    f"coefficient bits, over the cap MAX_LCLM_BITS = {MAX_LCLM_BITS}"
+                )
             found = _lclm_at(a, b, order, degree)
             if found is not None:
                 return found

@@ -218,10 +218,6 @@ class BFileSequence(SequenceSource):
         self.max_index = offset + len(self.values) - 1
         self.source = source
 
-    def to_text(self) -> str:
-        """The window in b-file format, one ``index value`` line per term."""
-        return "".join(f"{self.min_index + i} {v}\n" for i, v in enumerate(self.values))
-
 
 _BUILTINS: dict[str, type[SequenceSource]] = {
     cls.name: cls

@@ -14,7 +14,7 @@ from recurra.certify import (
     perturbed,
 )
 from recurra.cli import main
-from recurra.guess import GuessProblem, guess_recurrence, minimal_guess
+from recurra.guess import guess_recurrence, minimal_guess
 from recurra.oeis import bundled_a032123, compare_sequence
 from recurra.operators import (
     builtin_operator,
@@ -110,7 +110,7 @@ def test_criterion_07_lclm_bound():
 def test_criterion_08_guessing_round_trip():
     with criterion(8, 30.0, "guessing recovers u-op and an order-<=3 annihilator"):
         u = builtin_sequence("central-binomial")
-        result = guess_recurrence(GuessProblem(terms=u.terms(0, 40), order=1, degree=1))
+        result = guess_recurrence(u.terms(0, 40), 1, 1)
         assert result.verified == (builtin_operator("u-op"),)
 
         a = builtin_sequence("A032123")

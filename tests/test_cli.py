@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import time
+from importlib import resources
 
 import pytest
 
@@ -18,11 +19,12 @@ from recurra.cli import (
     run_prove_a032123,
 )
 from recurra.exact import Polynomial
-from recurra.oeis import bundled_a032123
 from recurra.operators import ShiftOperator, builtin_operator, verify_range
 from recurra.sequences import builtin_sequence
 
 A032123_HEAD = [1, 1, 4, 10, 38, 126, 472, 1716, 6470, 24310, 92504, 352716, 1352540]
+#: The packaged 20-term A032123 b-file, as the bundled fixture reads it.
+BUNDLED_TEXT = resources.files("recurra").joinpath("data/b032123_first20.txt").read_text()
 
 
 def test_gen_matches_catalogued_terms(capsys):
@@ -53,7 +55,7 @@ def test_gen_empty_range_is_an_error(capsys):
 
 def test_gen_reads_a_bfile_path(tmp_path, capsys):
     bfile = tmp_path / "b.txt"
-    bfile.write_text(bundled_a032123().to_text())
+    bfile.write_text(BUNDLED_TEXT)
     code = main(["gen", str(bfile), "--from", "0", "--to", "2"])
     assert code == EXIT_PASS
     assert capsys.readouterr().out == "1\n1\n4\n"
@@ -185,7 +187,7 @@ def test_verify_with_operator_and_bfile_files(tmp_path, capsys):
     op_file = tmp_path / "op.json"
     op_file.write_text(builtin_operator("mathar").to_json())
     bfile = tmp_path / "b.txt"
-    bfile.write_text(bundled_a032123().to_text())
+    bfile.write_text(BUNDLED_TEXT)
     code = main(
         ["verify", "--operator", str(op_file), "--sequence", str(bfile),
          "--from", "6", "--to", "19"]
@@ -256,8 +258,9 @@ def test_guess_minimal(capsys):
     assert doc["order"] <= 3
 
 
-def test_guess_order_zero_is_refused(capsys):
-    code = main(["guess", "--sequence", "A032123", "--order", "0", "--degree", "2"])
+@pytest.mark.parametrize("minimal", [[], ["--minimal"]], ids=["basis", "minimal"])
+def test_guess_order_zero_is_refused(minimal, capsys):
+    code = main(["guess", "--sequence", "A032123", "--order", "0", "--degree", "2", *minimal])
     assert code == EXIT_FAIL
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -336,7 +339,7 @@ def test_bfile_fetch_offline_cold_cache(tmp_path, capsys):
 
 
 def test_bfile_fetch_warm_cache(tmp_path, capsys, monkeypatch):
-    (tmp_path / "A032123.txt").write_text(bundled_a032123().to_text())
+    (tmp_path / "A032123.txt").write_text(BUNDLED_TEXT)
     monkeypatch.setattr(
         "urllib.request.urlopen",
         lambda *a, **kw: (_ for _ in ()).throw(AssertionError("network touched")),
@@ -350,7 +353,7 @@ def test_bfile_fetch_warm_cache(tmp_path, capsys, monkeypatch):
 
 def test_bfile_compare(tmp_path, capsys):
     f = tmp_path / "b.txt"
-    f.write_text(bundled_a032123().to_text())
+    f.write_text(BUNDLED_TEXT)
     code = main(
         ["bfile", "compare", "--sequence", "A032123", "--bfile", str(f),
          "--from", "0", "--to", "19"]
@@ -360,7 +363,7 @@ def test_bfile_compare(tmp_path, capsys):
 
 def test_bfile_compare_reads_a_bfile_sequence(tmp_path, capsys):
     f = tmp_path / "b.txt"
-    f.write_text(bundled_a032123().to_text())
+    f.write_text(BUNDLED_TEXT)
     code = main(
         ["bfile", "compare", "--sequence", str(f), "--bfile", str(f),
          "--from", "0", "--to", "19"]
@@ -371,7 +374,7 @@ def test_bfile_compare_reads_a_bfile_sequence(tmp_path, capsys):
 
 def test_bfile_compare_empty_range_is_an_error(tmp_path, capsys):
     f = tmp_path / "b.txt"
-    f.write_text(bundled_a032123().to_text())
+    f.write_text(BUNDLED_TEXT)
     code = main(
         ["bfile", "compare", "--sequence", "A032123", "--bfile", str(f),
          "--from", "7", "--to", "3"]
@@ -383,9 +386,9 @@ def test_bfile_compare_empty_range_is_an_error(tmp_path, capsys):
 
 
 def _write_files(tmp_path):
-    (tmp_path / "good.txt").write_text(bundled_a032123().to_text())
+    (tmp_path / "good.txt").write_text(BUNDLED_TEXT)
     (tmp_path / "bad.txt").write_text(
-        bundled_a032123().to_text().replace("\n10 92504\n", "\n10 92505\n")
+        BUNDLED_TEXT.replace("\n10 92504\n", "\n10 92505\n")
     )
     (tmp_path / "mutated.json").write_text(
         perturbed(builtin_operator("mathar"), 0, 0).to_json()
@@ -533,6 +536,17 @@ def test_discovery_output_is_pinned(argv, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == DISCOVERY_SHA256[argv]
 
 
+def test_minimal_guess_on_45_terms_is_pinned(capsys):
+    # 45 terms are fewer than (5, 4) needs; the CLI's size check must not
+    # apply that bound, so the walk still reaches the order-3 operator.
+    argv = ["guess", "--sequence", "A032123", "--order", "5", "--degree", "4",
+            "--terms", "45", "--minimal"]
+    assert main(argv) == EXIT_PASS
+    out = capsys.readouterr().out
+    lclm_pin = DISCOVERY_SHA256[("lclm", "--a", "u-op", "--b", "v-op")]
+    assert hashlib.sha256(out.encode()).hexdigest() == lclm_pin
+
+
 def test_order_6_lclm_output_is_pinned(tmp_path, capsys):
     # The composed pair crosscheck runs: u*v and v*u, whose LCLM has order 6.
     u, v = builtin_operator("u-op"), builtin_operator("v-op")
@@ -568,6 +582,31 @@ def test_discovery_caps_fail_fast_and_name_the_cap(argv, cap, capsys):
     assert code == EXIT_FAIL
     err = capsys.readouterr().err
     assert err.startswith("error: ") and cap in err
+
+
+@pytest.mark.parametrize("over", [0, 1], ids=["at-cap", "one-bit-over"])
+def test_lclm_bit_cap_fails_fast_and_names_the_cap(over, tmp_path, capsys):
+    # The first system of lclm(a, b) is built from the inputs' joint bits:
+    # n*a(n) + c*a(n-1) with a b-bit power of two c takes b + 2.
+    from recurra.operators import MAX_LCLM_BITS
+
+    b = MAX_LCLM_BITS // 2 - 2
+    paths = []
+    for bits in (b, b + over):
+        path = tmp_path / f"{bits}.json"
+        op = ShiftOperator([Polynomial([0, 1]), Polynomial([1 << (bits - 1)])])
+        path.write_text(op.to_json())
+        paths.append(str(path))
+    start = time.perf_counter()
+    code = main(["lclm", "--a", paths[0], "--b", paths[1]])
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    if over:
+        assert code == EXIT_FAIL
+        assert captured.err.startswith("error: ") and "MAX_LCLM_BITS" in captured.err
+    else:
+        assert code == EXIT_PASS
+        assert json.loads(captured.out)["order"] == 1
 
 
 def test_operator_coefficient_digit_cap_fails_fast(tmp_path, capsys):

@@ -3,8 +3,8 @@ import pytest
 from recurra.guess import (
     HOLDOUT,
     MARGIN,
+    MAX_TERMS,
     GuessNotFoundError,
-    GuessProblem,
     InsufficientTermsError,
     guess_recurrence,
     minimal_guess,
@@ -20,22 +20,15 @@ def test_required_terms_formula():
     assert (MARGIN, HOLDOUT) == (10, 10)
 
 
-def test_problem_rejects_too_few_terms():
-    with pytest.raises(InsufficientTermsError, match="needs at least"):
-        GuessProblem(terms=list(range(10)), order=1, degree=1)
-
-
 def test_recovers_u_op_exactly():
     u = builtin_sequence("central-binomial")
-    result = guess_recurrence(GuessProblem(terms=u.terms(0, 40), order=1, degree=1))
+    result = guess_recurrence(u.terms(0, 40), 1, 1)
     assert len(result.verified) == 1
     assert result.verified[0] == builtin_operator("u-op")
 
 
 def test_recovers_geometric():
-    result = guess_recurrence(
-        GuessProblem(terms=[2**k for k in range(26)], order=1, degree=0)
-    )
+    result = guess_recurrence([2**k for k in range(26)], 1, 0)
     ops = result.verified
     assert len(ops) == 1
     assert [p.to_strings() for p in ops[0].coeffs] == [["1"], ["-2"]]
@@ -43,7 +36,7 @@ def test_recovers_geometric():
 
 def test_order5_guess_on_a032123():
     a = builtin_sequence("A032123")
-    result = guess_recurrence(GuessProblem(terms=a.terms(0, 60), order=5, degree=2))
+    result = guess_recurrence(a.terms(0, 60), 5, 2)
     assert result.verified
     for op in result.verified:
         assert verify_range(op, a, max(op.order, 6), 1000).passed
@@ -51,17 +44,15 @@ def test_order5_guess_on_a032123():
 
 def test_order5_degree2_nullspace_is_exactly_mathar():
     a = builtin_sequence("A032123")
-    result = guess_recurrence(GuessProblem(terms=a.terms(0, 60), order=5, degree=2))
+    result = guess_recurrence(a.terms(0, 60), 5, 2)
     assert builtin_operator("mathar") in result.verified
 
 
 def test_scaling_invariance():
     u = builtin_sequence("central-binomial")
     terms = u.terms(0, 40)
-    base = guess_recurrence(GuessProblem(terms=terms, order=1, degree=1))
-    scaled = guess_recurrence(
-        GuessProblem(terms=[7 * t for t in terms], order=1, degree=1)
-    )
+    base = guess_recurrence(terms, 1, 1)
+    scaled = guess_recurrence([7 * t for t in terms], 1, 1)
     assert base.verified == scaled.verified
 
 
@@ -70,7 +61,7 @@ def test_holdout_soundness_on_patternless_terms():
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
               67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137,
               139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199]
-    result = guess_recurrence(GuessProblem(terms=primes, order=2, degree=1))
+    result = guess_recurrence(primes, 2, 1)
     assert not result.verified
     with pytest.raises(GuessNotFoundError, match="no verified recurrence"):
         minimal_guess(primes, max_order=2, max_degree=1)
@@ -98,9 +89,7 @@ def test_minimal_guess_deterministic():
 def test_guess_respects_offset():
     u = builtin_sequence("central-binomial")
     # same sequence, window starting at n = 3
-    result = guess_recurrence(
-        GuessProblem(terms=u.terms(3, 45), order=1, degree=1, offset=3)
-    )
+    result = guess_recurrence(u.terms(3, 45), 1, 1, offset=3)
     assert result.verified[0] == builtin_operator("u-op")
 
 
@@ -125,6 +114,17 @@ def test_mathar_is_consistent_as_frozen_solution():
         assert m.apply(a, i) == 0
 
 
-def test_problem_past_the_unknown_cap_is_refused():
-    with pytest.raises(ValueError, match="MAX_UNKNOWNS"):
-        GuessProblem(terms=[1] * 10, order=30, degree=30)
+@pytest.mark.parametrize(
+    "terms, order, degree, error, match",
+    [
+        ([1] * 40, 0, 1, ValueError, "order must be >= 1 and degree >= 0"),
+        ([1] * 40, 1, -1, ValueError, "order must be >= 1 and degree >= 0"),
+        ([1] * 10, 30, 30, ValueError, "MAX_UNKNOWNS"),
+        ([1] * (MAX_TERMS + 1), 1, 1, ValueError, "MAX_TERMS"),
+        (list(range(10)), 1, 1, InsufficientTermsError, "needs at least"),
+    ],
+    ids=["order-0", "degree-negative", "unknowns", "terms", "too-few"],
+)
+def test_guess_refuses_a_bad_shape(terms, order, degree, error, match):
+    with pytest.raises(error, match=match):
+        guess_recurrence(terms, order, degree)

@@ -1,5 +1,6 @@
 import sys
 import urllib.error
+from importlib import resources
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +22,8 @@ from recurra.oeis import (
 from recurra.sequences import SequenceSource, TermRangeError, builtin_sequence
 
 A032123_HEAD = [1, 1, 4, 10, 38, 126, 472, 1716, 6470, 24310, 92504, 352716, 1352540]
+#: The packaged 20-term A032123 b-file, as the bundled fixture reads it.
+BUNDLED_TEXT = resources.files("recurra").joinpath("data/b032123_first20.txt").read_text()
 
 
 def window(b):
@@ -106,9 +109,8 @@ def test_parse_empty_is_error():
 
 def test_round_trip_is_bit_exact():
     b = parse_bfile("3 10\n4 38\n5 126", sequence_id="A032123")
-    text = b.to_text()
-    assert text == "3 10\n4 38\n5 126\n"
-    assert window(parse_bfile(text, sequence_id="A032123")) == window(b)
+    assert window(b) == ("A032123", 3, (10, 38, 126))
+    assert window(parse_bfile("3 10\n4 38\n5 126\n", sequence_id="A032123")) == window(b)
 
 
 #: CPython's int-from-string digit cap, which the b-file parser keeps.
@@ -127,8 +129,8 @@ def _values(draw):
 @example(-5, [-(10**_DIGIT_CAP - 1), 10**_DIGIT_CAP - 1, 0])
 @given(st.integers(-(10**6), 10**6), st.lists(_values(), min_size=1, max_size=8))
 def test_to_text_round_trips_through_parse(offset, values):
-    b = BFileSequence("A000001", offset, values)
-    assert window(parse_bfile(b.to_text(), sequence_id="A000001")) == window(b)
+    text = "".join(f"{offset + i} {v}\n" for i, v in enumerate(values))
+    assert window(parse_bfile(text, sequence_id="A000001")) == ("A000001", offset, tuple(values))
 
 
 def test_index_window():
@@ -175,7 +177,7 @@ def test_bfile_url():
 
 
 def test_fetch_warm_cache_never_touches_network(tmp_path, monkeypatch):
-    (tmp_path / "A032123.txt").write_text(bundled_a032123().to_text())
+    (tmp_path / "A032123.txt").write_text(BUNDLED_TEXT)
 
     def explode(*a, **kw):  # any network call is a test failure
         raise AssertionError("network touched on a warm cache")
@@ -212,7 +214,7 @@ class _FakeResponse:
 
 
 def test_fetch_cold_cache_online_populates_cache(tmp_path, monkeypatch):
-    payload = bundled_a032123().to_text().encode()
+    payload = BUNDLED_TEXT.encode()
     calls = []
 
     def fake_urlopen(url, timeout=None):
