@@ -207,32 +207,34 @@ def _int_at_least(low: int, why: str):
 
 
 def _load(spec: str, kind: str):
-    """The builtin operator or term (kind) named spec, else the JSON file at path spec."""
-    names, builtin, cls = {
-        "operator": (ops.builtin_operator_names, ops.builtin_operator, ops.ShiftOperator),
+    """The builtin operator, term or sequence (kind) named spec, else the file at path spec.
+
+    A file is a JSON operator or term, or a b-file for a sequence. A name that
+    is neither a builtin nor an existing path is a ``ValueError``.
+    """
+    names, builtin, read = {
+        "operator": (ops.builtin_operator_names, ops.builtin_operator,
+                     ops.ShiftOperator.from_json),
         "term": (certify_mod.builtin_term_names, certify_mod.builtin_term,
-                 certify_mod.HyperTermSpec),
+                 certify_mod.HyperTermSpec.from_json),
+        "sequence": (seqs.builtin_sequence_names, seqs.builtin_sequence,
+                     lambda text: oeis.parse_bfile(text, source=spec)),
     }[kind]
-    return builtin(spec) if spec in names() else cls.from_json(Path(spec).read_text())
-
-
-def _load_sequence(spec: str) -> seqs.SequenceSource:
-    names = seqs.builtin_sequence_names()
-    if spec in names:
-        return seqs.builtin_sequence(spec)
+    if spec in names():
+        return builtin(spec)
     path = Path(spec)
-    if path.exists():
-        return oeis.parse_bfile(path.read_text(), source=str(path))
-    raise ValueError(
-        f"unknown sequence {spec!r}: neither a builtin ({', '.join(names)}) nor a file"
-    )
+    if not path.exists():
+        raise ValueError(
+            f"unknown {kind} {spec!r}: neither a builtin ({', '.join(names())}) nor a file"
+        )
+    return read(path.read_text())
 
 
 # -- subcommands: each takes the parsed arguments and returns the exit code ----
 
 
 def _gen(args) -> int:
-    s = _load_sequence(args.sequence)
+    s = _load(args.sequence, "sequence")
     if args.n_from > args.n_to:
         raise ValueError("empty term range")
     for i in range(args.n_from, args.n_to + 1):
@@ -241,7 +243,7 @@ def _gen(args) -> int:
 
 
 def _verify(args) -> int:
-    op, s = _load(args.operator, "operator"), _load_sequence(args.sequence)
+    op, s = _load(args.operator, "operator"), _load(args.sequence, "sequence")
     check = ops.verify_range(op, s, args.n_from, args.n_to)
     return _report(check, args.format, "PASS" if check.passed else f"FAIL: {check.detail}")
 
@@ -253,7 +255,7 @@ def _certify_term(args) -> int:
 
 
 def _guess(args) -> int:
-    s = _load_sequence(args.sequence)
+    s = _load(args.sequence, "sequence")
     count = args.terms or guess_mod.required_terms(args.order, args.degree)
     guess_mod.check_size(args.order, args.degree, count)
     terms = s.terms(s.min_index, s.min_index + count - 1)
@@ -291,7 +293,7 @@ def _bfile_fetch(args) -> int:
 
 
 def _bfile_compare(args) -> int:
-    s = _load_sequence(args.sequence)
+    s = _load(args.sequence, "sequence")
     b = oeis.parse_bfile(Path(args.bfile).read_text(), source=args.bfile)
     check = oeis.compare_sequence(s, b, args.n_from, args.n_to)
     return _report(check, args.format, f"{'PASS' if check.passed else 'FAIL'}: {check.detail}")

@@ -83,6 +83,16 @@ def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[tuple[
     raise AssertionError("unreachable: the prime sequence is infinite")
 
 
+def full_column_rank(rows: Sequence[Sequence], ncols: int) -> bool:
+    """Whether A x = 0 has x = 0 as its only solution, by one elimination mod FIRST_PRIME.
+
+    True is exact, since full column rank mod a prime implies it over Q.
+    False may also come from a prime under which the rank drops.
+    """
+    pivots, _ = _kernel_mod([primitive(row) for row in rows], ncols, FIRST_PRIME)
+    return len(pivots) == ncols
+
+
 def _kernel_mod(m: list[list[int]], ncols: int, p: int) -> tuple[list[int], dict[int, list[int]]]:
     """Pivot columns of the RREF of m mod p, and per free column the pivot
     coordinates of its kernel vector mod p (1 there, 0 at the other free columns).

@@ -171,10 +171,9 @@ def compare_sequence(s: SequenceSource, b: BFileSequence, n_from: int, n_to: int
     if n_from > n_to:
         raise ValueError("empty comparison range")
     for src in (b, s):
-        if n_from < src.min_index or (src.max_index is not None and n_to > src.max_index):
-            hi = src.max_index if src.max_index is not None else "inf"
+        if n_from < src.min_index or n_to > src.max_index:
             raise CoverageError(
-                f"{src.name} covers {src.min_index}..{hi}, requested {n_from}..{n_to}"
+                f"{src.name} covers {src.min_index}..{src.max_index}, requested {n_from}..{n_to}"
             )
     for i in range(n_from, n_to + 1):
         sv, bv = s.term(i), b.term(i)

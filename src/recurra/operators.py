@@ -18,13 +18,15 @@ from typing import Iterable, Sequence
 
 from .check import Check, decimal
 from .exact import Polynomial, n, parse_coefficient, primitive, read_polynomials, width_bits
-from .linalg import nullspace
-from .sequences import SequenceSource
+from .linalg import full_column_rank, nullspace
+from .sequences import SequenceSource, TermRangeError
 
 #: Largest ``order_cap`` and ``degree_cap`` an LCLM search accepts. A failing
-#: search tries every shape up to both, and the worst systems come from two
-#: order-1 operators: u-op against one with degree-20 coefficients fails at
-#: (10, 16) in about 22 s; at (8, 10), the defaults, with degree 12, in 3 s.
+#: search tries every order up to the cap, each at its largest admitted degree,
+#: and the worst systems come from two order-1 operators: u-op against one with
+#: degree-20 coefficients of 2 and 9 bits fails at (10, 16) in 2.8 s (17.5 s
+#: when every degree was solved); at (8, 10), the defaults, with degree 12, in
+#: 0.4 s (was 1.7 s; 2-vCPU Xeon, CPython 3.11).
 MAX_ORDER_CAP = 10
 MAX_DEGREE_CAP = 16
 #: Most coefficient bits one LCLM system may be built from: each input's
@@ -36,9 +38,10 @@ MAX_DEGREE_CAP = 16
 #: nullspace is nonempty, as its vectors grow with them: uncapped, v-op against
 #: n*a(n) + C*a(n-1) took 3.1 s at a 5,000-bit C and 22 s at 10,000 bits. The
 #: worst case measured at the cap: mathar against n*a(n) + C*a(n-5) with a
-#: 555-bit C, found at (10, 16) in 13 s at the largest caps; at the defaults,
-#: mathar against n*a(n) + C*a(n-2) with a 1,010-bit C in 3 s (2-vCPU Xeon,
-#: CPython 3.11). The failing search above, with small bits, stays the slowest.
+#: 555-bit C, found at (10, 16) in 10 s at the largest caps; at the defaults,
+#: mathar against n*a(n) + C*a(n-2) with a 1,010-bit C in 2.5 s (2-vCPU Xeon,
+#: CPython 3.11). That found search is the slowest measured, ahead of any
+#: failing one.
 MAX_LCLM_BITS = 70_000
 
 
@@ -217,12 +220,17 @@ _builtin_factories = {"mathar": _mathar, "u-op": _u_op, "v-op": _v_op}
 def verify_range(op: ShiftOperator, s: SequenceSource, n_from: int, n_to: int) -> Check:
     """Check op annihilates s on n_from..n_to, stopping at the first failure.
 
-    A failure's witness is ``(n, residual)``.
+    A failure's witness is ``(n, residual)``. A range past the source's last
+    index is refused before any term is read.
     """
     if n_from < op.order:
         raise ValueError(f"range must start at or above the order {op.order}")
     if n_from > n_to:
         raise ValueError("empty verification range")
+    if n_to > s.max_index:
+        raise TermRangeError(
+            f"{s.name} has no term at n={n_to} (available: {s.min_index}..{s.max_index})"
+        )
     for i in range(n_from, n_to + 1):
         r = op.apply(s, i)
         if r != 0:
@@ -253,8 +261,9 @@ def lclm_with_cofactors(
 
     Searches orders ascending from max(order(a), order(b)), and cofactor
     coefficient degrees ascending from 0, solving an exact linear system at
-    each (order, degree). Within a nullspace, ties break toward the
-    lexicographically smallest normalized coefficient vector.
+    each (order, degree). An order whose system at its largest admitted
+    degree has full column rank is skipped whole. Within a nullspace, ties
+    break toward the lexicographically smallest normalized coefficient vector.
     """
     if order_cap <= 0 or degree_cap < 0:
         raise ValueError(f"order_cap must be >= 1 and degree_cap >= 0, "
@@ -269,14 +278,21 @@ def lclm_with_cofactors(
         )
     bits_a, bits_b = width_bits(a.coeffs), width_bits(b.coeffs)
     for order in range(max(a.order, b.order), order_cap + 1):
-        for degree in range(degree_cap + 1):
-            bits = ((order - a.order + 1) * bits_a + (order - b.order + 1) * bits_b) * (degree + 1)
+        per_degree = (order - a.order + 1) * bits_a + (order - b.order + 1) * bits_b
+        # A solution at a smaller degree, padded with zeros, solves the system
+        # at the largest degree within the bits cap, top; so a system of full
+        # column rank there rules out every smaller degree of this order.
+        top = min(degree_cap, MAX_LCLM_BITS // per_degree - 1)
+        ruled_out = top >= 0 and full_column_rank(*_lclm_system(a, b, order, top))
+        for degree in range(top + 1 if ruled_out else 0, degree_cap + 1):
+            bits = per_degree * (degree + 1)
             if bits > MAX_LCLM_BITS:
                 raise ValueError(
                     f"the LCLM system at order={order}, degree={degree} is built from {bits} "
                     f"coefficient bits, over the cap MAX_LCLM_BITS = {MAX_LCLM_BITS}"
                 )
-            found = _lclm_at(a, b, order, degree)
+            rows, ncols = _lclm_system(a, b, order, degree)
+            found = _lclm_pick(a, order, degree, nullspace(rows, ncols=ncols))
             if found is not None:
                 return found
     raise LclmCapError(
@@ -295,15 +311,14 @@ def lclm(
     return lclm_with_cofactors(a, b, order_cap, degree_cap)[0]
 
 
-def _lclm_at(a, b, order, degree):
-    na = order - a.order + 1  # P's length; Q's is order - b.order + 1
+def _lclm_system(a, b, order, degree):
+    """The rows and column count of the system for cofactors P, Q with P*a = Q*b."""
     width = degree + 1
-
     # One unit per cofactor shift i: S^i*a for P, -S^i*b for Q. The unknown
     # for n^e * S^i scales its unit by n^e, moving each coefficient up e powers.
     units = [
         _compose([Polynomial([sign] if j == i else []) for j in range(count)], op)
-        for op, count, sign in ((a, na, 1), (b, order - b.order + 1, -1))
+        for op, count, sign in ((a, order - a.order + 1, 1), (b, order - b.order + 1, -1))
         for i in range(count)
     ]
     eq_rows = []
@@ -313,9 +328,14 @@ def _lclm_at(a, b, order, degree):
             continue
         for k in range(top + width):
             eq_rows.append([unit[t][k - e] for unit in units for e in range(width)])
+    return eq_rows, len(units) * width
 
+
+def _lclm_pick(a, order, degree, kernel):
+    """The least (L, P, Q) over the kernel's vectors, or None if none has order ``order``."""
+    na, width = order - a.order + 1, degree + 1  # P's length and its coefficients'
     candidates = []
-    for vec in nullspace(eq_rows, ncols=len(units) * width):
+    for vec in kernel:
         cof = [Polynomial(vec[c : c + width]) for c in range(0, len(vec), width)]
         p_cof, q_cof = cof[:na], cof[na:]
         product = _compose(p_cof, a)

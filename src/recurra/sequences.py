@@ -7,15 +7,16 @@ Builtin sequences (exact identifiers):
 * ``central-binomial``          C(2n, n)
 * ``aerated-central-binomial``  C(n, n/2) for even n, 0 for odd n
 
-Each source keeps a short window of recent terms, never its whole history,
-so a sweep's memory stays flat in its length. The binomials step their one-
-and two-step ratio recurrences from the window's end, so sweeping to
-n = 5000 costs one big-integer multiplication per step, and reseed from
-``math.comb`` when a read lands behind the window or far ahead of it.
-A032123 steps both summands itself, with the same two ratio steps, and
-halves their sum by a shift.
-``builtin_sequence`` hands out a fresh source on every call;
-``BFileSequence`` is a fixed window of terms, such as a parsed b-file.
+Every source is one generator, ``_run(n)``, over its terms from n on, read
+through a short window of recent terms, never its whole history, so a sweep's
+memory stays flat in its length. The binomials step their one- and two-step
+ratio recurrences, so sweeping to n = 5000 costs one big-integer
+multiplication per step; a run starts from ``math.comb`` when a read lands
+behind the window or far ahead of it. A032123 is the half-sum, by shift, of
+the two summands' generators read side by side. A builtin source serves
+indices up to ``MAX_INDEX``. ``builtin_sequence`` hands out a fresh source on
+every call; ``BFileSequence`` runs over a fixed tuple of terms, such as a
+parsed b-file, through the same window.
 ``orbit_count_oracle`` counts equivalence classes of binary strings under
 reversal over half-strings: writing s = hi.[c].lo, s <= reverse(s) iff
 hi <= rev(lo), so each (c, lo) contributes the halves hi up to rev(lo).
@@ -28,7 +29,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from itertools import count, islice
+from typing import Iterable, Iterator, Sequence
 
 from .exact import Polynomial
 
@@ -38,11 +40,18 @@ from .exact import Polynomial
 ORACLE_LENGTH_CAP = 24
 
 #: A source's window keeps at least its last WINDOW terms, and a read at
-#: most WINDOW past the window's last term steps forward instead of
-#: reseeding. WINDOW exceeds the order caps of ``guess`` and ``lclm`` (8 by
-#: default), so applying an operator they build along a sweep only ever hits
-#: or steps; a higher order stays exact and only reseeds more often.
+#: most WINDOW past the window's last term draws forward from its run instead
+#: of starting a new one. WINDOW exceeds the order caps of ``guess`` and
+#: ``lclm`` (8 by default), so applying an operator they build along a sweep
+#: only ever hits or draws; a higher order stays exact and only restarts more
+#: often.
 WINDOW = 32
+
+#: Largest index a builtin source serves. A read far from the window starts
+#: its run with ``math.comb``, whose cost grows faster than linearly: the
+#: first A032123 term of a run took 1.0 s at n = 10^5 and 61 s at 10^6 (in
+#: process, 2-vCPU Xeon, CPython 3.11). 10^5 admits ``--max-n 100000``.
+MAX_INDEX = 100_000
 
 
 class TermRangeError(LookupError):
@@ -52,71 +61,76 @@ class TermRangeError(LookupError):
 class SequenceSource:
     """An integer sequence addressable by index, through a window of terms.
 
-    ``_cache`` holds the terms at indices ``_lo``, ``_lo + 1``, ... A read
-    inside the window is a hit. A read at most ``WINDOW`` past its last term
-    calls ``_extend`` to step forward to it; any other read (behind the
-    window, or far ahead) replaces the window with ``_seed(n)``. Past
-    ``2 * WINDOW`` terms the window drops all but its last ``WINDOW``, so an
-    operator of order below ``WINDOW`` applied along a sweep only ever hits
-    or steps. ``term`` is the one read path and subclasses supply only the
-    hooks: the defaults compute every term with ``_at``, and a source with a
-    cheaper step overrides ``_extend`` and ``_seed``. A source is not safe
-    to share between threads: a read may move the window under another.
+    A source's one hook is ``_run(n)``: an iterator over its terms at n,
+    n + 1, ... ``_cache`` holds the terms at indices ``_lo``, ``_lo + 1``, ...
+    drawn so far from the iterator ``_rest``. A read inside the window is a
+    hit. A read at most ``WINDOW`` past its last term draws forward to it; any
+    other read (behind the window, or far ahead) starts a new window at
+    ``_run(n)``. Past ``2 * WINDOW`` terms the window drops all but its last
+    ``WINDOW``, so an operator of order below ``WINDOW`` applied along a sweep
+    only ever hits or draws. ``term`` is the one read path. A source is not
+    safe to share between threads: a read may move the window under another.
     """
 
     name = "?"
     min_index = 0
-    max_index: int | None = None  # inclusive; None = unbounded
+    max_index = MAX_INDEX  # inclusive
 
     def __init__(self):
-        self._lo, self._cache = self._seed(self.min_index)
+        self._lo, self._cache, self._rest = self.min_index, [], self._run(self.min_index)
 
     def term(self, n: int) -> int:
-        if n < self.min_index or (self.max_index is not None and n > self.max_index):
-            span = f"{self.min_index}..{self.max_index if self.max_index is not None else 'inf'}"
-            raise TermRangeError(f"{self.name} has no term at n={n} (available: {span})")
+        if not self.min_index <= n <= self.max_index:
+            raise TermRangeError(
+                f"{self.name} has no term at n={n} "
+                f"(available: {self.min_index}..{self.max_index})"
+            )
         c = self._cache
         idx = n - self._lo
         if 0 <= idx < len(c):
             return c[idx]
         if idx < 0 or idx >= len(c) + WINDOW:
-            self._lo, c = self._seed(n)
-            self._cache = c
-            idx = n - self._lo
-        if idx >= len(c):
-            self._extend(n)
-            if len(c) > 2 * WINDOW:
-                drop = len(c) - WINDOW
-                del c[:drop]
-                self._lo += drop
-                idx -= drop
+            self._lo, self._cache, self._rest = n, [], self._run(n)
+            c, idx = self._cache, 0
+        c.extend(islice(self._rest, idx + 1 - len(c)))
+        if len(c) > 2 * WINDOW:
+            drop = len(c) - WINDOW
+            del c[:drop]
+            self._lo += drop
+            idx -= drop
         return c[idx]
 
     def terms(self, n_from: int, n_to: int) -> list[int]:
         return [self.term(i) for i in range(n_from, n_to + 1)]
 
-    def _seed(self, n: int) -> tuple[int, list[int]]:
-        """A fresh window holding index n: its first index and its terms."""
-        return n, [self._at(n)]
-
-    def _extend(self, n: int) -> None:
-        """Append terms to the window until it holds index n."""
-        c = self._cache
-        c.extend(self._at(m) for m in range(self._lo + len(c), n + 1))
-
-    def _at(self, n: int) -> int:
-        """The term at index n, computed on its own."""
+    def _run(self, n: int) -> Iterator[int]:
+        """The terms at n, n + 1, ..., up to ``max_index`` at least."""
         raise NotImplementedError
 
 
-def _u_step(u: int, m: int) -> int:
-    """u(m) = C(2m, m) from u(m-1), by m*u(m) = (4m-2)*u(m-1)."""
-    return u * (4 * m - 2) // m
+def _u_terms(n: int) -> Iterator[int]:
+    """u(m) = C(2m, m) for m = n, n + 1, ..., by m*u(m) = (4m-2)*u(m-1)."""
+    u = math.comb(2 * n, n)
+    for m in count(n + 1):
+        yield u
+        u = u * (4 * m - 2) // m
 
 
-def _v_step(v: int, m: int) -> int:
-    """v(m) from v(m-2), by m*v(m) = 4(m-1)*v(m-2); odd m gets 0 from v(m-2) = 0."""
-    return 4 * (m - 1) * v // m
+def _v_terms(n: int) -> Iterator[int]:
+    """v(m) = C(m, m/2) for even m, else 0, for m = n, n + 1, ...
+
+    Steps m*v(m) = 4(m-1)*v(m-2), so it carries v(m - 1) beside v(m); odd m
+    gets 0 from v(m-2) = 0.
+    """
+    w, v = _aerated(n - 1), _aerated(n)
+    for m in count(n + 1):
+        yield v
+        w, v = v, 4 * (m - 1) * w // m
+
+
+def _aerated(m: int) -> int:
+    """v(m) = C(m, m/2) for even m >= 0, else 0 (m = -1 included)."""
+    return math.comb(m, m // 2) if m % 2 == 0 else 0
 
 
 def _half_sum(n: int, u: int, v: int) -> int:
@@ -127,66 +141,36 @@ def _half_sum(n: int, u: int, v: int) -> int:
     return s >> 1
 
 
-def _aerated(m: int) -> int:
-    """v(m) = C(m, m/2) for even m >= 0, else 0 (m = -1 included)."""
-    return math.comb(m, m // 2) if m % 2 == 0 else 0
-
-
 class CentralBinomial(SequenceSource):
-    """u(n) = C(2n, n) via n*u(n) = (4n-2)*u(n-1), seeded by ``math.comb``."""
+    """u(n) = C(2n, n), stepped by its order-1 ratio recurrence."""
 
     name = "central-binomial"
 
-    def _seed(self, n: int) -> tuple[int, list[int]]:
-        return n, [math.comb(2 * n, n)]
-
-    def _extend(self, n: int) -> None:
-        c = self._cache
-        for m in range(self._lo + len(c), n + 1):
-            c.append(_u_step(c[-1], m))
+    def _run(self, n: int) -> Iterator[int]:
+        return _u_terms(n)
 
 
 class AeratedCentralBinomial(SequenceSource):
-    """v(n) = C(n, n/2) for even n, else 0, via n*v(n) = 4(n-1)*v(n-2)."""
+    """v(n) = C(n, n/2) for even n, else 0, stepped by its order-2 ratio recurrence."""
 
     name = "aerated-central-binomial"
 
-    def _seed(self, n: int) -> tuple[int, list[int]]:
-        # The two-step ratio steps from a pair of terms: seed the pair holding n.
-        lo = max(n - 1, 0)
-        return lo, [_aerated(lo), _aerated(lo + 1)]
-
-    def _extend(self, n: int) -> None:
-        c = self._cache
-        for m in range(self._lo + len(c), n + 1):
-            c.append(_v_step(c[-2], m))
+    def _run(self, n: int) -> Iterator[int]:
+        return _v_terms(n)
 
 
 class ReversibleBalancedStrings(SequenceSource):
     """A032123: length-2n binary strings with n ones, up to reversal.
 
-    Terms come from the orbit-count closed form (u(n) + v(n)) / 2; the sum
-    is always even because the reversal action has even orbit defect. The
-    source steps both summands itself, with the ratio steps of the two
-    summand sources, and halves by shift: a term costs two products and
-    quotients by small factors, one addition and one shift.
+    Terms come from the orbit-count closed form (u(n) + v(n)) / 2, read in
+    one pass from the two summands' own generators and halved by shift; the
+    sum is always even because the reversal action has even orbit defect.
     """
 
     name = "A032123"
 
-    def _seed(self, n: int) -> tuple[int, list[int]]:
-        # _uv is (u(k), v(k-1), v(k)) at the window's last index k; v(-1) = 0.
-        u, v = math.comb(2 * n, n), _aerated(n)
-        self._uv = u, _aerated(n - 1), v
-        return n, [_half_sum(n, u, v)]
-
-    def _extend(self, n: int) -> None:
-        c = self._cache
-        u, w, v = self._uv
-        for m in range(self._lo + len(c), n + 1):
-            u, w, v = _u_step(u, m), v, _v_step(w, m)
-            c.append(_half_sum(m, u, v))
-        self._uv = u, w, v
+    def _run(self, n: int) -> Iterator[int]:
+        return map(_half_sum, count(n), _u_terms(n), _v_terms(n))
 
 
 class ReversibleStrings(SequenceSource):
@@ -199,24 +183,27 @@ class ReversibleStrings(SequenceSource):
     name = "A005418"
     min_index = 1
 
-    def _at(self, n: int) -> int:
-        return (2 ** n + 2 ** ((n + 1) // 2)) // 2
+    def _run(self, n: int) -> Iterator[int]:
+        return ((2 ** m + 2 ** ((m + 1) // 2)) // 2 for m in count(n))
 
 
 class BFileSequence(SequenceSource):
-    """A fixed window of terms, e.g. a parsed b-file; ``min_index`` is its offset.
+    """A fixed run of terms, e.g. a parsed b-file; ``min_index`` is its offset.
 
-    ``values`` doubles as the term window, which the range check never lets a
-    read leave, so reads go through the inherited ``term`` and never step or
-    reseed; ``source`` records where the terms came from.
+    Reads go through the same window as any source's, drawn from ``values``;
+    ``source`` records where the terms came from.
     """
 
     def __init__(self, name: str, offset: int, values: Iterable[int], source: str = ""):
-        self.values = self._cache = tuple(values)
+        self.values = tuple(values)
         self.name = name
-        self.min_index = self._lo = offset
+        self.min_index = offset
         self.max_index = offset + len(self.values) - 1
         self.source = source
+        super().__init__()
+
+    def _run(self, n: int) -> Iterator[int]:
+        return islice(self.values, n - self.min_index, None)
 
 
 _BUILTINS: dict[str, type[SequenceSource]] = {

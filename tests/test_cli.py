@@ -7,7 +7,7 @@ from importlib import resources
 
 import pytest
 
-from recurra.certify import perturbed
+from recurra.certify import builtin_term_names, perturbed
 from recurra.check import decimal
 from recurra.cli import (
     EXIT_FAIL,
@@ -19,8 +19,13 @@ from recurra.cli import (
     run_prove_a032123,
 )
 from recurra.exact import Polynomial
-from recurra.operators import ShiftOperator, builtin_operator, verify_range
-from recurra.sequences import builtin_sequence
+from recurra.operators import (
+    ShiftOperator,
+    builtin_operator,
+    builtin_operator_names,
+    verify_range,
+)
+from recurra.sequences import MAX_INDEX, builtin_sequence, builtin_sequence_names
 
 A032123_HEAD = [1, 1, 4, 10, 38, 126, 472, 1716, 6470, 24310, 92504, 352716, 1352540]
 #: The packaged 20-term A032123 b-file, as the bundled fixture reads it.
@@ -40,9 +45,55 @@ def test_gen_unknown_sequence_fails(capsys):
     assert "unknown sequence" in capsys.readouterr().err
 
 
+_BUILTIN_NAMES = {
+    "operator": builtin_operator_names,
+    "term": builtin_term_names,
+    "sequence": builtin_sequence_names,
+}
+
+
+@pytest.mark.parametrize(
+    "argv, kind, spec",
+    [
+        (["verify", "--operator", "mathr", "--sequence", "A032123", "--from", "6", "--to", "9"],
+         "operator", "mathr"),
+        (["certify", "--operator", "mathr", "--term", "u-spec"], "operator", "mathr"),
+        (["certify", "--operator", "mathar", "--term", "u-spc"], "term", "u-spc"),
+        (["verify", "--operator", "mathar", "--sequence", "A03212", "--from", "6", "--to", "9"],
+         "sequence", "A03212"),
+        (["gen", "A03212", "--from", "0", "--to", "3"], "sequence", "A03212"),
+    ],
+    ids=["verify-operator", "certify-operator", "certify-term", "verify-sequence", "gen"],
+)
+def test_a_misspelled_name_is_neither_builtin_nor_file(
+    tmp_path, monkeypatch, capsys, argv, kind, spec
+):
+    monkeypatch.chdir(tmp_path)  # no file of that name either
+    assert main(argv) == EXIT_FAIL
+    names = ", ".join(_BUILTIN_NAMES[kind]())
+    assert capsys.readouterr().err == (
+        f"error: unknown {kind} {spec!r}: neither a builtin ({names}) nor a file\n"
+    )
+
+
+def test_a_read_error_on_an_existing_path_is_io(tmp_path, capsys):
+    assert main(["certify", "--operator", str(tmp_path), "--term", "u-spec"]) == EXIT_IO
+    assert capsys.readouterr().err.startswith("error: [Errno")
+
+
 def test_gen_out_of_range_fails(capsys):
     code = main(["gen", "A005418", "--from", "0", "--to", "3"])
     assert code == EXIT_FAIL
+
+
+def test_gen_past_max_index_fails_at_once(capsys):
+    past = str(MAX_INDEX + 1)
+    start = time.perf_counter()
+    assert main(["gen", "A032123", "--from", past, "--to", past]) == EXIT_FAIL
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        f"error: A032123 has no term at n={past} (available: 0..{MAX_INDEX})\n"
+    )
 
 
 def test_gen_empty_range_is_an_error(capsys):

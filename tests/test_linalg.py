@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recurra import linalg
-from recurra.linalg import nullspace
+from recurra.linalg import full_column_rank, nullspace
 
 
 def test_known_one_dimensional_kernel():
@@ -116,6 +116,22 @@ def test_nullspace_contract(matrix):
         assert all(v[c] == 0 for c in free if c != col)
         for row in rows:
             assert sum(a * x for a, x in zip(row, v)) == 0
+
+
+@settings(deadline=None)
+@given(_matrices)
+def test_full_column_rank_only_when_the_kernel_is_zero(matrix):
+    rows, ncols = matrix
+    if full_column_rank(rows, ncols):
+        assert nullspace(rows, ncols=ncols) == []
+
+
+def test_full_column_rank_examples():
+    assert full_column_rank([[1, 2], [3, 4]], 2)
+    assert not full_column_rank([[1, 2], [2, 4]], 2)
+    assert not full_column_rank([], 1)
+    # Only a prime under which the rank holds can vouch for it.
+    assert not full_column_rank([[MERSENNE_127, 1], [0, 1]], 2)
 
 
 MERSENNE_127 = 2**127 - 1

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recurra import operators
 from recurra.exact import COEFF_DIGITS, Polynomial, n
 from recurra.operators import (
     LclmCapError,
@@ -16,6 +17,7 @@ from recurra.operators import (
     verify_range,
 )
 from recurra.sequences import (
+    MAX_INDEX,
     BFileSequence,
     TermRangeError,
     builtin_sequence,
@@ -98,6 +100,14 @@ def test_apply_at_propagates_term_range():
     short = BFileSequence("short", 0, [1, 1, 4])
     with pytest.raises(TermRangeError):
         builtin_operator("mathar").apply(short, 6)
+
+
+def test_verify_range_past_the_source_is_refused_before_any_read():
+    wrong = BFileSequence("wrong", 0, [1, 2, 3])  # u-op leaves a residual at n = 1
+    with pytest.raises(TermRangeError, match="n=3 "):
+        verify_range(builtin_operator("u-op"), wrong, 1, 3)
+    with pytest.raises(TermRangeError, match=f"n={MAX_INDEX + 1} "):
+        verify_range(builtin_operator("mathar"), builtin_sequence("A032123"), 6, MAX_INDEX + 1)
 
 
 def test_verify_range_passes():
@@ -226,6 +236,16 @@ def test_lclm_caps_exceeded_is_explicit():
     u_op, v_op = builtin_operator("u-op"), builtin_operator("v-op")
     with pytest.raises(LclmCapError, match="cap"):
         lclm(u_op, v_op, order_cap=2, degree_cap=2)
+
+
+def test_lclm_skips_an_order_of_full_rank_without_solving_it(monkeypatch):
+    # Degree-12 coefficients leave every system at the defaults of full column
+    # rank, so no order needs a nullspace before the search fails.
+    rng = random.Random(5)
+    b = ShiftOperator([Polynomial([rng.randint(1, 511) for _ in range(13)]) for _ in range(2)])
+    monkeypatch.setattr(operators, "nullspace", lambda *args, **kwargs: pytest.fail("solved"))
+    with pytest.raises(LclmCapError, match="order_cap=8, degree_cap=10"):
+        lclm(builtin_operator("u-op"), b)
 
 
 def test_lclm_deterministic():

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from recurra import sequences
 from recurra.operators import builtin_operator, verify_range
 from recurra.sequences import (
+    MAX_INDEX,
     ORACLE_LENGTH_CAP,
     WINDOW,
+    BFileSequence,
     TermRangeError,
     builtin_sequence,
     builtin_sequence_names,
@@ -143,6 +145,15 @@ def test_a005418_offset_starts_at_one():
         builtin_sequence("A005418").term(0)
 
 
+def test_builtin_sources_stop_at_max_index():
+    s = builtin_sequence("A005418")
+    assert s.max_index == MAX_INDEX
+    assert s.term(MAX_INDEX) == _reference("A005418", MAX_INDEX)
+    for name in builtin_sequence_names():
+        with pytest.raises(TermRangeError, match=f"n={MAX_INDEX + 1} "):
+            builtin_sequence(name).term(MAX_INDEX + 1)
+
+
 def _palindromes(k):
     """Palindromes of length 2k with k ones, by Burnside: 2 * orbits - strings."""
     return 2 * orbit_count_oracle(2 * k, k) - math.comb(2 * k, k)
@@ -185,29 +196,32 @@ def test_builtin_sequences_are_fresh_and_independent():
 
 
 def test_a032123_first_reads_on_fresh_sources():
-    # n = 0 is the window __init__ seeds; 1 and 2 step from it, or seed there.
+    # A fresh source's run starts at n = 0; 1 and 2 draw from it, or start there.
     assert [builtin_sequence("A032123").term(k) for k in range(3)] == [1, 1, 4]
     for k in range(3):
         s = builtin_sequence("A032123")
-        s.term(10 * WINDOW)  # move the window away, so the next read reseeds at k
+        s.term(10 * WINDOW)  # move the window away, so the next read restarts at k
         assert [s.term(m) for m in range(k, 6)] == A032123_HEAD[k:6]
 
 
 @pytest.mark.parametrize("target", [3 * WINDOW + 1, 3 * WINDOW + 2])
 def test_a032123_reseeds_on_either_parity(target):
-    # v steps two indices at a time, so a seed must carry v(n - 1) as well as v(n).
+    # v steps two indices at a time, so a run must start with v(n - 1) as well as v(n).
     s = builtin_sequence("A032123")
     assert s.term(5) == _reference("A032123", 5)
     for n in range(target, target + WINDOW + 3):  # jump to target, then step on
         assert s.term(n) == _reference("A032123", n)
-    back = target - 2 * WINDOW - 1  # behind the window: reseed there and step on
+    back = target - 2 * WINDOW - 1  # behind the window: restart there and step on
     for n in range(back, back + 5):
         assert s.term(n) == _reference("A032123", n)
 
 
 def test_a032123_odd_half_sum_still_raises(monkeypatch):
-    real = sequences._u_step
-    monkeypatch.setattr(sequences, "_u_step", lambda u, m: real(u, m) + 1)
+    # Off by one at odd indices only, so u(0) + v(0) stays even.
+    real = sequences._u_terms
+    monkeypatch.setattr(
+        sequences, "_u_terms", lambda n: (u + m % 2 for m, u in enumerate(real(n), n))
+    )
     s = builtin_sequence("A032123")
     with pytest.raises(AssertionError, match=r"u\(1\) \+ v\(1\) is odd"):
         s.term(1)
@@ -228,6 +242,7 @@ def test_sweep_memory_is_bounded():
 
 def _reference(name: str, n: int) -> int:
     """Direct closed forms, with no window and no ratio steps."""
+    name = name.removesuffix(" b-file")
     u = math.comb(2 * n, n)
     v = math.comb(n, n // 2) if n % 2 == 0 else 0
     return {
@@ -239,6 +254,15 @@ def _reference(name: str, n: int) -> int:
 
 
 _LAST = 1500  # reads stay on min_index.._LAST, where math.comb is cheap
+
+
+def _source(name: str):
+    if name == "A032123 b-file":
+        # Longer than 2 * WINDOW, so reads through it draw, drop and restart.
+        return BFileSequence(name, 3, [_reference(name, k) for k in range(3, 3 + 5 * WINDOW)])
+    return builtin_sequence(name)
+
+
 _MOVES = st.one_of(
     st.tuples(st.just("walk"), st.integers(1, 3 * WINDOW)),  # sequential reads
     st.tuples(st.just("jump"), st.integers(-(WINDOW - 1), WINDOW - 1)),
@@ -249,18 +273,21 @@ _MOVES = st.one_of(
 
 @settings(max_examples=60, deadline=None)
 @given(
-    name=st.sampled_from(["central-binomial", "aerated-central-binomial", "A032123", "A005418"]),
+    name=st.sampled_from(
+        ["central-binomial", "aerated-central-binomial", "A032123", "A005418", "A032123 b-file"]
+    ),
     start=st.integers(0, _LAST),
     moves=st.lists(_MOVES, max_size=20),
 )
 def test_window_reads_match_the_closed_forms(name, start, moves):
-    s = builtin_sequence(name)
-    n = max(start, s.min_index)
+    s = _source(name)
+    last = min(s.max_index, _LAST)
+    n = min(max(start, s.min_index), last)
     assert s.term(n) == _reference(name, n)
     for kind, k in moves:
         targets = range(n + 1, n + k + 1) if kind == "walk" else [n + k]
         for m in targets:
-            n = min(max(m, s.min_index), _LAST)
+            n = min(max(m, s.min_index), last)
             assert s.term(n) == _reference(name, n)
 
 
