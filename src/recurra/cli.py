@@ -152,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sequence", required=True)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--terms", type=_int_at_least(1, ""), default=None,
+    p.add_argument("--terms", type=_bounded_int(1, ""), default=None,
                    help="how many terms to sample, at least 1 (default: minimum required)")
     p.add_argument("--minimal", action="store_true",
                    help="search (order, degree) ascending and print the first hit")
@@ -182,17 +182,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prove-a032123", help="run the full offline proof pipeline")
     p.set_defaults(run=_prove)
-    sweep_end = _int_at_least(SWEEP_FROM, ", where the numeric sweep starts")
+    sweep_end = _bounded_int(SWEEP_FROM, ", where the numeric sweep starts",
+                             seqs.MAX_INDEX, ", the last index a builtin sequence serves")
     p.add_argument("--max-n", type=sweep_end, default=5000,
-                   help="upper end of the numeric sweep (default 5000)")
+                   help=f"upper end of the numeric sweep, {SWEEP_FROM}..{seqs.MAX_INDEX} "
+                        "(default 5000)")
     p.add_argument("--operator", default=None,
                    help="operator file overriding the builtin order-5 operator")
 
     return parser
 
 
-def _int_at_least(low: int, why: str):
-    """An argparse type: an integer no smaller than ``low``."""
+def _bounded_int(low: int, why_low: str, high: int | None = None, why_high: str = ""):
+    """An argparse type: an integer in low..high, or no smaller than low without high."""
 
     def parse(text: str) -> int:
         try:
@@ -200,7 +202,9 @@ def _int_at_least(low: int, why: str):
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if n < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}{why}; got {n}")
+            raise argparse.ArgumentTypeError(f"must be at least {low}{why_low}; got {n}")
+        if high is not None and n > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}{why_high}; got {n}")
         return n
 
     return parse
@@ -237,6 +241,7 @@ def _gen(args) -> int:
     s = _load(args.sequence, "sequence")
     if args.n_from > args.n_to:
         raise ValueError("empty term range")
+    s.check_range(args.n_from, args.n_to)
     for i in range(args.n_from, args.n_to + 1):
         print(decimal(s.term(i)))
     return EXIT_PASS

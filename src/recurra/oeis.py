@@ -56,10 +56,6 @@ class FetchError(RuntimeError):
     """The HTTP fetch failed (network error or non-200 status)."""
 
 
-class CoverageError(ValueError):
-    """A comparison range is not covered by both sources."""
-
-
 def parse_bfile(text: str, sequence_id: str = "", source: str = "") -> BFileSequence:
     """Parse b-file text; comments and blank lines are skipped."""
     entries: list[tuple[int, int]] = []
@@ -166,15 +162,13 @@ def fetch_bfile(
 def compare_sequence(s: SequenceSource, b: BFileSequence, n_from: int, n_to: int) -> Check:
     """Compare s against b term by term on an index range.
 
-    A mismatch's witness is ``(n, source value, b-file value)``.
+    A mismatch's witness is ``(n, source value, b-file value)``. A range
+    past either source is refused before any term is read.
     """
     if n_from > n_to:
         raise ValueError("empty comparison range")
-    for src in (b, s):
-        if n_from < src.min_index or n_to > src.max_index:
-            raise CoverageError(
-                f"{src.name} covers {src.min_index}..{src.max_index}, requested {n_from}..{n_to}"
-            )
+    b.check_range(n_from, n_to)
+    s.check_range(n_from, n_to)
     for i in range(n_from, n_to + 1):
         sv, bv = s.term(i), b.term(i)
         if sv != bv:

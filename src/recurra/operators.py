@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 from .check import Check, decimal
 from .exact import Polynomial, n, parse_coefficient, primitive, read_polynomials, width_bits
 from .linalg import full_column_rank, nullspace
-from .sequences import SequenceSource, TermRangeError
+from .sequences import SequenceSource
 
 #: Largest ``order_cap`` and ``degree_cap`` an LCLM search accepts. A failing
 #: search tries every order up to the cap, each at its largest admitted degree,
@@ -179,22 +179,9 @@ def _joint_normalize(polys: list[Polynomial]) -> list[Polynomial]:
     return [Polynomial([next(flat) for _ in p.coeffs]) for p in polys]
 
 
-def builtin_operator(name: str) -> ShiftOperator:
-    """Look up a builtin operator by its exact name."""
-    try:
-        return _builtin_factories[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown operator {name!r}; builtins: {', '.join(sorted(_builtin_factories))}"
-        ) from None
-
-
-def builtin_operator_names() -> tuple[str, ...]:
-    return tuple(sorted(_builtin_factories))
-
-
-def _mathar() -> ShiftOperator:
-    return ShiftOperator(
+#: The builtin operators, built once: a ``ShiftOperator`` is immutable.
+_BUILTINS = {
+    "mathar": ShiftOperator(
         [
             n * (n - 1),
             -2 * (n - 1) * (3 * n - 4),
@@ -203,34 +190,38 @@ def _mathar() -> ShiftOperator:
             -16 * (n - 3) * (3 * n - 10),
             32 * (n - 4) * (2 * n - 9),
         ]
-    )
+    ),
+    "u-op": ShiftOperator([n, -(4 * n - 2)]),
+    "v-op": ShiftOperator([n, Polynomial(), -4 * (n - 1)]),
+}
 
 
-def _u_op() -> ShiftOperator:
-    return ShiftOperator([n, -(4 * n - 2)])
+def builtin_operator(name: str) -> ShiftOperator:
+    """Look up a builtin operator by its exact name."""
+    try:
+        return _BUILTINS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown operator {name!r}; builtins: {', '.join(sorted(_BUILTINS))}"
+        ) from None
 
 
-def _v_op() -> ShiftOperator:
-    return ShiftOperator([n, Polynomial(), -4 * (n - 1)])
-
-
-_builtin_factories = {"mathar": _mathar, "u-op": _u_op, "v-op": _v_op}
+def builtin_operator_names() -> tuple[str, ...]:
+    return tuple(sorted(_BUILTINS))
 
 
 def verify_range(op: ShiftOperator, s: SequenceSource, n_from: int, n_to: int) -> Check:
     """Check op annihilates s on n_from..n_to, stopping at the first failure.
 
-    A failure's witness is ``(n, residual)``. A range past the source's last
-    index is refused before any term is read.
+    A failure's witness is ``(n, residual)``. A range that reads past either
+    end of the source, n_from - order included, is refused before any term
+    is read.
     """
     if n_from < op.order:
         raise ValueError(f"range must start at or above the order {op.order}")
     if n_from > n_to:
         raise ValueError("empty verification range")
-    if n_to > s.max_index:
-        raise TermRangeError(
-            f"{s.name} has no term at n={n_to} (available: {s.min_index}..{s.max_index})"
-        )
+    s.check_range(n_from - op.order, n_to)
     for i in range(n_from, n_to + 1):
         r = op.apply(s, i)
         if r != 0:

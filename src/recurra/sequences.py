@@ -7,16 +7,22 @@ Builtin sequences (exact identifiers):
 * ``central-binomial``          C(2n, n)
 * ``aerated-central-binomial``  C(n, n/2) for even n, 0 for odd n
 
-Every source is one generator, ``_run(n)``, over its terms from n on, read
-through a short window of recent terms, never its whole history, so a sweep's
-memory stays flat in its length. The binomials step their one- and two-step
-ratio recurrences, so sweeping to n = 5000 costs one big-integer
-multiplication per step; a run starts from ``math.comb`` when a read lands
-behind the window or far ahead of it. A032123 is the half-sum, by shift, of
-the two summands' generators read side by side. A builtin source serves
-indices up to ``MAX_INDEX``. ``builtin_sequence`` hands out a fresh source on
-every call; ``BFileSequence`` runs over a fixed tuple of terms, such as a
-parsed b-file, through the same window.
+A source is one ``SequenceSource(name, run, min_index, max_index)``, where
+``run(n)`` is a generator over its terms from n on, read through a short
+window of recent terms, never its whole history, so a sweep's memory stays
+flat in its length. A builtin is one ``_BUILTINS`` row, its first index and
+its run, and serves indices up to ``MAX_INDEX``. The binomials step their
+one- and two-step ratio recurrences, so sweeping to n = 5000 costs one
+big-integer multiplication per step; a run starts from ``math.comb`` when a
+read lands behind the window or far ahead of it. A032123 is the half-sum, by
+shift, of the two summands' generators read side by side; the sum is always
+even, as the reversal action has even orbit defect. A005418 is the closed
+form (2^n + 2^ceil(n/2)) / 2 from n = 1: its n = 0 value is deliberately not
+exposed, as the catalogued offset convention starts at 1.
+``builtin_sequence`` hands out a fresh source on every call;
+``BFileSequence`` runs over a fixed tuple of terms, such as a parsed b-file,
+through the same window. ``check_range`` refuses a range with an index past
+either end of a source, naming that index, before any term is read.
 ``orbit_count_oracle`` counts equivalence classes of binary strings under
 reversal over half-strings: writing s = hi.[c].lo, s <= reverse(s) iff
 hi <= rev(lo), so each (c, lo) contributes the halves hi up to rev(lo).
@@ -30,7 +36,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import count, islice
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .exact import Polynomial
 
@@ -61,36 +67,39 @@ class TermRangeError(LookupError):
 class SequenceSource:
     """An integer sequence addressable by index, through a window of terms.
 
-    A source's one hook is ``_run(n)``: an iterator over its terms at n,
-    n + 1, ... ``_cache`` holds the terms at indices ``_lo``, ``_lo + 1``, ...
-    drawn so far from the iterator ``_rest``. A read inside the window is a
-    hit. A read at most ``WINDOW`` past its last term draws forward to it; any
-    other read (behind the window, or far ahead) starts a new window at
-    ``_run(n)``. Past ``2 * WINDOW`` terms the window drops all but its last
-    ``WINDOW``, so an operator of order below ``WINDOW`` applied along a sweep
-    only ever hits or draws. ``term`` is the one read path. A source is not
-    safe to share between threads: a read may move the window under another.
+    ``run(n)`` is an iterator over the terms at n, n + 1, ..., up to
+    ``max_index`` (inclusive) at least. ``_cache`` holds the terms at indices
+    ``_lo``, ``_lo + 1``, ... drawn so far from the iterator ``_rest``. A read
+    inside the window is a hit. A read at most ``WINDOW`` past its last term
+    draws forward to it; any other read (behind the window, or far ahead)
+    starts a new window at ``run(n)``. Past ``2 * WINDOW`` terms the window
+    drops all but its last ``WINDOW``, so an operator of order below
+    ``WINDOW`` applied along a sweep only ever hits or draws. ``term`` is the
+    one read path. A source is not safe to share between threads: a read may
+    move the window under another.
     """
 
-    name = "?"
-    min_index = 0
-    max_index = MAX_INDEX  # inclusive
+    def __init__(self, name: str, run: Callable[[int], Iterator[int]],
+                 min_index: int, max_index: int):
+        self.name, self.run, self.min_index, self.max_index = name, run, min_index, max_index
+        self._lo, self._cache, self._rest = min_index, [], run(min_index)
 
-    def __init__(self):
-        self._lo, self._cache, self._rest = self.min_index, [], self._run(self.min_index)
+    def check_range(self, n_from: int, n_to: int) -> None:
+        """Raise ``TermRangeError`` naming the first of n_from..n_to with no term."""
+        lo, hi = self.min_index, self.max_index
+        if n_from <= n_to and not lo <= n_from <= n_to <= hi:
+            n = hi + 1 if lo <= n_from <= hi else n_from
+            raise TermRangeError(f"{self.name} has no term at n={n} (available: {lo}..{hi})")
 
     def term(self, n: int) -> int:
         if not self.min_index <= n <= self.max_index:
-            raise TermRangeError(
-                f"{self.name} has no term at n={n} "
-                f"(available: {self.min_index}..{self.max_index})"
-            )
+            self.check_range(n, n)
         c = self._cache
         idx = n - self._lo
         if 0 <= idx < len(c):
             return c[idx]
         if idx < 0 or idx >= len(c) + WINDOW:
-            self._lo, self._cache, self._rest = n, [], self._run(n)
+            self._lo, self._cache, self._rest = n, [], self.run(n)
             c, idx = self._cache, 0
         c.extend(islice(self._rest, idx + 1 - len(c)))
         if len(c) > 2 * WINDOW:
@@ -101,11 +110,8 @@ class SequenceSource:
         return c[idx]
 
     def terms(self, n_from: int, n_to: int) -> list[int]:
+        self.check_range(n_from, n_to)
         return [self.term(i) for i in range(n_from, n_to + 1)]
-
-    def _run(self, n: int) -> Iterator[int]:
-        """The terms at n, n + 1, ..., up to ``max_index`` at least."""
-        raise NotImplementedError
 
 
 def _u_terms(n: int) -> Iterator[int]:
@@ -141,52 +147,6 @@ def _half_sum(n: int, u: int, v: int) -> int:
     return s >> 1
 
 
-class CentralBinomial(SequenceSource):
-    """u(n) = C(2n, n), stepped by its order-1 ratio recurrence."""
-
-    name = "central-binomial"
-
-    def _run(self, n: int) -> Iterator[int]:
-        return _u_terms(n)
-
-
-class AeratedCentralBinomial(SequenceSource):
-    """v(n) = C(n, n/2) for even n, else 0, stepped by its order-2 ratio recurrence."""
-
-    name = "aerated-central-binomial"
-
-    def _run(self, n: int) -> Iterator[int]:
-        return _v_terms(n)
-
-
-class ReversibleBalancedStrings(SequenceSource):
-    """A032123: length-2n binary strings with n ones, up to reversal.
-
-    Terms come from the orbit-count closed form (u(n) + v(n)) / 2, read in
-    one pass from the two summands' own generators and halved by shift; the
-    sum is always even because the reversal action has even orbit defect.
-    """
-
-    name = "A032123"
-
-    def _run(self, n: int) -> Iterator[int]:
-        return map(_half_sum, count(n), _u_terms(n), _v_terms(n))
-
-
-class ReversibleStrings(SequenceSource):
-    """A005418: length-n binary strings up to reversal, defined for n >= 1.
-
-    Closed form (2^n + 2^ceil(n/2)) / 2. The n = 0 value is deliberately
-    not exposed: the catalogued offset convention starts at 1.
-    """
-
-    name = "A005418"
-    min_index = 1
-
-    def _run(self, n: int) -> Iterator[int]:
-        return ((2 ** m + 2 ** ((m + 1) // 2)) // 2 for m in count(n))
-
-
 class BFileSequence(SequenceSource):
     """A fixed run of terms, e.g. a parsed b-file; ``min_index`` is its offset.
 
@@ -195,34 +155,32 @@ class BFileSequence(SequenceSource):
     """
 
     def __init__(self, name: str, offset: int, values: Iterable[int], source: str = ""):
-        self.values = tuple(values)
-        self.name = name
-        self.min_index = offset
-        self.max_index = offset + len(self.values) - 1
+        self.values = values = tuple(values)
         self.source = source
-        super().__init__()
+        super().__init__(
+            name, lambda n: islice(values, n - offset, None), offset, offset + len(values) - 1
+        )
 
-    def _run(self, n: int) -> Iterator[int]:
-        return islice(self.values, n - self.min_index, None)
 
-
-_BUILTINS: dict[str, type[SequenceSource]] = {
-    cls.name: cls
-    for cls in (
-        ReversibleBalancedStrings, ReversibleStrings, CentralBinomial, AeratedCentralBinomial
-    )
+#: Each builtin's first index and its run. A032123's run looks ``_u_terms``
+#: and ``_v_terms`` up when it is called, so a patched summand takes effect.
+_BUILTINS: dict[str, tuple[int, Callable[[int], Iterator[int]]]] = {
+    "A032123": (0, lambda n: map(_half_sum, count(n), _u_terms(n), _v_terms(n))),
+    "A005418": (1, lambda n: ((2 ** m + 2 ** ((m + 1) // 2)) // 2 for m in count(n))),
+    "central-binomial": (0, _u_terms),
+    "aerated-central-binomial": (0, _v_terms),
 }
 
 
 def builtin_sequence(name: str) -> SequenceSource:
     """A fresh source for a builtin sequence, by its exact identifier."""
     try:
-        cls = _BUILTINS[name]
+        min_index, run = _BUILTINS[name]
     except KeyError:
         raise ValueError(
             f"unknown sequence {name!r}; builtins: {', '.join(sorted(_BUILTINS))}"
         ) from None
-    return cls()
+    return SequenceSource(name, run, min_index, MAX_INDEX)
 
 
 def builtin_sequence_names() -> tuple[str, ...]:
@@ -327,8 +285,9 @@ def verify_ogf(order: int) -> OgfReport:
     """
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
+    a = builtin_sequence("A032123")
+    a.check_range(0, order)
     g1 = series_inv_sqrt([1, -4], order)
     g2 = series_inv_sqrt([1, 0, -4], order)
-    a = builtin_sequence("A032123")
     pairs = [(k, g1[k] + g2[k], 2 * a.term(k)) for k in range(order + 1)]
     return OgfReport(order=order, mismatches=tuple(m for m in pairs if m[1] != m[2]))

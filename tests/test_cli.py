@@ -14,6 +14,7 @@ from recurra.cli import (
     EXIT_IO,
     EXIT_PASS,
     EXIT_USAGE,
+    _PARSER,
     main,
     render,
     run_prove_a032123,
@@ -93,6 +94,16 @@ def test_gen_past_max_index_fails_at_once(capsys):
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err == (
         f"error: A032123 has no term at n={past} (available: 0..{MAX_INDEX})\n"
+    )
+
+
+def test_gen_past_max_index_prints_no_term(capsys):
+    code = main(["gen", "A005418", "--from", str(MAX_INDEX - 1), "--to", str(MAX_INDEX + 1)])
+    assert code == EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: A005418 has no term at n={MAX_INDEX + 1} (available: 1..{MAX_INDEX})\n"
     )
 
 
@@ -496,6 +507,18 @@ def test_prove_max_n_below_the_sweep_start_is_usage_error(max_n, capsys):
     err = capsys.readouterr().err
     assert "--max-n: must be at least 6" in err
     assert "Traceback" not in err
+
+
+def test_prove_max_n_past_max_index_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--format", "machine", "prove-a032123", "--max-n", str(MAX_INDEX + 1)])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no stage ran
+    assert f"--max-n: must be at most {MAX_INDEX}, the last index" in captured.err
+    assert "Traceback" not in captured.err
+    # The cap itself parses; running that sweep would take about 17 s.
+    assert _PARSER.parse_args(["prove-a032123", "--max-n", str(MAX_INDEX)]).max_n == MAX_INDEX
 
 
 def test_prove_pipeline_passes(capsys):

@@ -10,7 +10,6 @@ from recurra.oeis import (
     BFileParseError,
     BFileSequence,
     BFileStructureError,
-    CoverageError,
     FetchError,
     OfflineError,
     bfile_url,
@@ -161,9 +160,9 @@ def test_compare_empty_range_is_refused():
 
 
 def test_compare_rejects_uncovered_range():
-    with pytest.raises(CoverageError, match="0..19"):
+    with pytest.raises(TermRangeError, match="0..19"):
         compare_sequence(builtin_sequence("A032123"), bundled_a032123(), 0, 25)
-    with pytest.raises(CoverageError, match="A005418"):
+    with pytest.raises(TermRangeError, match="A005418"):
         compare_sequence(builtin_sequence("A005418"), bundled_a032123(), 0, 5)
 
 

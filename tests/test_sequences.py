@@ -1,12 +1,15 @@
 import math
 import time
 import tracemalloc
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recurra import sequences
+from recurra.cli import EXIT_FAIL, main
+from recurra.oeis import compare_sequence
 from recurra.operators import builtin_operator, verify_range
 from recurra.sequences import (
     MAX_INDEX,
@@ -152,6 +155,38 @@ def test_builtin_sources_stop_at_max_index():
     for name in builtin_sequence_names():
         with pytest.raises(TermRangeError, match=f"n={MAX_INDEX + 1} "):
             builtin_sequence(name).term(MAX_INDEX + 1)
+
+
+@pytest.mark.parametrize(
+    "n_from, n_to, missing",
+    [(4, 6, 4), (MAX_INDEX - 1, MAX_INDEX + 1, MAX_INDEX + 1)],
+    ids=["below-min-index", "past-max-index"],
+)
+def test_a_range_past_a_source_is_refused_before_a_term_is_drawn(
+    monkeypatch, capsys, n_from, n_to, missing
+):
+    drawn = []
+
+    def run(n):
+        for m in count(n):
+            drawn.append(m)
+            yield m
+
+    monkeypatch.setitem(sequences._BUILTINS, "counted", (5, run))
+    message = f"counted has no term at n={missing} (available: 5..{MAX_INDEX})"
+    bfile = BFileSequence("b", n_from, range(n_from, n_to + 1))
+    reads = [
+        lambda s: verify_range(builtin_operator("u-op"), s, n_from + 1, n_to),  # reads n_from on
+        lambda s: compare_sequence(s, bfile, n_from, n_to),
+        lambda s: s.terms(n_from, n_to),
+    ]
+    for read in reads:
+        with pytest.raises(TermRangeError) as exc:
+            read(builtin_sequence("counted"))
+        assert str(exc.value) == message
+    assert main(["gen", "counted", "--from", str(n_from), "--to", str(n_to)]) == EXIT_FAIL
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert drawn == []
 
 
 def _palindromes(k):
