@@ -11,12 +11,13 @@ A source is one ``SequenceSource(name, run, min_index, max_index)``, where
 ``run(n)`` is a generator over its terms from n on, read through a short
 window of recent terms, never its whole history, so a sweep's memory stays
 flat in its length. A builtin is one ``_BUILTINS`` row, its first index and
-its run, and serves indices up to ``MAX_INDEX``. The binomials step their
-one- and two-step ratio recurrences, so sweeping to n = 5000 costs one
-big-integer multiplication per step; a run starts from ``math.comb`` when a
-read lands behind the window or far ahead of it. A032123 is the half-sum, by
-shift, of the two summands' generators read side by side; the sum is always
-even, as the reversal action has even orbit defect. A005418 is the closed
+its run, and serves indices up to ``MAX_INDEX``. The binomials are unrolled
+from their operators ``u-op`` and ``v-op`` (``operators.unroll``), so sweeping
+to n = 5000 costs one big-integer multiplication and one exact division per
+step; a run starts from ``math.comb`` seeds when a read lands behind the
+window or far ahead of it. A032123 is the half-sum, by shift, of the two
+summands' runs read side by side; the sum is always even, as the reversal
+action has even orbit defect. A005418 is the closed
 form (2^n + 2^ceil(n/2)) / 2 from n = 1: its n = 0 value is deliberately not
 exposed, as the catalogued offset convention starts at 1.
 ``builtin_sequence`` hands out a fresh source on every call;
@@ -39,19 +40,12 @@ from itertools import count, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .exact import Polynomial
+from .operators import WINDOW, builtin_operator, unroll
 
 #: Length guard for the orbit oracle. A count walks the 2^(length // 2)
 #: half-strings, 4096 at (24, 12) (about 8 ms; 2-vCPU Xeon, CPython 3.11),
 #: where the strings themselves number about 2.7M.
 ORACLE_LENGTH_CAP = 24
-
-#: A source's window keeps at least its last WINDOW terms, and a read at
-#: most WINDOW past the window's last term draws forward from its run instead
-#: of starting a new one. WINDOW exceeds the order caps of ``guess`` and
-#: ``lclm`` (8 by default), so applying an operator they build along a sweep
-#: only ever hits or draws; a higher order stays exact and only restarts more
-#: often.
-WINDOW = 32
 
 #: Largest index a builtin source serves. A read far from the window starts
 #: its run with ``math.comb``, whose cost grows faster than linearly: the
@@ -114,28 +108,8 @@ class SequenceSource:
         return [self.term(i) for i in range(n_from, n_to + 1)]
 
 
-def _u_terms(n: int) -> Iterator[int]:
-    """u(m) = C(2m, m) for m = n, n + 1, ..., by m*u(m) = (4m-2)*u(m-1)."""
-    u = math.comb(2 * n, n)
-    for m in count(n + 1):
-        yield u
-        u = u * (4 * m - 2) // m
-
-
-def _v_terms(n: int) -> Iterator[int]:
-    """v(m) = C(m, m/2) for even m, else 0, for m = n, n + 1, ...
-
-    Steps m*v(m) = 4(m-1)*v(m-2), so it carries v(m - 1) beside v(m); odd m
-    gets 0 from v(m-2) = 0.
-    """
-    w, v = _aerated(n - 1), _aerated(n)
-    for m in count(n + 1):
-        yield v
-        w, v = v, 4 * (m - 1) * w // m
-
-
 def _aerated(m: int) -> int:
-    """v(m) = C(m, m/2) for even m >= 0, else 0 (m = -1 included)."""
+    """v(m) = C(m, m/2) for even m >= 0, else 0."""
     return math.comb(m, m // 2) if m % 2 == 0 else 0
 
 
@@ -162,13 +136,21 @@ class BFileSequence(SequenceSource):
         )
 
 
-#: Each builtin's first index and its run. A032123's run looks ``_u_terms``
-#: and ``_v_terms`` up when it is called, so a patched summand takes effect.
+#: Each builtin's first index and its run. The binomial summands unroll their
+#: operators from ``math.comb`` seeds: the terms from n on, not those before
+#: n, as v-op's c_0 = n vanishes at n = 0. A032123 reads their rows.
 _BUILTINS: dict[str, tuple[int, Callable[[int], Iterator[int]]]] = {
-    "A032123": (0, lambda n: map(_half_sum, count(n), _u_terms(n), _v_terms(n))),
+    "A032123": (0, lambda n: map(
+        _half_sum, count(n), _BUILTINS["central-binomial"][1](n),
+        _BUILTINS["aerated-central-binomial"][1](n),
+    )),
     "A005418": (1, lambda n: ((2 ** m + 2 ** ((m + 1) // 2)) // 2 for m in count(n))),
-    "central-binomial": (0, _u_terms),
-    "aerated-central-binomial": (0, _v_terms),
+    "central-binomial": (0, lambda n: unroll(
+        builtin_operator("u-op"), n, [math.comb(2 * n, n)]
+    )),
+    "aerated-central-binomial": (0, lambda n: unroll(
+        builtin_operator("v-op"), n, [_aerated(n), _aerated(n + 1)]
+    )),
 }
 
 

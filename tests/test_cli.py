@@ -19,6 +19,7 @@ from recurra.cli import (
     render,
     run_prove_a032123,
 )
+from recurra import operators
 from recurra.exact import Polynomial
 from recurra.operators import (
     ShiftOperator,
@@ -243,6 +244,26 @@ def test_verify_fail_exit_code(capsys):
     )
     assert code == EXIT_FAIL
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_refuses_an_operator_of_window_order_at_once(tmp_path, capsys):
+    # (1 + S^27) * mathar annihilates A032123 but has order 32 = WINDOW.
+    deep = ShiftOperator([1] + [0] * 26 + [1]) * builtin_operator("mathar")
+    op_file = tmp_path / "deep.json"
+    op_file.write_text(deep.to_json())
+    start = time.perf_counter()
+    code = main(
+        ["verify", "--operator", str(op_file), "--sequence", "A032123",
+         "--from", "32", "--to", str(MAX_INDEX)]
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: operator order 32 is not below WINDOW = 32, the terms a sequence "
+        "keeps; every read would restart its run\n"
+    )
 
 
 def test_verify_with_operator_and_bfile_files(tmp_path, capsys):
@@ -568,6 +589,24 @@ def test_prove_pipeline_with_mutated_operator(tmp_path, capsys):
     # untouched stages still pass
     assert status["closed-form-vs-bfile"] == "PASS"
     assert status["u-recurrence"] == "PASS"
+
+
+@pytest.mark.parametrize(
+    "name, wrong, stage, detail",
+    [
+        ("u-op", ShiftOperator([1, -2]), "u-recurrence", "residual 2 at n=2"),
+        ("v-op", ShiftOperator([1, 0, -2]), "v-recurrence", "residual 2 at n=4"),
+    ],
+)
+def test_prove_pipeline_checks_each_summand_operator_against_its_closed_form(
+    monkeypatch, name, wrong, stage, detail
+):
+    # The builtin summands unroll these operators, so the stages must read
+    # closed forms instead: against the unrolled terms a wrong operator passes.
+    monkeypatch.setitem(operators._BUILTINS, name, wrong)
+    checks = {c.name: c for c in run_prove_a032123(max_n=20)}
+    assert not checks[stage].passed
+    assert checks[stage].detail == detail
 
 
 def test_pipeline_report_is_deterministic():

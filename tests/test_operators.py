@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import count, islice
 
 import pytest
 from hypothesis import given, settings
@@ -14,11 +15,14 @@ from recurra.operators import (
     builtin_operator_names,
     lclm,
     lclm_with_cofactors,
+    unroll,
     verify_range,
 )
 from recurra.sequences import (
     MAX_INDEX,
+    WINDOW,
     BFileSequence,
+    SequenceSource,
     TermRangeError,
     builtin_sequence,
     orbit_count_oracle,
@@ -108,6 +112,34 @@ def test_verify_range_past_the_source_is_refused_before_any_read():
         verify_range(builtin_operator("u-op"), wrong, 1, 3)
     with pytest.raises(TermRangeError, match=f"n={MAX_INDEX + 1} "):
         verify_range(builtin_operator("mathar"), builtin_sequence("A032123"), 6, MAX_INDEX + 1)
+
+
+def test_verify_range_refuses_an_order_of_window_or_more_before_any_read():
+    drawn = []
+
+    def run(n):
+        for m in count(n):
+            drawn.append(m)
+            yield 0
+
+    zero = SequenceSource("zero", run, 0, MAX_INDEX)
+    shift = ShiftOperator([1] + [0] * (WINDOW - 2) + [1])
+    assert verify_range(shift, zero, WINDOW - 1, 2 * WINDOW).passed
+    drawn.clear()
+    deep = ShiftOperator([1] + [0] * 26 + [1]) * builtin_operator("mathar")
+    assert deep.order == WINDOW
+    with pytest.raises(ValueError, match=f"WINDOW = {WINDOW}"):
+        verify_range(deep, zero, WINDOW, MAX_INDEX)
+    assert drawn == []
+
+
+def test_unroll_from_a_wrong_seed_raises_at_the_first_non_integral_step():
+    u_op = builtin_operator("u-op")
+    run = unroll(u_op, 2, [1])  # u(3) = 10 * u(2) / 3
+    assert next(run) == 1
+    with pytest.raises(AssertionError, match=r"n=3\b"):
+        next(run)
+    assert list(islice(unroll(u_op, 2, [6]), 4)) == [6, 20, 70, 252]
 
 
 def test_verify_range_passes():

@@ -1,7 +1,7 @@
 import math
 import time
 import tracemalloc
-from itertools import count
+from itertools import count, islice
 
 import pytest
 from hypothesis import given, settings
@@ -253,13 +253,25 @@ def test_a032123_reseeds_on_either_parity(target):
 
 def test_a032123_odd_half_sum_still_raises(monkeypatch):
     # Off by one at odd indices only, so u(0) + v(0) stays even.
-    real = sequences._u_terms
-    monkeypatch.setattr(
-        sequences, "_u_terms", lambda n: (u + m % 2 for m, u in enumerate(real(n), n))
+    first, real = sequences._BUILTINS["central-binomial"]
+    monkeypatch.setitem(
+        sequences._BUILTINS, "central-binomial",
+        (first, lambda n: (u + m % 2 for m, u in enumerate(real(n), n))),
     )
     s = builtin_sequence("A032123")
     with pytest.raises(AssertionError, match=r"u\(1\) \+ v\(1\) is odd"):
         s.term(1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(["central-binomial", "aerated-central-binomial", "A032123"]),
+    start=st.integers(0, 3000),
+    k=st.integers(1, 40),
+)
+def test_unrolled_runs_match_the_closed_forms(name, start, k):
+    run = builtin_sequence(name).run(start)
+    assert list(islice(run, k)) == [_reference(name, m) for m in range(start, start + k)]
 
 
 def test_sweep_memory_is_bounded():
