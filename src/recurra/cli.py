@@ -11,6 +11,7 @@ import math
 import sys
 import time
 from dataclasses import replace
+from functools import cache, partial
 from pathlib import Path
 
 from . import certify as certify_mod
@@ -52,75 +53,72 @@ def _certify(op: ops.ShiftOperator, term: certify_mod.HyperTermSpec) -> Check:
     return Check("certify", rep.certified, rep.detail())
 
 
-def _closed_form(term) -> seqs.SequenceSource:
-    """term(k) on 0..200 from its closed form, not from the builtin source,
-    which unrolls the very operator the stage checks."""
-    return seqs.BFileSequence("closed form", 0, map(term, range(201)))
+def _summand_recurrence(op: ops.ShiftOperator, step: int) -> Check:
+    """op on step..200 against C(2j, j) at k = step*j, else 0 (u, or its aeration v):
+    a closed form, not the builtin source, which unrolls the very operator checked."""
+    terms = (math.comb(2 * (k // step), k // step) if k % step == 0 else 0 for k in range(201))
+    return ops.verify_range(op, seqs.BFileSequence("closed form", 0, terms), step, 200)
 
 
-def run_prove_a032123(max_n: int = 5000, operator: ops.ShiftOperator | None = None) -> list[Check]:
-    """The four-stage offline proof pipeline plus the LCLM bonus stage.
+def _identities() -> Check:
+    bad = [c.name for c in certify_mod.check_cancellation_identities() if not c.passed]
+    detail = f"failed: {bad}" if bad else "all transcription identities hold"
+    return Check("identities", not bad, detail)
 
-    1. closed form against the bundled 20-term b-file,
-    2. the two elementary recurrences numerically to n = 200, on the
-       summands' closed forms,
-    3. symbolic certification of the order-5 operator against both summands,
-       plus the transcription identities,
-    4. the order-5 recurrence numerically on 6..max_n,
-    and finally the computed 3-step common left multiple re-verified.
-    """
-    op = operator if operator is not None else ops.builtin_operator("mathar")
-    checks: list[Check] = []
 
-    def run(name, fn):
+def _sweep(op: ops.ShiftOperator, max_n: int) -> Check:
+    """op on A032123 from SWEEP_FROM to max_n, noting its n = 5 residual up to order 5."""
+    a = seqs.builtin_sequence("A032123")
+    check = ops.verify_range(op, a, SWEEP_FROM, max_n)
+    note = (decimal(op.apply(a, 5)) if op.order <= 5
+            else f"does not apply at order {op.order}")
+    return replace(check, detail=f"{check.detail}; n=5 residual (informational): {note}")
+
+
+def _lclm_order(lcm) -> Check:
+    order = lcm().order
+    return Check("lclm-order", order <= 3, f"computed order {order} (bound 3)")
+
+
+def _lclm_sweep(lcm) -> Check:
+    return ops.verify_range(lcm(), seqs.builtin_sequence("A032123"), 3, 2000)
+
+
+def _run_stages(stages) -> list[Check]:
+    """Each (name, thunk) row's Check, renamed and timed; an exception fails its row."""
+    checks = []
+    for name, stage in stages:
         start = time.perf_counter()
         try:
-            check = fn()
+            check = stage()
         except Exception as e:  # a component error counts as a failing check
             check = Check(name, False, f"error: {e}")
         checks.append(replace(check, name=name, seconds=time.perf_counter() - start))
-
-    def identities():
-        bad = [c.name for c in certify_mod.check_cancellation_identities() if not c.passed]
-        detail = f"failed: {bad}" if bad else "all transcription identities hold"
-        return Check("identities", not bad, detail)
-
-    def mathar_numeric():
-        a = seqs.builtin_sequence("A032123")
-        check = ops.verify_range(op, a, SWEEP_FROM, max_n)
-        note = f"; n=5 residual (informational): {decimal(op.apply(a, 5))}"
-        return replace(check, detail=check.detail + note)
-
-    stash: dict[str, ops.ShiftOperator] = {}
-
-    def lclm_order():
-        lcm_op = ops.lclm(ops.builtin_operator("u-op"), ops.builtin_operator("v-op"))
-        stash["lclm"] = lcm_op
-        return Check("lclm-order", lcm_op.order <= 3, f"computed order {lcm_op.order} (bound 3)")
-
-    def lclm_numeric():
-        lcm_op = stash.get("lclm")
-        if lcm_op is None:
-            return Check("lclm-numeric", False, "skipped: no LCLM available")
-        return ops.verify_range(lcm_op, seqs.builtin_sequence("A032123"), 3, 2000)
-
-    run("closed-form-vs-bfile", lambda: oeis.compare_sequence(
-        seqs.builtin_sequence("A032123"), oeis.bundled_a032123(), 0, 19
-    ))
-    run("u-recurrence", lambda: ops.verify_range(
-        ops.builtin_operator("u-op"), _closed_form(lambda k: math.comb(2 * k, k)), 1, 200
-    ))
-    run("v-recurrence", lambda: ops.verify_range(
-        ops.builtin_operator("v-op"),
-        _closed_form(lambda k: 0 if k % 2 else math.comb(k, k // 2)), 2, 200,
-    ))
-    run("certify-u", lambda: _certify(op, certify_mod.builtin_term("u-spec")))
-    run("certify-v", lambda: _certify(op, certify_mod.builtin_term("v-spec")))
-    run("identities", identities)
-    run("mathar-numeric", mathar_numeric)
-    run("lclm-order", lclm_order)
-    run("lclm-numeric", lclm_numeric)
     return checks
+
+
+def run_prove_a032123(max_n: int = 5000, operator: ops.ShiftOperator | None = None) -> list[Check]:
+    """The offline A032123 proof: one table of (stage name, thunk) rows, in proof order.
+
+    ``operator`` replaces Mathar's order-5 operator in the certify and sweep stages.
+    The LCLM of ``u-op`` and ``v-op`` is computed once and read by both LCLM stages.
+    """
+    op = operator if operator is not None else ops.builtin_operator("mathar")
+    u_op, v_op = ops.builtin_operator("u-op"), ops.builtin_operator("v-op")
+    lcm = cache(partial(ops.lclm, u_op, v_op))
+    return _run_stages([
+        ("closed-form-vs-bfile", partial(
+            oeis.compare_sequence, seqs.builtin_sequence("A032123"), oeis.bundled_a032123(), 0, 19
+        )),
+        ("u-recurrence", partial(_summand_recurrence, u_op, 1)),
+        ("v-recurrence", partial(_summand_recurrence, v_op, 2)),
+        ("certify-u", partial(_certify, op, certify_mod.builtin_term("u-spec"))),
+        ("certify-v", partial(_certify, op, certify_mod.builtin_term("v-spec"))),
+        ("identities", _identities),
+        ("mathar-numeric", partial(_sweep, op, max_n)),
+        ("lclm-order", partial(_lclm_order, lcm)),
+        ("lclm-numeric", partial(_lclm_sweep, lcm)),
+    ])
 
 
 # -- argument handling ---------------------------------------------------------

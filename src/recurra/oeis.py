@@ -11,9 +11,6 @@ from __future__ import annotations
 import os
 import re
 import sys
-import tempfile
-import urllib.error
-import urllib.request
 from importlib import resources
 from pathlib import Path
 
@@ -118,8 +115,13 @@ def fetch_bfile(
 
     Offline mode never touches the network and errors on a cache miss.
     Cache writes go through a temp file and an atomic rename, so concurrent
-    fetchers never see a torn file.
+    fetchers never see a torn file. The network modules are imported here, so
+    importing the package loads none of them.
     """
+    import tempfile
+    import urllib.error
+    import urllib.request
+
     if not _ID_RE.match(sequence_id):
         raise ValueError(f"sequence id must match A followed by 6 digits, got {sequence_id!r}")
     cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()

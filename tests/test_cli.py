@@ -1,20 +1,28 @@
 import hashlib
 import json
 import math
+import os
+import re
+import subprocess
 import sys
 import time
+from functools import partial
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
-from recurra.certify import builtin_term_names, perturbed
-from recurra.check import decimal
+import recurra
+from recurra.certify import HyperTermSpec, builtin_term_names, perturbed
+from recurra.check import Check, decimal
 from recurra.cli import (
     EXIT_FAIL,
     EXIT_IO,
     EXIT_PASS,
     EXIT_USAGE,
     _PARSER,
+    _certify,
+    _run_stages,
     main,
     render,
     run_prove_a032123,
@@ -22,12 +30,19 @@ from recurra.cli import (
 from recurra import operators
 from recurra.exact import Polynomial
 from recurra.operators import (
+    LclmCapError,
     ShiftOperator,
     builtin_operator,
     builtin_operator_names,
+    lclm,
     verify_range,
 )
-from recurra.sequences import MAX_INDEX, builtin_sequence, builtin_sequence_names
+from recurra.sequences import (
+    MAX_INDEX,
+    builtin_sequence,
+    builtin_sequence_names,
+    orbit_count_oracle,
+)
 
 A032123_HEAD = [1, 1, 4, 10, 38, 126, 472, 1716, 6470, 24310, 92504, 352716, 1352540]
 #: The packaged 20-term A032123 b-file, as the bundled fixture reads it.
@@ -625,6 +640,131 @@ def test_machine_and_human_agree_on_facts():
     passed = all(c.passed for c in checks)
     assert ("overall: PASS" in human) == passed
     assert all("PASS" in line for line in machine.splitlines()) == passed
+
+
+# sha256 of the stdout of three proof runs at --max-n 100, recorded before the
+# stages became one table; the human table has its "(x.xxs)" seconds stripped.
+PROOF_SHA256 = {
+    "machine": "ddac6f56f1176f4fbc2a2b7d4efc354b186336bb05f7dfa3d71a30587b3cf280",
+    "machine-mutant": "43eb26a2e2ff970ef5f736a519cab08f060106dd391e9c376279fd906b11c1b1",
+    "human": "90fcde05c36804fe282f78eb8372e3bcd9a119232741cd0e1be01b5667a32e60",
+}
+
+
+@pytest.mark.parametrize("form", sorted(PROOF_SHA256))
+def test_proof_output_is_pinned(form, tmp_path, capsys):
+    argv = ["prove-a032123", "--max-n", "100"]
+    if form == "machine-mutant":
+        op_file = tmp_path / "mutant.json"
+        op_file.write_text(perturbed(builtin_operator("mathar"), 0, 0).to_json())
+        argv += ["--operator", str(op_file)]
+    if form != "human":
+        argv = ["--format", "machine", *argv]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == (EXIT_FAIL if form == "machine-mutant" else EXIT_PASS)
+    if form == "human":
+        out = re.sub(r" \(\d+\.\d\ds\)$", "", out, flags=re.MULTILINE)
+    assert hashlib.sha256(out.encode()).hexdigest() == PROOF_SHA256[form]
+
+
+def test_prove_accepts_an_order_6_operator_that_annihilates_a032123(tmp_path, capsys):
+    # (1 + S) * mathar holds from n = 6 too; only the n = 5 note cannot read it.
+    op_file = tmp_path / "order6.json"
+    op_file.write_text((ShiftOperator([1, 1]) * builtin_operator("mathar")).to_json())
+    code = main(["--format", "machine", "prove-a032123", "--max-n", "200",
+                 "--operator", str(op_file)])
+    lines = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    assert code == EXIT_PASS
+    assert [parts[1] for parts in lines] == ["PASS"] * 9
+    detail = {parts[0]: parts[2] for parts in lines}
+    assert detail["certify-u"].endswith("valid from n=6")
+    assert detail["certify-v"].endswith("valid from n=6")
+    assert detail["mathar-numeric"] == (
+        "all residuals zero on 6..200; n=5 residual (informational): does not apply at order 6"
+    )
+
+
+def test_prove_computes_the_lclm_once(monkeypatch):
+    calls = []
+
+    def counting_lclm(*args, **kwargs):
+        calls.append(args)
+        return lclm(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "lclm", counting_lclm)
+    checks = run_prove_a032123(max_n=20)
+    assert all(c.passed for c in checks)
+    assert len(calls) == 1
+
+
+def test_a_failing_lclm_fails_both_lclm_stages_with_its_error(monkeypatch):
+    def failing_lclm(*args, **kwargs):
+        raise LclmCapError("no common left multiple within the caps")
+
+    monkeypatch.setattr(operators, "lclm", failing_lclm)
+    checks = {c.name: c for c in run_prove_a032123(max_n=20)}
+    for stage in ("lclm-order", "lclm-numeric"):
+        assert not checks[stage].passed
+        assert checks[stage].detail == "error: no common left multiple within the caps"
+    assert checks["mathar-numeric"].passed
+
+
+def _a005418_stages(op: ShiftOperator) -> list:
+    """A second proof from the same pieces: A005418 = (2^n + 2^ceil(n/2)) / 2,
+    annihilated by a(n) - 2a(n-1) - 2a(n-2) + 4a(n-3)."""
+    one, two = Polynomial([1]), Polynomial([2])
+    chain = lambda step, residue: HyperTermSpec(step, one, two, frozenset({residue}), step)
+    summands = ShiftOperator([1, -2]), ShiftOperator([1, 0, -2])
+    oracle = lambda: [orbit_count_oracle(k) for k in range(1, 12)]
+    return [
+        ("certify-2^n", partial(_certify, op, chain(1, 0))),
+        ("certify-even", partial(_certify, op, chain(2, 0))),
+        ("certify-odd", partial(_certify, op, chain(2, 1))),
+        ("lclm", lambda: Check("lclm", lclm(*summands) == op, "lclm(1 - 2S, 1 - 2S^2)")),
+        ("oracle", lambda: Check(
+            "oracle", oracle() == builtin_sequence("A005418").terms(1, 11), "n = 1..11"
+        )),
+        ("sweep", partial(verify_range, op, builtin_sequence("A005418"), 4, 3000)),
+    ]
+
+
+A005418_OP = ShiftOperator([1, -2, -2, 4])
+
+
+def test_a005418_proof_runs_through_the_same_stage_loop():
+    checks = _run_stages(_a005418_stages(A005418_OP))
+    assert [c.name for c in checks] == [
+        "certify-2^n", "certify-even", "certify-odd", "lclm", "oracle", "sweep"
+    ]
+    assert all(c.passed for c in checks), [c.detail for c in checks]
+    assert checks[0].detail == "all residue numerators vanish; valid from n=3"
+    assert checks[-1].detail == "all residuals zero on 4..3000"
+
+
+def test_a005418_proof_fails_a_mutated_operator_with_witnesses():
+    checks = {c.name: c for c in _run_stages(_a005418_stages(perturbed(A005418_OP, 0, 0)))}
+    for stage in ("certify-2^n", "certify-even", "certify-odd"):
+        assert not checks[stage].passed
+        assert checks[stage].detail.startswith("nonzero numerator in residue class(es)")
+    assert not checks["sweep"].passed
+    assert checks["sweep"].witness == (4, 5)
+    assert checks["oracle"].passed
+
+
+def test_importing_the_cli_loads_no_network_module():
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import recurra.cli\n"
+        "net = {'urllib.request', 'http.client', 'ssl', 'socket'}\n"
+        "print(sorted(net & (set(sys.modules) - before)))\n"
+    )
+    path = str(Path(recurra.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([path, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 # sha256 of the stdout of two discovery commands, recorded before the modular
