@@ -6,10 +6,12 @@ rewriting every t(n - j) against a single anchor term turns the claim
 "L annihilates t" into "a fully expanded polynomial is identically zero",
 which exact arithmetic settles unconditionally.
 
-Builtin term descriptions (exact names):
+Builtin term descriptions (exact names) are read off the two-term summand
+operators: c_0(n) a(n) + c_k(n) a(n - k) gives step k, p = c_0, q = -c_k,
+support {0} and n_min = k, so each summand's recurrence is written once.
 
-* ``u-spec``  the central binomial: p = n, q = 4n-2, step 1
-* ``v-spec``  its even-index aeration: p = n, q = 4(n-1), step 2, even support
+* ``u-spec``  from ``u-op``: the central binomial, p = n, q = 4n-2, step 1
+* ``v-spec``  from ``v-op``: its even-index aeration, p = n, q = 4(n-1), step 2
 """
 from __future__ import annotations
 
@@ -144,10 +146,14 @@ def builtin_term(name: str) -> HyperTermSpec:
         ) from None
 
 
-_builtin_terms = {
-    "u-spec": HyperTermSpec(step=1, p=n, q=4 * n - 2, support=frozenset({0}), n_min=1),
-    "v-spec": HyperTermSpec(step=2, p=n, q=4 * (n - 1), support=frozenset({0}), n_min=2),
-}
+def _summand_term(name: str) -> HyperTermSpec:
+    """The term spec of the two-term builtin operator ``name``, as in the module docstring."""
+    op = builtin_operator(name)
+    return HyperTermSpec(step=op.order, p=op.coeffs[0], q=-op.coeffs[-1],
+                         support=frozenset({0}), n_min=op.order)
+
+
+_builtin_terms = {"u-spec": _summand_term("u-op"), "v-spec": _summand_term("v-op")}
 
 
 def builtin_term_names() -> tuple[str, ...]:
@@ -159,11 +165,8 @@ class ResidueReduction:
     """One residue class reduced to a cleared-numerator polynomial."""
 
     residue: int
-    shifts: tuple[int, ...]              # contributing shift indices j
-    anchor: int                          # the sum is rewritten against t(n - anchor)
-    terms: tuple[Polynomial, ...]        # summand polynomials, one per shift
-    denominator: Polynomial              # cleared common denominator
-    numerator: Polynomial                # normalized form
+    terms: tuple[Polynomial, ...]        # summand polynomials, one per contributing shift
+    numerator: Polynomial                # their sum, normalized
     floor: int                           # smallest n with every rewrite step valid
 
     @property
@@ -194,10 +197,7 @@ def _reduce_residue(op: ShiftOperator, t: HyperTermSpec, residue: int) -> Residu
         if not op.coeffs[j].is_zero and (residue - j) % k in t.support
     ]
     if not shifts:
-        return ResidueReduction(
-            residue=residue, shifts=(), anchor=0, terms=(),
-            denominator=Polynomial([1]), numerator=Polynomial(), floor=op.order,
-        )
+        return ResidueReduction(residue=residue, terms=(), numerator=Polynomial(), floor=op.order)
     if len({j % k for j in shifts}) > 1:
         raise UnsupportedChainError(
             "contributing shifts span several residue chains; split the term "
@@ -231,13 +231,7 @@ def _reduce_residue(op: ShiftOperator, t: HyperTermSpec, residue: int) -> Residu
         low = max([t.n_min] + [r + 1 for r in t.q_roots])
         floor = max(floor, low + anchor + (depth - 1) * k)
     return ResidueReduction(
-        residue=residue,
-        shifts=tuple(shifts),
-        anchor=anchor,
-        terms=tuple(terms),
-        denominator=suffix[0],
-        numerator=total.normalized(),
-        floor=floor,
+        residue=residue, terms=tuple(terms), numerator=total.normalized(), floor=floor
     )
 
 
@@ -297,8 +291,8 @@ def check_cancellation_identities() -> tuple[Check, ...]:
     )
 
 
-def perturbed(op: ShiftOperator, shift: int, power: int, delta: int = 1) -> ShiftOperator:
-    """Copy of op with delta * n^power added to the coefficient of a(n - shift)."""
+def perturbed(op: ShiftOperator, shift: int, power: int) -> ShiftOperator:
+    """Copy of op with n^power added to the coefficient of a(n - shift)."""
     coeffs = list(op.coeffs)
-    coeffs[shift] = coeffs[shift] + Polynomial([0] * power + [delta])
+    coeffs[shift] = coeffs[shift] + Polynomial([0] * power + [1])
     return ShiftOperator(coeffs)

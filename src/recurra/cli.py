@@ -7,7 +7,6 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from dataclasses import replace
@@ -53,11 +52,11 @@ def _certify(op: ops.ShiftOperator, term: certify_mod.HyperTermSpec) -> Check:
     return Check("certify", rep.certified, rep.detail())
 
 
-def _summand_recurrence(op: ops.ShiftOperator, step: int) -> Check:
-    """op on step..200 against C(2j, j) at k = step*j, else 0 (u, or its aeration v):
+def _summand_recurrence(op: ops.ShiftOperator) -> Check:
+    """op on order..200 against ``binomial_summand`` at step op.order (u, or its aeration v):
     a closed form, not the builtin source, which unrolls the very operator checked."""
-    terms = (math.comb(2 * (k // step), k // step) if k % step == 0 else 0 for k in range(201))
-    return ops.verify_range(op, seqs.BFileSequence("closed form", 0, terms), step, 200)
+    terms = (seqs.binomial_summand(op.order, k) for k in range(201))
+    return ops.verify_range(op, seqs.BFileSequence("closed form", 0, terms), op.order, 200)
 
 
 def _identities() -> Check:
@@ -67,9 +66,9 @@ def _identities() -> Check:
 
 
 def _sweep(op: ops.ShiftOperator, max_n: int) -> Check:
-    """op on A032123 from SWEEP_FROM to max_n, noting its n = 5 residual up to order 5."""
+    """op on A032123 on max(SWEEP_FROM, order)..max_n, noting its n = 5 residual up to order 5."""
     a = seqs.builtin_sequence("A032123")
-    check = ops.verify_range(op, a, SWEEP_FROM, max_n)
+    check = ops.verify_range(op, a, max(SWEEP_FROM, op.order), max_n)
     note = (decimal(op.apply(a, 5)) if op.order <= 5
             else f"does not apply at order {op.order}")
     return replace(check, detail=f"{check.detail}; n=5 residual (informational): {note}")
@@ -110,8 +109,8 @@ def run_prove_a032123(max_n: int = 5000, operator: ops.ShiftOperator | None = No
         ("closed-form-vs-bfile", partial(
             oeis.compare_sequence, seqs.builtin_sequence("A032123"), oeis.bundled_a032123(), 0, 19
         )),
-        ("u-recurrence", partial(_summand_recurrence, u_op, 1)),
-        ("v-recurrence", partial(_summand_recurrence, v_op, 2)),
+        ("u-recurrence", partial(_summand_recurrence, u_op)),
+        ("v-recurrence", partial(_summand_recurrence, v_op)),
         ("certify-u", partial(_certify, op, certify_mod.builtin_term("u-spec"))),
         ("certify-v", partial(_certify, op, certify_mod.builtin_term("v-spec"))),
         ("identities", _identities),

@@ -14,8 +14,10 @@ flat in its length. A builtin is one ``_BUILTINS`` row, its first index and
 its run, and serves indices up to ``MAX_INDEX``. The binomials are unrolled
 from their operators ``u-op`` and ``v-op`` (``operators.unroll``), so sweeping
 to n = 5000 costs one big-integer multiplication and one exact division per
-step; a run starts from ``math.comb`` seeds when a read lands behind the
-window or far ahead of it. A032123 is the half-sum, by shift, of the two
+step; a run starts from ``binomial_summand`` seeds when a read lands behind
+the window or far ahead of it. ``binomial_summand(step, n)``, C(2j, j) at
+n = step * j and 0 elsewhere, is the summands' one closed form, the step
+being the operator's order. A032123 is the half-sum, by shift, of the two
 summands' runs read side by side; the sum is always even, as the reversal
 action has even orbit defect. A005418 is the closed
 form (2^n + 2^ceil(n/2)) / 2 from n = 1: its n = 0 value is deliberately not
@@ -108,9 +110,16 @@ class SequenceSource:
         return [self.term(i) for i in range(n_from, n_to + 1)]
 
 
-def _aerated(m: int) -> int:
-    """v(m) = C(m, m/2) for even m >= 0, else 0."""
-    return math.comb(m, m // 2) if m % 2 == 0 else 0
+def binomial_summand(step: int, n: int) -> int:
+    """C(2j, j) at n = step * j, else 0: u(n) at step 1, its aeration v(n) at step 2."""
+    j, r = divmod(n, step)
+    return 0 if r else math.comb(2 * j, j)
+
+
+def _unrolled_summand(name: str, n: int) -> Iterator[int]:
+    """Terms from n on of the summand operator ``name``, seeded at step = its order."""
+    op = builtin_operator(name)
+    return unroll(op, n, [binomial_summand(op.order, m) for m in range(n, n + op.order)])
 
 
 def _half_sum(n: int, u: int, v: int) -> int:
@@ -137,7 +146,7 @@ class BFileSequence(SequenceSource):
 
 
 #: Each builtin's first index and its run. The binomial summands unroll their
-#: operators from ``math.comb`` seeds: the terms from n on, not those before
+#: operators from ``binomial_summand`` seeds: the terms from n on, not those before
 #: n, as v-op's c_0 = n vanishes at n = 0. A032123 reads their rows.
 _BUILTINS: dict[str, tuple[int, Callable[[int], Iterator[int]]]] = {
     "A032123": (0, lambda n: map(
@@ -145,12 +154,8 @@ _BUILTINS: dict[str, tuple[int, Callable[[int], Iterator[int]]]] = {
         _BUILTINS["aerated-central-binomial"][1](n),
     )),
     "A005418": (1, lambda n: ((2 ** m + 2 ** ((m + 1) // 2)) // 2 for m in count(n))),
-    "central-binomial": (0, lambda n: unroll(
-        builtin_operator("u-op"), n, [math.comb(2 * n, n)]
-    )),
-    "aerated-central-binomial": (0, lambda n: unroll(
-        builtin_operator("v-op"), n, [_aerated(n), _aerated(n + 1)]
-    )),
+    "central-binomial": (0, lambda n: _unrolled_summand("u-op", n)),
+    "aerated-central-binomial": (0, lambda n: _unrolled_summand("v-op", n)),
 }
 
 

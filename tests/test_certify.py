@@ -23,11 +23,9 @@ from recurra.sequences import builtin_sequence
 
 def test_builtin_terms():
     assert builtin_term_names() == ("u-spec", "v-spec")
-    u_spec = builtin_term("u-spec")
-    assert (u_spec.step, u_spec.p, u_spec.q) == (1, n, 4 * n - 2)
-    v_spec = builtin_term("v-spec")
-    assert (v_spec.step, v_spec.p, v_spec.q) == (2, n, 4 * n - 4)
-    assert v_spec.support == {0}
+    # Read off u-op and v-op: step = order, p = c_0, q = -c_order.
+    assert builtin_term("u-spec") == HyperTermSpec(1, n, 4 * n - 2, frozenset({0}), 1)
+    assert builtin_term("v-spec") == HyperTermSpec(2, n, 4 * n - 4, frozenset({0}), 2)
     with pytest.raises(ValueError, match="unknown term"):
         builtin_term("w-spec")
 
@@ -76,8 +74,7 @@ def test_reduce_u_part_vanishes_with_degree_bound():
     detail = _reduce_residue(m, builtin_term("u-spec"), 0)
     assert detail.numerator.is_zero
     assert max(term.degree for term in detail.terms) <= 11
-    assert detail.anchor == 0
-    assert detail.shifts == (0, 1, 2, 3, 4, 5)
+    assert len(detail.terms) == 6
 
 
 def test_reduce_u_part_reproduces_cleared_sum():
@@ -87,11 +84,9 @@ def test_reduce_u_part_reproduces_cleared_sum():
     m = builtin_operator("mathar")
     detail = _reduce_residue(m, builtin_term("u-spec"), 0)
     q_shifts = [4 * n - 2, 4 * n - 6, 4 * n - 10, 4 * n - 14, 4 * n - 18]
-    d = Polynomial([1])
-    for f in q_shifts:
-        d = d * f
-    assert detail.denominator == d
-    for j, term in zip(detail.shifts, detail.terms):
+    # Every coefficient of mathar is nonzero, so term j is the one for shift j.
+    assert len(detail.terms) == 6
+    for j, term in enumerate(detail.terms):
         expected = m.coeffs[j]
         for i in range(j):
             expected = expected * (n - i)
@@ -103,8 +98,7 @@ def test_reduce_u_part_reproduces_cleared_sum():
 def test_reduce_v_even_matches_displayed_clearing():
     m = builtin_operator("mathar")
     detail = _reduce_residue(m, builtin_term("v-spec"), 0)
-    assert detail.shifts == (0, 2, 4)
-    assert detail.denominator == 16 * (n - 1) * (n - 3)
+    assert len(detail.terms) == 3
     assert detail.terms[0] == 16 * (n - 1) * (n - 3) * m.coeffs[0]
     assert detail.terms[1] == 4 * (n - 3) * n * m.coeffs[2]
     assert detail.terms[2] == n * (n - 2) * m.coeffs[4]
@@ -114,9 +108,7 @@ def test_reduce_v_even_matches_displayed_clearing():
 def test_reduce_v_odd_matches_displayed_clearing():
     m = builtin_operator("mathar")
     detail = _reduce_residue(m, builtin_term("v-spec"), 1)
-    assert detail.shifts == (1, 3, 5)
-    assert detail.anchor == 1
-    assert detail.denominator == 16 * (n - 2) * (n - 4)
+    assert len(detail.terms) == 3
     assert detail.terms[0] == 16 * (n - 2) * (n - 4) * m.coeffs[1]
     assert detail.terms[1] == 4 * (n - 4) * (n - 1) * m.coeffs[3]
     assert detail.terms[2] == (n - 1) * (n - 3) * m.coeffs[5]
@@ -252,16 +244,19 @@ def test_operator_order_cap_admits_every_lclm_order():
 
 def _per_shift_floors(op, t):
     """Each residue's floor from the integer roots of q(n - s) for every shift s
-    of the rewrite chain: the reference for roots found once per term."""
+    of the rewrite chain: the reference for roots found once per term. The
+    contributing shifts, and the lowest of them, the anchor, come from op and t."""
     floors = []
     for residue in range(t.step):
-        r = _reduce_residue(op, t, residue)
+        shifts = [j for j, c in enumerate(op.coeffs)
+                  if not c.is_zero and (residue - j) % t.step in t.support]
+        anchor = min(shifts, default=0)
+        depth = (max(shifts, default=0) - anchor) // t.step
         floor = op.order
-        depth = (max(r.shifts) - r.anchor) // t.step if r.shifts else 0
         if depth > 0:
-            floor = max(floor, t.n_min + r.anchor + (depth - 1) * t.step)
+            floor = max(floor, t.n_min + anchor + (depth - 1) * t.step)
             for m in range(depth):
-                for root in integer_roots(t.q.shifted(-(r.anchor + m * t.step))):
+                for root in integer_roots(t.q.shifted(-(anchor + m * t.step))):
                     floor = max(floor, root + 1)
         floors.append(floor)
     return floors

@@ -685,6 +685,26 @@ def test_prove_accepts_an_order_6_operator_that_annihilates_a032123(tmp_path, ca
     )
 
 
+def test_prove_sweeps_an_operator_of_order_7_from_its_order(tmp_path, capsys):
+    # (1 + S^2) * mathar needs a(n - 7), so its sweep cannot start at n = 6.
+    op_file = tmp_path / "order7.json"
+    op_file.write_text((ShiftOperator([1, 0, 1]) * builtin_operator("mathar")).to_json())
+    argv = ["--format", "machine", "prove-a032123", "--operator", str(op_file), "--max-n"]
+    code = main([*argv, "200"])
+    lines = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    assert code == EXIT_PASS
+    assert [parts[1] for parts in lines] == ["PASS"] * 9
+    detail = {parts[0]: parts[2] for parts in lines}
+    assert detail["certify-u"].endswith("valid from n=7")
+    assert detail["certify-v"].endswith("valid from n=7")
+    assert detail["mathar-numeric"] == (
+        "all residuals zero on 7..200; n=5 residual (informational): does not apply at order 7"
+    )
+    assert main([*argv, "6"]) == EXIT_FAIL
+    lines = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    assert ["mathar-numeric", "FAIL", "error: empty verification range"] in lines
+
+
 def test_prove_computes_the_lclm_once(monkeypatch):
     calls = []
 

@@ -17,6 +17,7 @@ from recurra.sequences import (
     WINDOW,
     BFileSequence,
     TermRangeError,
+    binomial_summand,
     builtin_sequence,
     builtin_sequence_names,
     orbit_count_oracle,
@@ -265,12 +266,19 @@ def test_a032123_odd_half_sum_still_raises(monkeypatch):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    name=st.sampled_from(["central-binomial", "aerated-central-binomial", "A032123"]),
+    name=st.sampled_from(["central-binomial", "aerated-central-binomial", "A032123",
+                          "binomial_summand 1", "binomial_summand 2"]),
     start=st.integers(0, 3000),
     k=st.integers(1, 40),
 )
 def test_unrolled_runs_match_the_closed_forms(name, start, k):
-    run = builtin_sequence(name).run(start)
+    if name.startswith("binomial_summand"):
+        # The closed form that seeds the runs: u at step 1, v at step 2.
+        step = int(name[-1])
+        run = (binomial_summand(step, m) for m in count(start))
+        name = ("central-binomial", "aerated-central-binomial")[step - 1]
+    else:
+        run = builtin_sequence(name).run(start)
     assert list(islice(run, k)) == [_reference(name, m) for m in range(start, start + k)]
 
 
