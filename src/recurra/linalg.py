@@ -7,6 +7,19 @@ CRT; each entry is rebuilt as a rational by rational reconstruction (Wang,
 Guy & Davenport, SIGSAM Bull. 1982), the vector is scaled to a primitive
 integer vector, and A x = 0 is checked exactly over Z before it is returned.
 
+Both inner loops run on packed integers, so CPython's big-integer code does
+the work per entry:
+- The elimination packs each row into one int, column c in slot ncols - 1 - c,
+  every slot 8·ceil((2·bits(p) + bits(ncols) + 1) / 8) bits wide. A slot
+  starts below p and gains less than p^2 per pivot, so after at most ncols
+  pivots it is below (ncols + 1)·p^2 <= 2^(2·bits(p) + bits(ncols)) and never
+  carries into the next.
+- The exact check packs column c of A as the sum of A[r][c]·2^(w·r) over the
+  rows r, with w >= bits(A) + bits(x) + bits(ncols) + 1 rounded up to bytes.
+  The sum of x[c] times column c is then the sum of (A x)[r]·2^(w·r), and
+  every |(A x)[r]| < ncols·2^(bits(A) + bits(x)) <= 2^(w - 1), so it is zero
+  exactly when A x = 0.
+
 The result does not trust the primes. A verified vector is supported on its
 own free column and on pivot columns to its left, so that column is free over
 Q as well; and the nullity mod p is never below the nullity over Q. So once
@@ -18,7 +31,6 @@ other free columns.
 from __future__ import annotations
 
 import math
-from operator import mul
 from typing import Iterator, Sequence
 
 from .exact import primitive
@@ -47,11 +59,7 @@ def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[tuple[
         if not rows:
             raise ValueError("column count required for an empty matrix")
         ncols = len(rows[0])
-    m = [primitive(row) for row in rows]
-    for row in m:
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
-    m = [row for row in m if any(row)]
+    m = _prepare(rows, ncols)
 
     found: dict[int, tuple[int, ...]] = {}  # free column -> verified vector
     best: list[int] | None = None  # pivot columns of the primes being combined
@@ -73,11 +81,14 @@ def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[tuple[
                 ]
         else:  # the rank drops mod p, or a later column pivots: unlucky prime
             continue
+        candidates = {}
         for f, res in residues.items():
             if f not in found:
                 v = _reconstruct(f, best, res, modulus, ncols)
-                if v is not None and _in_kernel(m, v):
-                    found[f] = v
+                if v is not None:
+                    candidates[f] = v
+        checks = _in_kernel(m, list(candidates.values()))
+        found.update(fv for fv, ok in zip(candidates.items(), checks) if ok)
         if all(f in found for f in residues):
             return [found[f] for f in sorted(residues)]
     raise AssertionError("unreachable: the prime sequence is infinite")
@@ -89,41 +100,84 @@ def full_column_rank(rows: Sequence[Sequence], ncols: int) -> bool:
     True is exact, since full column rank mod a prime implies it over Q.
     False may also come from a prime under which the rank drops.
     """
-    pivots, _ = _kernel_mod([primitive(row) for row in rows], ncols, FIRST_PRIME)
+    pivots, _ = _kernel_mod(_prepare(rows, ncols), ncols, FIRST_PRIME)
     return len(pivots) == ncols
+
+
+def _prepare(rows: Sequence[Sequence], ncols: int) -> list[list[int]]:
+    """The rows scaled to primitive integer rows, zero rows dropped.
+
+    Raises ValueError on a row that is not ncols long, which would shift
+    every slot of its packing.
+    """
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("ragged matrix")
+    m = [primitive(row) for row in rows]
+    return [row for row in m if any(row)]
 
 
 def _kernel_mod(m: list[list[int]], ncols: int, p: int) -> tuple[list[int], dict[int, list[int]]]:
     """Pivot columns of the RREF of m mod p, and per free column the pivot
     coordinates of its kernel vector mod p (1 there, 0 at the other free columns).
 
-    Only pivot rows and multipliers are reduced mod p as they are used; each
-    update adds less than p^2 to an entry, so entries grow by only log2 of
-    the update count.
+    Each row is one int: column c sits in slot ncols - 1 - c of ``size``
+    bytes, so the current column is the top slot of every row not yet a
+    pivot row. The slot width is at least 2·bits(p) + bits(ncols) + 1: a slot
+    starts below p and each pivot adds f·(-t mod p) < p^2 to it, so it stays
+    below (ncols + 1)·p^2 and never carries into the next.
+
+    With t the pivot row scaled to 1 at the pivot column, ``neg`` packs
+    -t mod p after that column, and every other row is updated by one
+    big-by-small multiply-add, row + f·neg, f being its slot at the column
+    mod p. A row below the pivot drops that slot as it is updated, so it
+    keeps shrinking; a slot left in place is 0 mod p and masked off when
+    read. The pivot row is stored as its neg, which the same rule keeps
+    updating: slot f of pivot row i is then the kernel vector's coordinate
+    -t_i[f] at pivot i, read at the free columns only.
     """
-    a = [[x % p for x in row] for row in m]
-    a = [row for row in a if any(row)]
+    size = (2 * p.bit_length() + ncols.bit_length() + 8) // 8  # bytes per slot
+    width = 8 * size
+    mask = (1 << width) - 1
+    a = [
+        int.from_bytes(b"".join((x % p).to_bytes(size, "big") for x in row), "big")
+        for row in m
+    ]
+    a = [row for row in a if row]
     pivots: list[int] = []
+    shift = width * ncols
     for col in range(ncols):
+        shift -= width  # the bit offset of column col's slot
         rank = len(pivots)
         if rank == len(a):
             break
-        piv = next((r for r in range(rank, len(a)) if a[r][col] % p), None)
+        piv = next((r for r in range(rank, len(a)) if (a[r] >> shift & mask) % p), None)
         if piv is None:
             continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = pow(a[rank][col], -1, p)
-        # Rows from rank on are zero left of col, so only columns col.. change.
-        tail = [x * inv % p for x in a[rank][col:]]
-        a[rank] = [0] * col + tail
-        for r, row in enumerate(a):
-            f = row[col] % p
-            if f and r != rank:
-                a[r] = row[:col] + [x - f * y for x, y in zip(row[col:], tail)]
+        row, a[piv] = a[piv], a[rank]
+        inv = pow(row >> shift & mask, -1, p)
+        low = (1 << shift) - 1
+        tail = (row & low).to_bytes(shift // 8, "big")
+        neg = a[rank] = int.from_bytes(
+            b"".join(
+                (-int.from_bytes(tail[i : i + size], "big") * inv % p).to_bytes(size, "big")
+                for i in range(0, len(tail), size)
+            ),
+            "big",
+        )
+        for r in range(rank):
+            f = (a[r] >> shift & mask) % p
+            if f:
+                a[r] += f * neg
+        for r in range(rank + 1, len(a)):
+            row = a[r]
+            f = (row >> shift & mask) % p
+            if f:
+                a[r] = (row & low) + f * neg
         pivots.append(col)
+    packed = [row.to_bytes(size * ncols, "big") for row in a[: len(pivots)]]
     pivot_set = set(pivots)
     kernel = {
-        f: [-a[i][f] % p for i in range(len(pivots))]
+        f: [int.from_bytes(row[f * size : (f + 1) * size], "big") % p for row in packed]
         for f in range(ncols)
         if f not in pivot_set
     }
@@ -182,11 +236,33 @@ def _rational(u: int, modulus: int) -> tuple[int, int] | None:
     return (a, b) if math.gcd(a, b) == 1 else None
 
 
-def _in_kernel(m: list[list[int]], v: tuple[int, ...]) -> bool:
-    """Whether every row of m is orthogonal to v, exactly over Z."""
-    cols = [c for c, x in enumerate(v) if x]
-    vals = [v[c] for c in cols]
-    return not any(sum(map(mul, map(row.__getitem__, cols), vals)) for row in m)
+def _in_kernel(m: list[list[int]], vectors: list[tuple[int, ...]]) -> list[bool]:
+    """For each vector v, whether m v = 0 exactly over Z, against one packing of m.
+
+    Column c of m packs as col_c, the sum of m[r][c]·2^(w·r), so the sum of
+    v[c]·col_c is the sum of (m v)[r]·2^(w·r). With w at least bits(m) +
+    bits(v) + bits(ncols) + 1, every |(m v)[r]| < 2^(w - 1), so that sum is
+    zero exactly when every row is. Slots hold m[r][c] + 2^(w - 1), which
+    keeps them nonnegative: the packed column is col_c + k, with k the
+    packing of 2^(w - 1) in every slot, and m v = 0 exactly when the sum of
+    v[c]·(col_c + k) equals (sum of v)·k.
+    """
+    if not vectors or not m:
+        return [True] * len(vectors)
+    bits = (
+        max(abs(x).bit_length() for row in m for x in row)
+        + max(abs(x).bit_length() for v in vectors for x in v)
+        + len(vectors[0]).bit_length()
+        + 1
+    )
+    size = (bits + 7) // 8  # bytes per slot
+    half = 1 << (8 * size - 1)
+    cols = [
+        int.from_bytes(b"".join((x + half).to_bytes(size, "little") for x in column), "little")
+        for column in zip(*m)
+    ]
+    k = int.from_bytes(half.to_bytes(size, "little") * len(m), "little")
+    return [sum(x * cols[c] for c, x in enumerate(v) if x) == sum(v) * k for v in vectors]
 
 
 def _primes() -> Iterator[int]:

@@ -126,6 +126,15 @@ def test_full_column_rank_only_when_the_kernel_is_zero(matrix):
         assert nullspace(rows, ncols=ncols) == []
 
 
+@pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1, 2, 3]], [[1, 2], [3, 4, 5]]])
+def test_ragged_rows_are_refused(rows):
+    # A row of the wrong length would shift every slot of its packed form.
+    with pytest.raises(ValueError, match="ragged matrix"):
+        full_column_rank(rows, 2)
+    with pytest.raises(ValueError, match="ragged matrix"):
+        nullspace(rows, ncols=2)
+
+
 def test_full_column_rank_examples():
     assert full_column_rank([[1, 2], [3, 4]], 2)
     assert not full_column_rank([[1, 2], [2, 4]], 2)
@@ -212,3 +221,141 @@ _unlucky_matrices = st.integers(1, 5).flatmap(
 @given(_unlucky_matrices)
 def test_nullspace_contract_with_entries_vanishing_mod_the_first_primes(matrix):
     test_nullspace_contract.hypothesis.inner_test(matrix)
+
+
+def _reference_kernel_mod(m, ncols, p):
+    """The list-based elimination ``linalg._kernel_mod`` replaced: the oracle
+    for its packed rows. Same contract: pivot columns of the RREF of m mod p,
+    and per free column the pivot coordinates of its kernel vector mod p."""
+    a = [[x % p for x in row] for row in m]
+    a = [row for row in a if any(row)]
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(a):
+            break
+        piv = next((r for r in range(rank, len(a)) if a[r][col] % p), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        inv = pow(a[rank][col], -1, p)
+        tail = [x * inv % p for x in a[rank][col:]]
+        a[rank] = [0] * col + tail
+        for r, row in enumerate(a):
+            f = row[col] % p
+            if f and r != rank:
+                a[r] = row[:col] + [x - f * y for x, y in zip(row[col:], tail)]
+        pivots.append(col)
+    pivot_set = set(pivots)
+    kernel = {
+        f: [-a[i][f] % p for i in range(len(pivots))]
+        for f in range(ncols)
+        if f not in pivot_set
+    }
+    return pivots, kernel
+
+
+def _mod_p_matrices(p):
+    # Multiples of p vanish mod p, so ranks drop and pivots move; small
+    # entries and zero rows make pivot-free columns and all-zero rows.
+    entry = st.one_of(
+        st.integers(-3, 3),
+        st.integers(-(2**200), 2**200),
+        st.builds(lambda k: k * p, st.integers(-3, 3)),
+        st.builds(lambda k, x: k * p + x, st.integers(-(2**70), 2**70), st.integers(-1, 1)),
+    )
+    return st.integers(1, 10).flatmap(
+        lambda cols: st.tuples(
+            st.lists(
+                st.one_of(
+                    st.lists(entry, min_size=cols, max_size=cols),
+                    st.just([0] * cols),
+                ),
+                max_size=8,
+            ),
+            st.just(cols),
+            st.just(p),
+        )
+    )
+
+
+_kernel_mod_cases = st.sampled_from([2, 3, 251, MERSENNE_127, SECOND_PRIME]).flatmap(
+    _mod_p_matrices
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_kernel_mod_cases)
+def test_packed_elimination_matches_the_list_reference(case):
+    # A slot that carried into its neighbour could report a longer or earlier
+    # pivot list than the true one; nullspace would then restart its CRT on a
+    # profile no vector verifies under, and walk the primes forever.
+    rows, ncols, p = case
+    assert linalg._kernel_mod(rows, ncols, p) == _reference_kernel_mod(rows, ncols, p)
+
+
+def test_packed_elimination_matches_the_list_reference_on_dense_systems():
+    rng = random.Random(19)
+    for p in (2, 3, 251, MERSENNE_127, SECOND_PRIME):
+        for rows, cols in ((8, 10), (10, 8), (12, 12)):
+            m = [[rng.randint(-(2**200), 2**200) for _ in range(cols)] for _ in range(rows)]
+            m[1] = [x * p for x in m[0]]  # a row that vanishes mod p
+            m[2] = [x + 2 * y for x, y in zip(m[3], m[4])]  # a dependent row
+            assert linalg._kernel_mod(m, cols, p) == _reference_kernel_mod(m, cols, p)
+
+
+def _direct_in_kernel(m, vectors):
+    return [not any(sum(a * x for a, x in zip(row, v)) for row in m) for v in vectors]
+
+
+def _check_entries(bits):
+    return st.one_of(st.integers(-9, 9), st.integers(-(2**bits), 2**bits))
+
+
+_check_cases = st.integers(1, 6).flatmap(
+    lambda cols: st.tuples(
+        st.lists(st.lists(_check_entries(100), min_size=cols, max_size=cols), max_size=6),
+        st.lists(
+            st.lists(_check_entries(80), min_size=cols, max_size=cols), min_size=1, max_size=4
+        ),
+    )
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_check_cases)
+def test_packed_exact_check_matches_the_direct_sums(case):
+    m, vectors = case
+    vectors = [tuple(v) for v in vectors]
+    # Each row's last entry set so that u, ending in 1, is orthogonal to it:
+    # u and its multiples are in that matrix's kernel, the random vectors
+    # mostly are not.
+    u = vectors[0][:-1] + (1,)
+    fitted = [row[:-1] + [-sum(a * x for a, x in zip(row, u[:-1]))] for row in m]
+    vectors += [u, tuple(-3 * x for x in u)]
+    for rows in (m, fitted):
+        assert linalg._in_kernel(rows, vectors) == _direct_in_kernel(rows, vectors)
+    assert linalg._in_kernel(fitted, [u]) == [True]
+
+
+@pytest.mark.parametrize("where", [0, 1, 2])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_packed_exact_check_sees_one_nonzero_row(where, sign):
+    # Bits: m 30, v 31, three columns 2, plus 1: 64, a whole number of bytes,
+    # so the slot is exactly as wide as the rule asks.
+    big_m, big_v = 2**30 - 1, 2**31 - 1
+    cases = (
+        ((big_v, big_v - 1, 0), [[0, 0, big_m], [0, 0, -big_m]], [sign, -sign, 0], sign),
+        (  # the largest |(m v)_r| the rule admits
+            (big_v,) * 3,
+            [[big_m, -big_m, 0], [0, big_m, -big_m]],
+            [sign * big_m] * 3,
+            sign * 3 * big_m * big_v,
+        ),
+    )
+    for v, zero_rows, odd_row, value in cases:
+        m = zero_rows[:where] + [odd_row] + zero_rows[where:]
+        products = [sum(a * x for a, x in zip(row, v)) for row in m]
+        assert products == [0] * where + [value] + [0] * (2 - where)
+        assert linalg._in_kernel(m, [v]) == [False]
+        assert linalg._in_kernel(zero_rows, [v]) == [True]
