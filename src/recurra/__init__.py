@@ -20,7 +20,6 @@ from .certify import (
 )
 from .check import Check
 from .exact import (
-    NEG_INF,
     Polynomial,
     integer_roots,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "HyperTermSpec",
     "InsufficientTermsError",
     "LclmCapError",
-    "NEG_INF",
     "OfflineError",
     "Polynomial",
     "SequenceSource",

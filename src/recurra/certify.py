@@ -15,10 +15,9 @@ support {0} and n_min = k, so each summand's recurrence is written once.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
-from .check import Check
+from .check import Check, decimal
 from .exact import Polynomial, integer_roots, n, read_polynomials, width_bits
 from .operators import (
     COEFFS, INTEGER, INTEGERS, MAX_ORDER_CAP, ShiftOperator, builtin_operator, json_object,
@@ -114,16 +113,6 @@ class HyperTermSpec:
             raise ValueError(f"support residues must lie in 0..{self.step - 1}")
         object.__setattr__(self, "q_roots", tuple(integer_roots(self.q)))
 
-    def to_json(self) -> str:
-        doc = {
-            "step": self.step,
-            "p": self.p.to_strings(),
-            "q": self.q.to_strings(),
-            "support": sorted(self.support),
-            "n_min": self.n_min,
-        }
-        return json.dumps(doc, indent=2) + "\n"
-
     @classmethod
     def from_json(cls, text: str) -> "HyperTermSpec":
         doc = json_object(
@@ -184,7 +173,7 @@ class CertificationReport:
 
     def detail(self) -> str:
         if self.certified:
-            return f"all residue numerators vanish; valid from n={self.floor}"
+            return f"all residue numerators vanish; valid from n={decimal(self.floor)}"
         bad = [r.residue for r in self.residues if not r.is_zero]
         return f"nonzero numerator in residue class(es) {bad}"
 

@@ -2,10 +2,12 @@
 
 Polynomials are dense tuples of ``int`` coefficients in the formal variable
 ``n``; ``Polynomial.__init__`` refuses any other type, so no ``/`` may reach a
-coefficient. Rationals appear only at the file boundary: ``parse_coefficient``
-reads one coefficient text as an exact rational, and ``read_polynomials``
-multiplies a file's rows by the lcm of their denominators. Every value is
-immutable and every operation pure, so sharing across threads is safe.
+coefficient, and every value computed from them is an ``int``, degrees included
+(-1 for the zero polynomial). Rationals appear only at the file boundary:
+``parse_coefficient`` reads one coefficient text as an exact rational, and
+``read_polynomials`` multiplies a file's rows by the lcm of their denominators.
+Every value is immutable and every operation pure, so sharing across threads is
+safe.
 """
 from __future__ import annotations
 
@@ -15,10 +17,6 @@ import re
 from typing import Iterable, Sequence
 
 from .check import decimal, from_decimal
-
-#: Degree of the zero polynomial. A tagged sentinel rather than -1 so that
-#: degree comparisons and sums stay honest (NEG_INF + d == NEG_INF).
-NEG_INF = float("-inf")
 
 #: Most decimal digits a coefficient read from text may have in its numerator
 #: or in its denominator. It is checked on the text before any integer is
@@ -34,15 +32,13 @@ _PLAIN = re.compile(r"(-?)(\d+)(?:/(\d+))?")
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
-def primitive(values: Sequence) -> list[int]:
-    """Rational values times one positive rational: coprime integers (content 1).
+def primitive(values: Sequence[int]) -> list[int]:
+    """Integers divided by their gcd: coprime integers (content 1).
 
     Signs are kept, and an all-zero input comes back as zeros.
     """
-    den = math.lcm(*(v.denominator for v in values))
-    ints = [v.numerator * (den // v.denominator) for v in values]
-    g = math.gcd(*ints)
-    return [v // g for v in ints] if g > 1 else ints
+    g = math.gcd(*values)
+    return [v // g for v in values] if g > 1 else list(values)
 
 
 def parse_coefficient(text: str) -> int | fractions.Fraction:
@@ -106,8 +102,9 @@ class Polynomial:
     # -- basic structure ---------------------------------------------------
 
     @property
-    def degree(self) -> int | float:
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+    def degree(self) -> int:
+        """The degree; -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
 
     @property
     def is_zero(self) -> bool:

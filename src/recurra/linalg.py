@@ -1,11 +1,12 @@
 """Exact nullspace computation by elimination modulo primes, checked over Z.
 
-Each row is scaled to coprime integers, reduced modulo a prime p, and brought
-to reduced row echelon form mod p. That gives the pivot columns and, for each
-free column, a kernel vector mod p. Residues from several primes combine by
-CRT; each entry is rebuilt as a rational by rational reconstruction (Wang,
-Guy & Davenport, SIGSAM Bull. 1982), the vector is scaled to a primitive
-integer vector, and A x = 0 is checked exactly over Z before it is returned.
+The rows are integer rows. Each is divided by its content, reduced modulo a
+prime p, and brought to reduced row echelon form mod p. That gives the pivot
+columns and, for each free column, a kernel vector mod p. Residues from several
+primes combine by CRT; each entry is rebuilt as a rational by rational
+reconstruction (Wang, Guy & Davenport, SIGSAM Bull. 1982), the vector is scaled
+to a primitive integer vector, and A x = 0 is checked exactly over Z before it
+is returned.
 
 Both inner loops run on packed integers, so CPython's big-integer code does
 the work per entry:
@@ -49,8 +50,8 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 SLACK_BITS = 20
 
 
-def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[tuple[int, ...]]:
-    """Basis of {x : A x = 0} for the matrix with the given rows.
+def nullspace(rows: Sequence[Sequence[int]], ncols: int | None = None) -> list[tuple[int, ...]]:
+    """Basis of {x : A x = 0} for the matrix with the given integer rows.
 
     Returns one vector per free column, ascending. An empty row list (or a
     matrix of zero rows) yields the standard basis of the full space.
@@ -94,7 +95,7 @@ def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[tuple[
     raise AssertionError("unreachable: the prime sequence is infinite")
 
 
-def full_column_rank(rows: Sequence[Sequence], ncols: int) -> bool:
+def full_column_rank(rows: Sequence[Sequence[int]], ncols: int) -> bool:
     """Whether A x = 0 has x = 0 as its only solution, by one elimination mod FIRST_PRIME.
 
     True is exact, since full column rank mod a prime implies it over Q.
@@ -104,11 +105,12 @@ def full_column_rank(rows: Sequence[Sequence], ncols: int) -> bool:
     return len(pivots) == ncols
 
 
-def _prepare(rows: Sequence[Sequence], ncols: int) -> list[list[int]]:
-    """The rows scaled to primitive integer rows, zero rows dropped.
+def _prepare(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
+    """The rows divided by their contents, zero rows dropped.
 
     Raises ValueError on a row that is not ncols long, which would shift
-    every slot of its packing.
+    every slot of its packing, and TypeError (from ``math.gcd``) on a row
+    holding anything but ints.
     """
     if any(len(row) != ncols for row in rows):
         raise ValueError("ragged matrix")

@@ -327,13 +327,30 @@ def test_certify_fail(capsys):
     assert code == EXIT_FAIL
 
 
+#: A term file for u-spec, n t(n) = (4n - 2) t(n - 1), with its n_min left open.
+_U_SPEC = '{{"step": 1, "p": ["0", "1"], "q": ["-2", "4"], "support": [0], "n_min": {}}}'
+
+
 def test_certify_with_term_file(tmp_path, capsys):
     from recurra.certify import builtin_term
 
     term_file = tmp_path / "term.json"
-    term_file.write_text(builtin_term("u-spec").to_json())
+    term_file.write_text(_U_SPEC.format(1))
+    assert HyperTermSpec.from_json(term_file.read_text()) == builtin_term("u-spec")
     code = main(["certify", "--operator", "mathar", "--term", str(term_file)])
     assert code == EXIT_PASS
+
+
+def test_certify_reports_a_floor_of_any_length(tmp_path, capsys):
+    # n_min = 10^5000, past CPython's int-to-str digit cap. mathar's six
+    # shifts rewrite 4 steps deep in u-spec's chain, so the floor is n_min + 4.
+    term_file = tmp_path / "term.json"
+    term_file.write_text(_U_SPEC.format("1" + "0" * 5000))
+    code = main(["certify", "--operator", "mathar", "--term", str(term_file)])
+    assert code == EXIT_PASS
+    assert capsys.readouterr().out == (
+        "CERTIFIED: all residue numerators vanish; valid from n=1" + "0" * 4999 + "4\n"
+    )
 
 
 def test_guess_emits_operator_file(capsys):

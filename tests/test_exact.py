@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from recurra.exact import (
     COEFF_DIGITS,
-    NEG_INF,
     Polynomial,
     integer_roots,
     n,
@@ -83,10 +82,9 @@ def test_eval_is_ring_morphism_random():
         assert (p + q)(x) == p(x) + q(x)
 
 
-def test_degree_of_zero_is_tagged_sentinel():
-    assert Polynomial().degree == NEG_INF
-    assert Polynomial().degree < -(10**9)
-    assert not isinstance(Polynomial().degree, int)
+def test_degree_of_zero_is_minus_one():
+    assert Polynomial().degree == -1
+    assert type(Polynomial().degree) is int
 
 
 def _falling_factorial(j):
@@ -387,13 +385,8 @@ def test_coefficients_are_int_exactly_when_integral(p, q, delta):
     assert p.shifted(delta)(0) == p(delta)
 
 
-_rationals = st.one_of(
-    st.integers(-50, 50), st.builds(Fraction, st.integers(-600, 600), st.integers(1, 12))
-)
-
-
 @settings(deadline=None)
-@given(st.lists(_rationals, max_size=6))
+@given(st.lists(st.integers(-600, 600), max_size=6))
 def test_primitive_is_a_coprime_positive_multiple(values):
     ints = primitive(values)
     assert all(type(v) is int for v in ints)

@@ -36,11 +36,12 @@ def test_empty_matrix_needs_explicit_width():
         nullspace([])
 
 
-def test_rational_entries():
-    basis = nullspace([[Fraction(1, 2), Fraction(1, 3)]])
-    assert len(basis) == 1
-    x, y = basis[0]
-    assert x / 2 + y / 3 == 0 and (x, y) != (0, 0)
+def test_fraction_rows_are_refused():
+    rows = [[Fraction(1, 2), Fraction(1, 3)]]
+    with pytest.raises(TypeError):
+        nullspace(rows)
+    with pytest.raises(TypeError):
+        full_column_rank(rows, 2)
 
 
 def test_rank_nullity_and_membership_random():
@@ -86,13 +87,11 @@ def test_deterministic_output():
 
 def test_basis_vectors_are_primitive_integer_vectors():
     assert nullspace([[1, 1, 1], [1, 0, -1]]) == [(1, -2, 1)]
-    assert nullspace([[Fraction(1, 2), Fraction(1, 3)]]) == [(-2, 3)]
+    assert nullspace([[3, 2]]) == [(-2, 3)]
     assert nullspace([[4, 6, 0]]) == [(-3, 2, 0), (0, 0, 1)]
 
 
-_entries = st.one_of(
-    st.integers(-9, 9), st.builds(Fraction, st.integers(-54, 54), st.integers(1, 6))
-)
+_entries = st.one_of(st.integers(-9, 9), st.integers(-54, 54))
 _matrices = st.integers(1, 6).flatmap(
     lambda cols: st.tuples(
         st.lists(st.lists(_entries, min_size=cols, max_size=cols), max_size=6),
