@@ -95,14 +95,15 @@ def nullspace(rows: Sequence[Sequence[int]], ncols: int | None = None) -> list[t
     raise AssertionError("unreachable: the prime sequence is infinite")
 
 
-def full_column_rank(rows: Sequence[Sequence[int]], ncols: int) -> bool:
-    """Whether A x = 0 has x = 0 as its only solution, by one elimination mod FIRST_PRIME.
+def nullity_bound(rows: Sequence[Sequence[int]], ncols: int) -> int:
+    """ncols minus the rank of A mod FIRST_PRIME, by one elimination.
 
-    True is exact, since full column rank mod a prime implies it over Q.
-    False may also come from a prime under which the rank drops.
+    The rank mod a prime never exceeds the rank over Q, so the result is
+    never below the nullity over Q: 0 proves A x = 0 has only x = 0. It
+    may exceed the nullity under a prime where the rank drops.
     """
     pivots, _ = _kernel_mod(_prepare(rows, ncols), ncols, FIRST_PRIME)
-    return len(pivots) == ncols
+    return ncols - len(pivots)
 
 
 def _prepare(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:

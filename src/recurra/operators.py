@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .check import Check, decimal
 from .exact import Polynomial, n, parse_coefficient, primitive, read_polynomials, width_bits
-from .linalg import full_column_rank, nullspace
+from .linalg import nullity_bound, nullspace
 
 if TYPE_CHECKING:
     from .sequences import SequenceSource
@@ -27,9 +27,10 @@ if TYPE_CHECKING:
 #: Largest ``order_cap`` and ``degree_cap`` an LCLM search accepts. A failing
 #: search tries every order up to the cap, each at its largest admitted degree,
 #: and the worst systems come from two order-1 operators: u-op against one with
-#: degree-20 coefficients of 2 and 9 bits fails at (10, 16) in 2.8 s (17.5 s
-#: when every degree was solved); at (8, 10), the defaults, with degree 12, in
-#: 0.4 s (was 1.7 s; 2-vCPU Xeon, CPython 3.11).
+#: degree-20 coefficients of 2 and 9 bits fails at (10, 16) in 1.2-2.3 s, every
+#: order's nullity bound 0 (17.5 s when every degree was solved); at (8, 10),
+#: the defaults, with degree 12, in 0.25-0.35 s (was 1.7 s; 2-vCPU Xeon,
+#: CPython 3.11, shared).
 MAX_ORDER_CAP = 10
 MAX_DEGREE_CAP = 16
 #: A sequence source's window keeps at least its last WINDOW terms, and a
@@ -49,12 +50,13 @@ WINDOW = 32
 #: bits, so an operator with a 10^5000 constant still meets itself; a search
 #: stops at the first shape over the cap. Bits cost time only where the
 #: nullspace is nonempty, as its vectors grow with them: uncapped, v-op against
-#: n*a(n) + C*a(n-1) took 3.1 s at a 5,000-bit C and 22 s at 10,000 bits. The
-#: worst case measured at the cap: mathar against n*a(n) + C*a(n-5) with a
-#: 555-bit C, found at (10, 16) in 10 s at the largest caps; at the defaults,
-#: mathar against n*a(n) + C*a(n-2) with a 1,010-bit C in 2.5 s (2-vCPU Xeon,
-#: CPython 3.11). That found search is the slowest measured, ahead of any
-#: failing one.
+#: n*a(n) + C*a(n-1) took 2.4-2.8 s at a 5,000-bit C and 16 s at 10,000 bits.
+#: The worst case measured at the cap: mathar against n*a(n) + C*a(n-5) with a
+#: 555-bit C, found at (10, 16) in 3.1-5.0 s at the largest caps, one nullspace
+#: solved (4.5-5.8 s when the 15 empty systems before it were solved too); at the
+#: defaults, mathar against n*a(n) + C*a(n-2) with a 1,010-bit C in 1.4-2.2 s
+#: (2-vCPU Xeon, CPython 3.11, shared). That found search is the slowest
+#: measured, ahead of any failing one.
 MAX_LCLM_BITS = 70_000
 
 
@@ -309,10 +311,13 @@ def lclm_with_cofactors(
     """Least common left multiple with its cofactors: L = P*a = Q*b.
 
     Searches orders ascending from max(order(a), order(b)), and cofactor
-    coefficient degrees ascending from 0, solving an exact linear system at
-    each (order, degree). An order whose system at its largest admitted
-    degree has full column rank is skipped whole. Within a nullspace, ties
-    break toward the lexicographically smallest normalized coefficient vector.
+    coefficient degrees ascending, solving an exact linear system at each
+    (order, degree). Each order first bounds the nullity of its system at
+    its largest admitted degree, top, by one elimination mod a prime
+    (``linalg.nullity_bound``), and starts its degrees at top + 1 minus that
+    bound: the degrees below have empty kernels, so a bound of 0 skips the
+    order whole. Within a nullspace, ties break toward the lexicographically
+    smallest normalized coefficient vector.
     """
     if order_cap <= 0 or degree_cap < 0:
         raise ValueError(f"order_cap must be >= 1 and degree_cap >= 0, "
@@ -328,12 +333,16 @@ def lclm_with_cofactors(
     bits_a, bits_b = width_bits(a.coeffs), width_bits(b.coeffs)
     for order in range(max(a.order, b.order), order_cap + 1):
         per_degree = (order - a.order + 1) * bits_a + (order - b.order + 1) * bits_b
-        # A solution at a smaller degree, padded with zeros, solves the system
-        # at the largest degree within the bits cap, top; so a system of full
-        # column rank there rules out every smaller degree of this order.
+        # A solution v at degree d, padded with zeros, solves the system at
+        # the largest degree within the bits cap, top, and so do n*v, ...,
+        # n^(top - d)*v, which are independent: a kernel at d forces a nullity
+        # of at least top - d + 1 at top. Degrees below top + 1 - bound are
+        # therefore empty.
         top = min(degree_cap, MAX_LCLM_BITS // per_degree - 1)
-        ruled_out = top >= 0 and full_column_rank(*_lclm_system(a, b, order, top))
-        for degree in range(top + 1 if ruled_out else 0, degree_cap + 1):
+        start = 0
+        if top >= 0:
+            start = max(0, top + 1 - nullity_bound(*_lclm_system(a, b, order, top)))
+        for degree in range(start, degree_cap + 1):
             bits = per_degree * (degree + 1)
             if bits > MAX_LCLM_BITS:
                 raise ValueError(

@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 from itertools import count, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .exact import Polynomial
 from .operators import WINDOW, builtin_operator, unroll
 
 #: Length guard for the orbit oracle. A count walks the 2^(length // 2)
@@ -229,26 +228,40 @@ def series_inv_sqrt(f: list[int], order: int) -> list[int]:
     """The coefficients of x^0 .. x^order of f^(-1/2), for f[0] == 1.
 
     Newton's g <- g*(3 - f*g^2)/2 doubles the precision of g each step
-    (Brent & Kung, J. ACM 1978). Up to an index where f^(-1/2) is integral,
-    every iterate is too, so each halving is exact; an odd coefficient
-    means the series is not integral there, and raises ``ValueError``.
+    (Brent & Kung, J. ACM 1978). With g exact mod x^h, f*g^2 = 1 + x^h*E,
+    so the step keeps g's h coefficients and appends those of -g*E/2 below
+    the new precision p, computing only E mod x^(p - h) and g*E mod
+    x^(p - h). Up to an index where f^(-1/2) is integral, every iterate is
+    integral too, so each halving is exact; an odd coefficient means the
+    series is not integral there, and raises ``ValueError``.
     """
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
     if not f or f[0] != 1:
         raise ValueError("inverse square root needs constant term 1")
-    g, prec = Polynomial([1]), 1
-    while prec <= order:  # g holds the series mod x^prec; each step doubles prec
-        prec = min(2 * prec, order + 1)
-        fg2 = Polynomial((g * g * Polynomial(f[:prec])).coeffs[:prec])
-        twice = (g * (3 - fg2)).coeffs[:prec]
-        odd = next((k for k, c in enumerate(twice) if c % 2), None)
+    g, h = [1], 1
+    while h <= order:  # g holds the series mod x^h; each step doubles h
+        p = min(2 * h, order + 1)
+        e = _mul_low(f[:p], _mul_low(g, g, p), p)[h:]
+        twice = _mul_low(g, e, p - h)  # minus twice the coefficients of x^h .. x^(p-1)
+        odd = next((k for k, c in enumerate(twice) if c & 1), None)
         if odd is not None:
             raise ValueError(
-                f"f^(-1/2) is not integral: its coefficient of x^{odd} is not an integer"
+                f"f^(-1/2) is not integral: its coefficient of x^{h + odd} is not an integer"
             )
-        g = Polynomial([c // 2 for c in twice])
-    return list(g.coeffs) + [0] * (order + 1 - len(g.coeffs))
+        g += [-(c >> 1) for c in twice]
+        h = p
+    return g
+
+
+def _mul_low(a: list[int], b: list[int], k: int) -> list[int]:
+    """The coefficients of x^0 .. x^(k-1) of the product of a and b."""
+    out = [0] * k
+    for i, ai in enumerate(a[:k]):
+        if ai:
+            for j, bj in enumerate(b[: k - i]):
+                out[i + j] += ai * bj
+    return out
 
 
 @dataclass(frozen=True)

@@ -259,6 +259,16 @@ def test_series_inv_sqrt_ogf_identity_long():
         assert g[k] == math.comb(2 * k, k)
 
 
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 5, 17, 64, 300])
+def test_series_inv_sqrt_matches_the_binomials_at_every_precision(order):
+    # order + 1 coefficients: 1 needs no Newton step, 2 and 4 end on a full
+    # doubling, 65 on a one-coefficient step, and 3, 6, 18 and 301 on partial ones.
+    central = [math.comb(2 * j, j) for j in range(order + 1)]
+    assert series_inv_sqrt([1, -4], order) == central
+    aerated = [0 if j % 2 else central[j // 2] for j in range(order + 1)]
+    assert series_inv_sqrt([1, 0, -4], order) == aerated
+
+
 def test_series_inv_sqrt_requires_unit_constant_term():
     for f in ([2, 1], [], [-1, 4]):
         with pytest.raises(ValueError, match="constant term 1"):
@@ -277,6 +287,14 @@ def test_series_inv_sqrt_refuses_a_non_integral_series():
     assert series_inv_sqrt([1, -2], 1) == [1, 1]
     with pytest.raises(ValueError, match=r"coefficient of x\^2 "):
         series_inv_sqrt([1, -2], 2)
+    # The first odd coefficient falls past a step's old precision: x^4 in the
+    # step from x^4 to x^5, x^6 in the step from x^4 to x^8.
+    for f, power in (([1, 2, 3], 4), ([1, -4, 0, 2], 6)):
+        text = f"f^(-1/2) is not integral: its coefficient of x^{power} is not an integer"
+        with pytest.raises(ValueError) as caught:
+            series_inv_sqrt(f, 20)
+        assert str(caught.value) == text
+        assert len(series_inv_sqrt(f, power - 1)) == power
 
 
 def test_series_inv_sqrt_self_consistency():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recurra import linalg
-from recurra.linalg import full_column_rank, nullspace
+from recurra.linalg import nullity_bound, nullspace
 
 
 def test_known_one_dimensional_kernel():
@@ -41,7 +41,7 @@ def test_fraction_rows_are_refused():
     with pytest.raises(TypeError):
         nullspace(rows)
     with pytest.raises(TypeError):
-        full_column_rank(rows, 2)
+        nullity_bound(rows, 2)
 
 
 def test_rank_nullity_and_membership_random():
@@ -119,27 +119,29 @@ def test_nullspace_contract(matrix):
 
 @settings(deadline=None)
 @given(_matrices)
-def test_full_column_rank_only_when_the_kernel_is_zero(matrix):
+def test_nullity_bound_is_zero_exactly_when_the_kernel_is_zero(matrix):
+    # Minors of entries this small lie far below FIRST_PRIME, so the rank
+    # cannot drop mod it: the bound is 0 exactly when the kernel is zero.
     rows, ncols = matrix
-    if full_column_rank(rows, ncols):
-        assert nullspace(rows, ncols=ncols) == []
+    assert (nullity_bound(rows, ncols) == 0) == (nullspace(rows, ncols=ncols) == [])
 
 
 @pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1, 2, 3]], [[1, 2], [3, 4, 5]]])
 def test_ragged_rows_are_refused(rows):
     # A row of the wrong length would shift every slot of its packed form.
     with pytest.raises(ValueError, match="ragged matrix"):
-        full_column_rank(rows, 2)
+        nullity_bound(rows, 2)
     with pytest.raises(ValueError, match="ragged matrix"):
         nullspace(rows, ncols=2)
 
 
-def test_full_column_rank_examples():
-    assert full_column_rank([[1, 2], [3, 4]], 2)
-    assert not full_column_rank([[1, 2], [2, 4]], 2)
-    assert not full_column_rank([], 1)
-    # Only a prime under which the rank holds can vouch for it.
-    assert not full_column_rank([[MERSENNE_127, 1], [0, 1]], 2)
+def test_nullity_bound_examples():
+    assert nullity_bound([[1, 2], [3, 4]], 2) == 0
+    assert nullity_bound([[1, 2], [2, 4]], 2) == 1
+    assert nullity_bound([], 1) == 1
+    # The rank drops mod FIRST_PRIME, so the bound exceeds the nullity over Q.
+    assert nullity_bound([[MERSENNE_127, 1], [0, 1]], 2) == 1
+    assert nullspace([[MERSENNE_127, 1], [0, 1]], ncols=2) == []
 
 
 MERSENNE_127 = 2**127 - 1
@@ -220,6 +222,13 @@ _unlucky_matrices = st.integers(1, 5).flatmap(
 @given(_unlucky_matrices)
 def test_nullspace_contract_with_entries_vanishing_mod_the_first_primes(matrix):
     test_nullspace_contract.hypothesis.inner_test(matrix)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(_matrices, _unlucky_matrices))
+def test_nullity_bound_is_never_below_the_nullity(matrix):
+    rows, ncols = matrix
+    assert nullity_bound(rows, ncols) >= len(nullspace(rows, ncols=ncols))
 
 
 def _reference_kernel_mod(m, ncols, p):

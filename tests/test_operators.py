@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from itertools import count, islice
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from recurra import operators
 from recurra.exact import COEFF_DIGITS, Polynomial, n
+from recurra.linalg import nullspace
 from recurra.operators import (
     LclmCapError,
     ShiftOperator,
@@ -338,6 +340,46 @@ def test_lclm_cofactor_identity(a, b):
     L, P, Q = lclm_with_cofactors(a, b)
     assert P * a == L == Q * b
     assert max(a.order, b.order) <= L.order <= a.order + b.order
+
+
+def _lclm_by_every_degree(a, b, order_cap, degree_cap):
+    """The reference search: every (order, degree) solved in order, none skipped."""
+    for order in range(max(a.order, b.order), order_cap + 1):
+        for degree in range(degree_cap + 1):
+            rows, ncols = operators._lclm_system(a, b, order, degree)
+            found = operators._lclm_pick(a, order, degree, nullspace(rows, ncols=ncols))
+            if found is not None:
+                return found
+    raise LclmCapError(
+        f"no common left multiple within order_cap={order_cap}, degree_cap={degree_cap}"
+    )
+
+
+def _lclm_outcome(search, a, b):
+    try:
+        return search(a, b, 4, 6)
+    except LclmCapError as e:
+        return str(e)
+
+
+@settings(deadline=None)
+@given(_operators, _operators)
+def test_lclm_degree_window_matches_the_search_of_every_degree(a, b):
+    # The search starts each order at the degree its nullity bound allows;
+    # the degrees it skips have empty kernels, so it finds what solving every
+    # degree finds, or fails the same way.
+    assert _lclm_outcome(lclm_with_cofactors, a, b) == _lclm_outcome(_lclm_by_every_degree, a, b)
+
+
+def test_order_6_lclm_and_its_cofactors_are_pinned():
+    u, v = builtin_operator("u-op"), builtin_operator("v-op")
+    found = lclm_with_cofactors(u * v, v * u)
+    assert found == _lclm_by_every_degree(u * v, v * u, 8, 10)
+    assert found[0].order == 6
+    text = "".join(op.to_json() for op in found)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e96ebeeff6c2689e282d0b0709d30075f15edc91cce6c8f3c2afedfb5454f9b9"
+    )
 
 
 class _Applied:
