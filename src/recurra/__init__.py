@@ -47,7 +47,6 @@ from .operators import (
     builtin_operator,
     builtin_operator_names,
     lclm,
-    lclm_with_cofactors,
     verify_range,
 )
 from .sequences import (
@@ -96,7 +95,6 @@ __all__ = [
     "guess_recurrence",
     "integer_roots",
     "lclm",
-    "lclm_with_cofactors",
     "minimal_guess",
     "orbit_count_oracle",
     "parse_bfile",

@@ -46,11 +46,12 @@ MAX_TERM_DEGREE = 100
 MAX_TERM_BITS = 40_000
 
 #: Largest operator order ``certify_annihilation`` accepts: each shift deepens
-#: the rewrite chain. It is the largest order ``lclm`` can return, so every
-#: LCLM result and every builtin operator certifies. Against the degree-100
-#: term above, the operator with coefficients n+1, ..., n+r+1 takes 0.2 s at
-#: r = 5 and about 3 s at r = 10 (2.3 s with an n^16 term in each coefficient),
-#: against 103 s at r = 20 (2-vCPU Xeon, CPython 3.11).
+#: the rewrite chain. It is the largest order of the L that ``lclm`` returns,
+#: whose cofactors P and Q are no longer, so the cap admits all three and
+#: every builtin operator. Against the degree-100 term above, the operator
+#: with coefficients n+1, ..., n+r+1 takes 0.2 s at r = 5 and about 3 s at
+#: r = 10 (2.3 s with an n^16 term in each coefficient), against 103 s at
+#: r = 20 (2-vCPU Xeon, CPython 3.11).
 MAX_OPERATOR_ORDER = MAX_ORDER_CAP
 
 #: Most coefficient bits an operator may hold in ``certify_annihilation``,

@@ -104,7 +104,7 @@ def run_prove_a032123(max_n: int = 5000, operator: ops.ShiftOperator | None = No
     """
     op = operator if operator is not None else ops.builtin_operator("mathar")
     u_op, v_op = ops.builtin_operator("u-op"), ops.builtin_operator("v-op")
-    lcm = cache(partial(ops.lclm, u_op, v_op))
+    lcm = cache(lambda: ops.lclm(u_op, v_op)[0])
     return _run_stages([
         ("closed-form-vs-bfile", partial(
             oeis.compare_sequence, seqs.builtin_sequence("A032123"), oeis.bundled_a032123(), 0, 19
@@ -284,8 +284,8 @@ def _guess(args) -> int:
 
 def _lclm(args) -> int:
     a, b = _load(args.op_a, "operator"), _load(args.op_b, "operator")
-    result = ops.lclm(a, b, order_cap=args.order_cap, degree_cap=args.degree_cap)
-    sys.stdout.write(result.to_json())
+    lcm, _, _ = ops.lclm(a, b, order_cap=args.order_cap, degree_cap=args.degree_cap)
+    sys.stdout.write(lcm.to_json())
     return EXIT_PASS
 
 

@@ -302,22 +302,24 @@ def _compose(a: Sequence[Polynomial], b: ShiftOperator) -> list[Polynomial]:
     return out
 
 
-def lclm_with_cofactors(
+def lclm(
     a: ShiftOperator,
     b: ShiftOperator,
     order_cap: int = 8,
     degree_cap: int = 10,
 ) -> tuple[ShiftOperator, ShiftOperator, ShiftOperator]:
-    """Least common left multiple with its cofactors: L = P*a = Q*b.
+    """Least common left multiple L of a and b with its cofactors: (L, P, Q), L = P*a = Q*b.
 
     Searches orders ascending from max(order(a), order(b)), and cofactor
     coefficient degrees ascending, solving an exact linear system at each
-    (order, degree). Each order first bounds the nullity of its system at
-    its largest admitted degree, top, by one elimination mod a prime
-    (``linalg.nullity_bound``), and starts its degrees at top + 1 minus that
-    bound: the degrees below have empty kernels, so a bound of 0 skips the
-    order whole. Within a nullspace, ties break toward the lexicographically
-    smallest normalized coefficient vector.
+    (order, degree). An order admits degrees up to top, the largest within
+    ``degree_cap`` and ``MAX_LCLM_BITS``. Its system at top is built once, and
+    one elimination of it mod a prime bounds its nullity
+    (``linalg.nullity_bound``): the order solves the degrees from top + 1
+    minus that bound up to top, so a bound of 0 skips it whole. If it finds
+    nothing and top is below ``degree_cap``, the search ends there with a
+    ``ValueError`` naming degree top + 1. Within a nullspace, ties break
+    toward the lexicographically smallest normalized coefficient vector.
     """
     if order_cap <= 0 or degree_cap < 0:
         raise ValueError(f"order_cap must be >= 1 and degree_cap >= 0, "
@@ -333,40 +335,28 @@ def lclm_with_cofactors(
     bits_a, bits_b = width_bits(a.coeffs), width_bits(b.coeffs)
     for order in range(max(a.order, b.order), order_cap + 1):
         per_degree = (order - a.order + 1) * bits_a + (order - b.order + 1) * bits_b
-        # A solution v at degree d, padded with zeros, solves the system at
-        # the largest degree within the bits cap, top, and so do n*v, ...,
-        # n^(top - d)*v, which are independent: a kernel at d forces a nullity
-        # of at least top - d + 1 at top. Degrees below top + 1 - bound are
-        # therefore empty.
         top = min(degree_cap, MAX_LCLM_BITS // per_degree - 1)
-        start = 0
-        if top >= 0:
-            start = max(0, top + 1 - nullity_bound(*_lclm_system(a, b, order, top)))
-        for degree in range(start, degree_cap + 1):
-            bits = per_degree * (degree + 1)
-            if bits > MAX_LCLM_BITS:
-                raise ValueError(
-                    f"the LCLM system at order={order}, degree={degree} is built from {bits} "
-                    f"coefficient bits, over the cap MAX_LCLM_BITS = {MAX_LCLM_BITS}"
-                )
-            rows, ncols = _lclm_system(a, b, order, degree)
-            found = _lclm_pick(a, order, degree, nullspace(rows, ncols=ncols))
-            if found is not None:
-                return found
+        # A solution v at degree d, padded with zeros, solves the system at
+        # top, and so do n*v, ..., n^(top - d)*v, which are independent: a
+        # kernel at d forces a nullity of at least top - d + 1 at top.
+        # Degrees below top + 1 - bound are therefore empty.
+        if top >= 0:  # else even degree 0 is over the bits cap
+            at_top = _lclm_system(a, b, order, top)
+            for degree in range(max(0, top + 1 - nullity_bound(*at_top)), top + 1):
+                rows, ncols = at_top if degree == top else _lclm_system(a, b, order, degree)
+                found = _lclm_pick(a, order, degree, nullspace(rows, ncols=ncols))
+                if found is not None:
+                    return found
+        if top < degree_cap:
+            raise ValueError(
+                f"the LCLM system at order={order}, degree={top + 1} is built from "
+                f"{per_degree * (top + 2)} coefficient bits, over the cap "
+                f"MAX_LCLM_BITS = {MAX_LCLM_BITS}"
+            )
     raise LclmCapError(
         f"no common left multiple within order_cap={order_cap}, "
         f"degree_cap={degree_cap}"
     )
-
-
-def lclm(
-    a: ShiftOperator,
-    b: ShiftOperator,
-    order_cap: int = 8,
-    degree_cap: int = 10,
-) -> ShiftOperator:
-    """Least common left multiple of two operators (see lclm_with_cofactors)."""
-    return lclm_with_cofactors(a, b, order_cap, degree_cap)[0]
 
 
 def _lclm_system(a, b, order, degree):

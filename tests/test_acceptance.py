@@ -19,7 +19,7 @@ from recurra.guess import guess_recurrence, minimal_guess
 from recurra.oeis import bundled_a032123, compare_sequence
 from recurra.operators import (
     builtin_operator,
-    lclm_with_cofactors,
+    lclm,
     verify_range,
 )
 from recurra.sequences import (
@@ -101,7 +101,7 @@ def test_criterion_06_numeric_sweep_to_5000():
 def test_criterion_07_lclm_bound():
     with criterion(7, 10.0, "LCLM of the 1-step and 2-step operators is 3-step"):
         u_op, v_op = builtin_operator("u-op"), builtin_operator("v-op")
-        L, P, Q = lclm_with_cofactors(u_op, v_op)
+        L, P, Q = lclm(u_op, v_op)
         assert L.order <= 3
         assert P * u_op == L  # cofactor residuals vanish symbolically
         assert Q * v_op == L

@@ -758,7 +758,7 @@ def _a005418_stages(op: ShiftOperator) -> list:
         ("certify-2^n", partial(_certify, op, chain(1, 0))),
         ("certify-even", partial(_certify, op, chain(2, 0))),
         ("certify-odd", partial(_certify, op, chain(2, 1))),
-        ("lclm", lambda: Check("lclm", lclm(*summands) == op, "lclm(1 - 2S, 1 - 2S^2)")),
+        ("lclm", lambda: Check("lclm", lclm(*summands)[0] == op, "lclm(1 - 2S, 1 - 2S^2)")),
         ("oracle", lambda: Check(
             "oracle", oracle() == builtin_sequence("A005418").terms(1, 11), "n = 1..11"
         )),

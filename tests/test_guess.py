@@ -100,7 +100,7 @@ def test_guessed_and_lclm_operators_co_annihilate():
 
     a = builtin_sequence("A032123")
     guessed = minimal_guess(a.terms(0, 79), max_order=5, max_degree=4)
-    computed = lclm(builtin_operator("u-op"), builtin_operator("v-op"))
+    computed, _, _ = lclm(builtin_operator("u-op"), builtin_operator("v-op"))
     for op in (guessed, computed):
         assert verify_range(op, a, max(op.order, 6), 2000).passed
 

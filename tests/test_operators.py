@@ -16,7 +16,6 @@ from recurra.operators import (
     builtin_operator,
     builtin_operator_names,
     lclm,
-    lclm_with_cofactors,
     unroll,
     verify_range,
 )
@@ -245,23 +244,23 @@ def test_from_json_rejects_unknown_convention():
 
 def test_lclm_with_self():
     u_op = builtin_operator("u-op")
-    assert lclm(u_op, u_op) == u_op
+    assert lclm(u_op, u_op)[0] == u_op
 
 
 def test_lclm_u_v_order_bound():
-    L = lclm(builtin_operator("u-op"), builtin_operator("v-op"))
+    L, _, _ = lclm(builtin_operator("u-op"), builtin_operator("v-op"))
     assert L.order <= 3
 
 
 def test_lclm_cofactor_residuals_vanish_symbolically():
     u_op, v_op = builtin_operator("u-op"), builtin_operator("v-op")
-    L, P, Q = lclm_with_cofactors(u_op, v_op)
+    L, P, Q = lclm(u_op, v_op)
     assert P * u_op == L
     assert Q * v_op == L
 
 
 def test_lclm_annihilates_a032123():
-    L = lclm(builtin_operator("u-op"), builtin_operator("v-op"))
+    L, _, _ = lclm(builtin_operator("u-op"), builtin_operator("v-op"))
     rep = verify_range(L, builtin_sequence("A032123"), 3, 2000)
     assert rep.passed
 
@@ -280,6 +279,42 @@ def test_lclm_skips_an_order_of_full_rank_without_solving_it(monkeypatch):
     monkeypatch.setattr(operators, "nullspace", lambda *args, **kwargs: pytest.fail("solved"))
     with pytest.raises(LclmCapError, match="order_cap=8, degree_cap=10"):
         lclm(builtin_operator("u-op"), b)
+
+
+def _count_lclm_systems(monkeypatch):
+    """The (order, degree) of every LCLM system built from here on."""
+    built, build = [], operators._lclm_system
+
+    def counting(a, b, order, degree):
+        built.append((order, degree))
+        return build(a, b, order, degree)
+
+    monkeypatch.setattr(operators, "_lclm_system", counting)
+    return built
+
+
+def test_lclm_builds_each_system_once(monkeypatch):
+    # At degree_cap=1 every order's top is 1; order 5's bound admits only
+    # degree 1, whose system is the one the bound was taken from.
+    built = _count_lclm_systems(monkeypatch)
+    L, _, _ = lclm(builtin_operator("u-op"), builtin_operator("v-op"), degree_cap=1)
+    assert L.order == 5
+    assert built == [(2, 1), (3, 1), (4, 1), (5, 1)]
+
+
+def test_lclm_bits_cap_ends_the_search_after_the_last_admitted_degree(monkeypatch):
+    # u-op and n*a(n) + 2^17489*a(n-1) hold 8 and 17,492 coefficient bits, so
+    # order 1 takes 17,500 bits a degree: its top is 3, its probe there is
+    # empty, and degree 4 is over the cap, so the search stops before order 2.
+    built = _count_lclm_systems(monkeypatch)
+    b = ShiftOperator([Polynomial([0, 1]), Polynomial([1 << 17489])])
+    with pytest.raises(ValueError) as info:
+        lclm(builtin_operator("u-op"), b)
+    assert str(info.value) == (
+        "the LCLM system at order=1, degree=4 is built from 87500 coefficient bits, "
+        "over the cap MAX_LCLM_BITS = 70000"
+    )
+    assert built == [(1, 3)]
 
 
 def test_lclm_deterministic():
@@ -337,7 +372,7 @@ def test_operator_mul_is_associative(a, b, c):
 def test_lclm_cofactor_identity(a, b):
     # Orders <= 2 and degrees <= 2: at order 4 and cofactor degree 10 the
     # system has 66 unknowns and 65 equations, so the default caps always hold.
-    L, P, Q = lclm_with_cofactors(a, b)
+    L, P, Q = lclm(a, b)
     assert P * a == L == Q * b
     assert max(a.order, b.order) <= L.order <= a.order + b.order
 
@@ -368,12 +403,12 @@ def test_lclm_degree_window_matches_the_search_of_every_degree(a, b):
     # The search starts each order at the degree its nullity bound allows;
     # the degrees it skips have empty kernels, so it finds what solving every
     # degree finds, or fails the same way.
-    assert _lclm_outcome(lclm_with_cofactors, a, b) == _lclm_outcome(_lclm_by_every_degree, a, b)
+    assert _lclm_outcome(lclm, a, b) == _lclm_outcome(_lclm_by_every_degree, a, b)
 
 
 def test_order_6_lclm_and_its_cofactors_are_pinned():
     u, v = builtin_operator("u-op"), builtin_operator("v-op")
-    found = lclm_with_cofactors(u * v, v * u)
+    found = lclm(u * v, v * u)
     assert found == _lclm_by_every_degree(u * v, v * u, 8, 10)
     assert found[0].order == 6
     text = "".join(op.to_json() for op in found)
