@@ -43,6 +43,14 @@ MAX_DEGREE_CAP = 16
 #: A032123 terms at n = 20000..20005 took 4.1 s, and n = 32..3000 took 26 s
 #: (2-vCPU Xeon, CPython 3.11).
 WINDOW = 32
+#: Fewest indices ``verify_range`` splits between two processes. Two shards
+#: break even with one at about 1,000 indices (mathar on A032123, 6..1000:
+#: 7.0 ms against 7.7 ms) and take 0.93 s against 1.67 s on 6..30000. The
+#: fork, the child's seed and two processes running at once cost CPU: +22% on
+#: 6..5000, +8% on 6..30000 (medians of 7, in process, 2-vCPU Xeon, CPython
+#: 3.11, shared). The bound lies above the proof's default sweep, 6..5000, so
+#: sweeps of tens of milliseconds stay in one process.
+SHARD_MIN = 10_000
 #: Most coefficient bits one LCLM system may be built from: each input's
 #: coefficients counted as certify counts them (``exact.width_bits``), once per
 #: cofactor term, (order - order(a) + 1)(degree + 1) times for a and likewise
@@ -268,9 +276,20 @@ def unroll(op: ShiftOperator, n: int, first: Sequence[int]) -> Iterator[int]:
 def verify_range(op: ShiftOperator, s: SequenceSource, n_from: int, n_to: int) -> Check:
     """Check op annihilates s on n_from..n_to, stopping at the first failure.
 
-    A failure's witness is ``(n, residual)``. An operator of order ``WINDOW``
-    or more, and a range that reads past either end of the source,
-    n_from - order included, are refused before any term is read.
+    A failure's witness is ``(n, residual)``, at the least failing n. An
+    operator of order ``WINDOW`` or more, and a range that reads past either
+    end of the source, n_from - order included, are refused before any term
+    is read. Each term from n_from - order to n_to is read once, with
+    ``s.term``.
+
+    A range of ``SHARD_MIN`` indices or more is split in two at
+    split = isqrt((n_from^2 + n_to^2) / 2), which halves the work, as the cost
+    per index grows with n: this process sweeps n_from..split - 1 and one
+    forked child sweeps split..n_to, from a fresh read at split - order. A
+    failure in the lower shard is reported, and the child killed, before the
+    upper one's is read, so the Check, its witness and any error equal those
+    of a sweep in one process. The sweep stays in one process without
+    ``os.fork``, with one usable CPU, or while a second thread is alive.
     """
     if op.order >= WINDOW:
         raise ValueError(
@@ -282,11 +301,103 @@ def verify_range(op: ShiftOperator, s: SequenceSource, n_from: int, n_to: int) -
     if n_from > n_to:
         raise ValueError("empty verification range")
     s.check_range(n_from - op.order, n_to)
+    # Horner rows, highest power first, of each nonzero c_j, and where a(n - j)
+    # sits in the sweep's window of the last order + 1 terms.
+    rows = [(-1 - j, p.coeffs[::-1]) for j, p in enumerate(op.coeffs) if not p.is_zero]
+    sweep = _two_shards if _may_fork(n_to - n_from + 1) else _first_residual
+    hit = sweep(rows, op.order, s, n_from, n_to)
+    if hit is None:
+        return Check("verify", True, f"all residuals zero on {n_from}..{n_to}")
+    i, r = hit
+    return Check("verify", False, f"residual {decimal(r)} at n={i}", (i, r))
+
+
+def _first_residual(rows, order, s, n_from, n_to):
+    """The first (n, residual) on n_from..n_to that is not zero, or None."""
+    term = s.term
+    window = [term(m) for m in range(n_from - order, n_from)]
     for i in range(n_from, n_to + 1):
-        r = op.apply(s, i)
-        if r != 0:
-            return Check("verify", False, f"residual {decimal(r)} at n={i}", (i, r))
-    return Check("verify", True, f"all residuals zero on {n_from}..{n_to}")
+        window.append(term(i))
+        total = 0
+        for back, horner in rows:
+            acc = 0
+            for c in horner:
+                acc = acc * i + c
+            total += acc * window[back]
+        if total:
+            return i, total
+        del window[0]
+    return None
+
+
+def _may_fork(length: int) -> bool:
+    """Whether a sweep of ``length`` indices is split: it is long, a second CPU
+    is usable, and no second thread is alive, whose locks a fork would copy
+    mid-use."""
+    import os
+    import sys
+
+    if length < SHARD_MIN or not hasattr(os, "fork"):
+        return False
+    threading = sys.modules.get("threading")
+    if threading is not None and threading.active_count() > 1:
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
+def _two_shards(rows, order, s, n_from, n_to):
+    """``_first_residual`` on n_from..n_to, with split..n_to swept by a forked child.
+
+    The child sends its result down a pipe by ``marshal`` and leaves by
+    ``os._exit``, never returning into the caller. If it sends nothing whole,
+    having raised or died, this process sweeps its shard again, so an error
+    surfaces as it would in one process. The child is killed and reaped on
+    every path out.
+    """
+    import marshal
+    import os
+    import signal
+    from math import isqrt
+
+    def sweep(lo, hi):
+        return _first_residual(rows, order, s, lo, hi)
+
+    split = isqrt((n_from * n_from + n_to * n_to) // 2)
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException as error:
+        os.close(read)
+        os.close(write)
+        if isinstance(error, OSError):  # no second process to be had
+            return sweep(n_from, n_to)
+        raise
+    if pid == 0:
+        try:
+            os.close(read)
+            sent = marshal.dumps(sweep(split, n_to))
+            with open(write, "wb") as pipe:
+                pipe.write(sent)
+        finally:
+            os._exit(0)
+    os.close(write)
+    try:
+        hit = sweep(n_from, split - 1)
+        if hit is not None:
+            return hit
+        with open(read, "rb", closefd=False) as pipe:
+            sent = pipe.read()
+        try:
+            return marshal.loads(sent)
+        except EOFError:  # the child raised or died before sending its result
+            pass
+        return sweep(split, n_to)
+    finally:
+        os.close(read)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def _compose(a: Sequence[Polynomial], b: ShiftOperator) -> list[Polynomial]:

@@ -685,6 +685,42 @@ def test_proof_output_is_pinned(form, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == PROOF_SHA256[form]
 
 
+@pytest.mark.parametrize("form", ["machine", "machine-mutant"])
+def test_a_sharded_proof_prints_what_a_serial_one_does(form, tmp_path, capsys, monkeypatch):
+    argv = ["--format", "machine", "prove-a032123", "--max-n", "100"]
+    if form == "machine-mutant":
+        op_file = tmp_path / "mutant.json"
+        op_file.write_text(perturbed(builtin_operator("mathar"), 0, 0).to_json())
+        argv += ["--operator", str(op_file)]
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    runs = []
+    for shard_min in (10**9, 16):  # one process, then every sweep split in two
+        monkeypatch.setattr(operators, "SHARD_MIN", shard_min)
+        runs.append((main(argv), capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    assert hashlib.sha256(runs[1][1].encode()).hexdigest() == PROOF_SHA256[form]
+    assert len(forks) == 4  # u-recurrence, v-recurrence, mathar-numeric, lclm-numeric
+
+
+def test_the_default_proof_sweeps_in_one_process(monkeypatch):
+    # Its longest sweep, 6..5000, is under SHARD_MIN.
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert all(check.passed for check in run_prove_a032123())
+
+
 def test_prove_accepts_an_order_6_operator_that_annihilates_a032123(tmp_path, capsys):
     # (1 + S) * mathar holds from n = 6 too; only the n = 5 note cannot read it.
     op_file = tmp_path / "order6.json"

@@ -1,7 +1,12 @@
 import hashlib
 import json
+import os
 import random
+import signal
+import threading
+import time
 from itertools import count, islice
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -343,6 +348,174 @@ def test_mathar_annihilates_oracle_terms():
     oracle = BFileSequence("A032123-oracle", 0, [orbit_count_oracle(2 * k, k) for k in range(13)])
     rep = verify_range(builtin_operator("mathar"), oracle, 6, oracle.max_index)
     assert rep.passed
+
+
+# -- a long sweep in two shards -------------------------------------------------
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Two usable CPUs; the pids forked, as the parent sees them, and the pipes opened."""
+    seen = SimpleNamespace(pids=[], fds=[])
+    fork, pipe = os.fork, os.pipe
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            seen.pids.append(pid)
+        return pid
+
+    def counted_pipe():
+        fds = pipe()
+        seen.fds.extend(fds)
+        return fds
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(os, "pipe", counted_pipe)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return seen
+
+
+def _sweeps(monkeypatch, op, make_source, n_from, n_to):
+    """verify_range in one process, then split between two, each on a fresh source."""
+    checks = []
+    for shard_min in (10**9, 16):
+        monkeypatch.setattr(operators, "SHARD_MIN", shard_min)
+        checks.append(verify_range(op, make_source(), n_from, n_to))
+    return checks
+
+
+def _nothing_left(forks):
+    """No child is left unreaped and every pipe opened is closed."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    for fd in forks.fds:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
+def _a032123_with(wrong):
+    """A032123 on 0..400 as a b-file, one more than it should be at each index in ``wrong``."""
+    terms = builtin_sequence("A032123").terms(0, 400)
+    return lambda: BFileSequence("A032123", 0, [t + (i in wrong) for i, t in enumerate(terms)])
+
+
+def test_a_sharded_sweep_passes_as_a_serial_one(monkeypatch, forks):
+    # 6..400 splits at isqrt((36 + 160000) / 2) = 282; the child seeds its
+    # builtin source at 277 from binomial_summand.
+    serial, sharded = _sweeps(monkeypatch, builtin_operator("mathar"),
+                              lambda: builtin_sequence("A032123"), 6, 400)
+    assert serial == sharded
+    assert sharded.passed and sharded.detail == "all residuals zero on 6..400"
+    assert len(forks.pids) == 1
+    _nothing_left(forks)
+
+
+@pytest.mark.parametrize("wrong, first", [({100}, 100), ({281}, 281), ({282}, 282),
+                                          ({330}, 330), ({100, 330}, 100)])
+def test_a_sharded_sweep_reports_the_first_failure_as_a_serial_one(
+    monkeypatch, forks, wrong, first
+):
+    # In the lower shard, 6..281, in the upper one, 282..400, and in both.
+    mathar = builtin_operator("mathar")
+    make = _a032123_with(wrong)
+    serial, sharded = _sweeps(monkeypatch, mathar, make, 6, 400)
+    assert serial == sharded
+    assert sharded.witness == (first, mathar.apply(make(), first)) and sharded.witness[1]
+    assert sharded.detail == f"residual {sharded.witness[1]} at n={first}"
+    assert len(forks.pids) == 1
+    _nothing_left(forks)
+
+
+def _zeros_until(bad, error):
+    """A zero sequence whose run raises ``error`` as it reaches index ``bad``."""
+    def run(n):
+        for m in count(n):
+            if m == bad:
+                raise error
+            yield 0
+
+    return lambda: SequenceSource("zeros", run, 0, MAX_INDEX)
+
+
+@pytest.mark.parametrize("bad", [100, 330])
+def test_a_sharded_sweep_raises_as_a_serial_one(monkeypatch, forks, bad):
+    raised = []
+    for shard_min in (10**9, 16):
+        monkeypatch.setattr(operators, "SHARD_MIN", shard_min)
+        with pytest.raises(ValueError) as info:
+            verify_range(builtin_operator("u-op"),
+                         _zeros_until(bad, ValueError(f"no term at n={bad}"))(), 1, 400)
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1] == (ValueError, f"no term at n={bad}")
+    assert len(forks.pids) == 1
+    _nothing_left(forks)
+
+
+def test_an_interrupted_sharded_sweep_leaves_no_child(monkeypatch, forks):
+    monkeypatch.setattr(operators, "SHARD_MIN", 16)
+    with pytest.raises(KeyboardInterrupt):
+        verify_range(builtin_operator("u-op"), _zeros_until(100, KeyboardInterrupt())(), 1, 400)
+    assert len(forks.pids) == 1
+    _nothing_left(forks)
+
+
+def test_an_interrupt_while_waiting_for_the_child_kills_it(monkeypatch, forks):
+    def run(n):  # only the child reads index 301, where it stalls
+        for m in count(n):
+            if m == 301:
+                time.sleep(60)
+            yield 0
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(operators, "SHARD_MIN", 16)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.monotonic()
+    signal.setitimer(signal.ITIMER_REAL, 0.5)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            verify_range(builtin_operator("u-op"), SequenceSource("stall", run, 0, MAX_INDEX),
+                         1, 400)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 10
+    assert len(forks.pids) == 1
+    _nothing_left(forks)
+
+
+def test_a_sweep_that_cannot_fork_runs_in_one_process(monkeypatch, forks):
+    def no_process():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_process)
+    monkeypatch.setattr(operators, "SHARD_MIN", 16)
+    assert verify_range(builtin_operator("mathar"), builtin_sequence("A032123"), 6, 400).passed
+    assert len(forks.fds) == 2
+    _nothing_left(forks)
+
+
+def test_no_fork_while_a_second_thread_is_alive(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(operators, "SHARD_MIN", 16)
+    mathar = builtin_operator("mathar")
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert verify_range(mathar, builtin_sequence("A032123"), 6, 400).passed
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    with pytest.raises(AssertionError, match="forked"):  # alone again, it would fork
+        verify_range(mathar, builtin_sequence("A032123"), 6, 400)
 
 
 _scalars = st.integers(-20, 20)
