@@ -44,12 +44,13 @@ MAX_DEGREE_CAP = 16
 #: (2-vCPU Xeon, CPython 3.11).
 WINDOW = 32
 #: Fewest indices ``verify_range`` splits between two processes. Two shards
-#: break even with one at about 1,000 indices (mathar on A032123, 6..1000:
-#: 7.0 ms against 7.7 ms) and take 0.93 s against 1.67 s on 6..30000. The
-#: fork, the child's seed and two processes running at once cost CPU: +22% on
-#: 6..5000, +8% on 6..30000 (medians of 7, in process, 2-vCPU Xeon, CPython
-#: 3.11, shared). The bound lies above the proof's default sweep, 6..5000, so
-#: sweeps of tens of milliseconds stay in one process.
+#: break even with one process at 500 to 1,000 indices (mathar on A032123,
+#: 6..500: 6.5 ms against 6.1 ms; 6..1000: 9.1 ms against 12.4 ms) and take
+#: 0.94 s against 1.79 s on 6..30000. The fork, the child's seed and two
+#: processes running at once cost CPU: +7% on 6..5000, +2% on 6..30000
+#: (medians of 7, in process, 2-vCPU Xeon, CPython 3.11, shared). The bound
+#: lies above the proof's default sweep, 6..5000, so sweeps of tens of
+#: milliseconds stay in one process.
 SHARD_MIN = 10_000
 #: Most coefficient bits one LCLM system may be built from: each input's
 #: coefficients counted as certify counts them (``exact.width_bits``), once per
@@ -75,7 +76,7 @@ class LclmCapError(RuntimeError):
 class ShiftOperator:
     """Backward recurrence operator sum_{j=0..r} c_j(n) * a(n-j)."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_horner")
 
     def __init__(self, coeffs: Iterable[Polynomial]):
         polys = [p if isinstance(p, Polynomial) else Polynomial([p]) for p in coeffs]
@@ -83,7 +84,13 @@ class ShiftOperator:
             raise ValueError("an operator needs at least the order-0 coefficient")
         if polys[0].is_zero or polys[-1].is_zero:
             raise ValueError("c_0 and the top coefficient must be nonzero")
-        object.__setattr__(self, "coeffs", tuple(_joint_normalize(polys)))
+        coeffs = tuple(_joint_normalize(polys))
+        object.__setattr__(self, "coeffs", coeffs)
+        # (j, c_j's coefficients, highest power first) of each nonzero c_j,
+        # the rows ``_combine`` evaluates; c_0's is the first.
+        object.__setattr__(self, "_horner", tuple(
+            (j, p.coeffs[::-1]) for j, p in enumerate(coeffs) if not p.is_zero
+        ))
 
     def __setattr__(self, name, value):
         raise AttributeError("ShiftOperator is immutable")
@@ -113,14 +120,7 @@ class ShiftOperator:
         """Exact value of sum_j c_j(at) * s(at - j)."""
         if at < self.order:
             raise ValueError(f"need at >= order={self.order}, got {at}")
-        total = 0
-        for j, p in enumerate(self.coeffs):
-            acc = 0
-            for c in reversed(p.coeffs):
-                acc = acc * at + c
-            if acc:
-                total += acc * s.term(at - j)
-        return total
+        return _combine(self._horner, at, lambda j: s.term(at - j))
 
     # -- file format ---------------------------------------------------------
 
@@ -241,36 +241,38 @@ def unroll(op: ShiftOperator, n: int, first: Sequence[int]) -> Iterator[int]:
     nonzero remainder means ``first`` is not the start of an integer solution
     and raises ``AssertionError`` naming m.
     """
-    # Horner lists, highest power first: c_0's, and each nonzero c_j's negated.
-    # The last is c_order's, never zero; starting the sum from its product
-    # saves adding a big integer to 0.
-    lead = op.coeffs[0].coeffs[::-1]
-    *rest, (top, top_horner) = [
-        (-j, [-c for c in reversed(p.coeffs)])
-        for j, p in enumerate(op.coeffs) if j and not p.is_zero
-    ]
-    last = list(first)
-    yield from last
+    (_, lead), *rest = op._horner
+    yield from first
+    past = [None, *reversed(first)]  # past[j] is a(m - j), j >= 1
     for m in count(n + op.order):
-        acc = 0
-        for c in top_horner:
-            acc = acc * m + c
-        num = acc * last[top]
-        for back, horner in rest:
-            acc = 0
-            for c in horner:
-                acc = acc * m + c
-            num += acc * last[back]
         den = 0
         for c in lead:
             den = den * m + c
-        a, r = divmod(num, den)
+        a, r = divmod(_combine(rest, m, past.__getitem__), -den)
         if r:
             raise AssertionError(f"the unrolled term at n={m} is not an integer; "
                                  "the first terms are wrong")
-        last.append(a)
-        del last[0]
+        past.insert(1, a)
+        del past[-1]
         yield a
+
+
+def _combine(rows, n: int, term) -> int:
+    """sum_j c_j(n) * term(j) over (j, c_j's Horner list) rows, as an operator holds them.
+
+    ``term(j)`` stands for a(n - j) and is read only where c_j(n) is not zero.
+    The sum starts from its first product: adding a big integer to 0 copies
+    it, at about the cost of a product.
+    """
+    total = 0
+    for j, horner in rows:
+        acc = 0
+        for c in horner:
+            acc = acc * n + c
+        if acc:
+            acc *= term(j)
+            total = total + acc if total else acc
+    return total
 
 
 def verify_range(op: ShiftOperator, s: SequenceSource, n_from: int, n_to: int) -> Check:
@@ -279,17 +281,20 @@ def verify_range(op: ShiftOperator, s: SequenceSource, n_from: int, n_to: int) -
     A failure's witness is ``(n, residual)``, at the least failing n. An
     operator of order ``WINDOW`` or more, and a range that reads past either
     end of the source, n_from - order included, are refused before any term
-    is read. Each term from n_from - order to n_to is read once, with
-    ``s.term``.
+    is read.
 
-    A range of ``SHARD_MIN`` indices or more is split in two at
+    In one process the sweep is ``op.apply`` at each n. A range of
+    ``SHARD_MIN`` indices or more is split in two at
     split = isqrt((n_from^2 + n_to^2) / 2), which halves the work, as the cost
     per index grows with n: this process sweeps n_from..split - 1 and one
-    forked child sweeps split..n_to, from a fresh read at split - order. A
-    failure in the lower shard is reported, and the child killed, before the
-    upper one's is read, so the Check, its witness and any error equal those
-    of a sweep in one process. The sweep stays in one process without
-    ``os.fork``, with one usable CPU, or while a second thread is alive.
+    forked child sweeps split..n_to, from a fresh read at split - order. Each
+    shard reads each of its terms once (``_streamed_residual``). A failure in
+    the lower shard is reported, and the child killed, before the upper one's
+    is read; a child that sends no result, having raised or died, has its
+    shard swept again here by ``apply``. So the Check, its witness and any
+    error equal those of a sweep in one process. The sweep stays in one
+    process without ``os.fork``, with one usable CPU, or while a second
+    thread is alive.
     """
     if op.order >= WINDOW:
         raise ValueError(
@@ -301,32 +306,36 @@ def verify_range(op: ShiftOperator, s: SequenceSource, n_from: int, n_to: int) -
     if n_from > n_to:
         raise ValueError("empty verification range")
     s.check_range(n_from - op.order, n_to)
-    # Horner rows, highest power first, of each nonzero c_j, and where a(n - j)
-    # sits in the sweep's window of the last order + 1 terms.
-    rows = [(-1 - j, p.coeffs[::-1]) for j, p in enumerate(op.coeffs) if not p.is_zero]
     sweep = _two_shards if _may_fork(n_to - n_from + 1) else _first_residual
-    hit = sweep(rows, op.order, s, n_from, n_to)
+    hit = sweep(op, s, n_from, n_to)
     if hit is None:
         return Check("verify", True, f"all residuals zero on {n_from}..{n_to}")
     i, r = hit
     return Check("verify", False, f"residual {decimal(r)} at n={i}", (i, r))
 
 
-def _first_residual(rows, order, s, n_from, n_to):
+def _first_residual(op, s, n_from, n_to):
     """The first (n, residual) on n_from..n_to that is not zero, or None."""
-    term = s.term
-    window = [term(m) for m in range(n_from - order, n_from)]
     for i in range(n_from, n_to + 1):
-        window.append(term(i))
-        total = 0
-        for back, horner in rows:
-            acc = 0
-            for c in horner:
-                acc = acc * i + c
-            total += acc * window[back]
-        if total:
-            return i, total
-        del window[0]
+        r = op.apply(s, i)
+        if r:
+            return i, r
+    return None
+
+
+def _streamed_residual(op, s, n_from, n_to):
+    """``_first_residual``, reading each term from n_from - order on once: the
+    last order + 1 are kept in a list, not read again through the source's
+    window at every n."""
+    term = s.term
+    window = [term(m) for m in range(n_from - op.order, n_from)][::-1]
+    past = window.__getitem__  # past(j) is a(i - j)
+    for i in range(n_from, n_to + 1):
+        window.insert(0, term(i))
+        r = _combine(op._horner, i, past)
+        if r:
+            return i, r
+        del window[-1]
     return None
 
 
@@ -347,7 +356,7 @@ def _may_fork(length: int) -> bool:
     return (os.cpu_count() or 1) > 1
 
 
-def _two_shards(rows, order, s, n_from, n_to):
+def _two_shards(op, s, n_from, n_to):
     """``_first_residual`` on n_from..n_to, with split..n_to swept by a forked child.
 
     The child sends its result down a pipe by ``marshal`` and leaves by
@@ -361,9 +370,6 @@ def _two_shards(rows, order, s, n_from, n_to):
     import signal
     from math import isqrt
 
-    def sweep(lo, hi):
-        return _first_residual(rows, order, s, lo, hi)
-
     split = isqrt((n_from * n_from + n_to * n_to) // 2)
     read, write = os.pipe()
     try:
@@ -372,19 +378,19 @@ def _two_shards(rows, order, s, n_from, n_to):
         os.close(read)
         os.close(write)
         if isinstance(error, OSError):  # no second process to be had
-            return sweep(n_from, n_to)
+            return _first_residual(op, s, n_from, n_to)
         raise
     if pid == 0:
         try:
             os.close(read)
-            sent = marshal.dumps(sweep(split, n_to))
+            sent = marshal.dumps(_streamed_residual(op, s, split, n_to))
             with open(write, "wb") as pipe:
                 pipe.write(sent)
         finally:
             os._exit(0)
     os.close(write)
     try:
-        hit = sweep(n_from, split - 1)
+        hit = _streamed_residual(op, s, n_from, split - 1)
         if hit is not None:
             return hit
         with open(read, "rb", closefd=False) as pipe:
@@ -393,7 +399,7 @@ def _two_shards(rows, order, s, n_from, n_to):
             return marshal.loads(sent)
         except EOFError:  # the child raised or died before sending its result
             pass
-        return sweep(split, n_to)
+        return _first_residual(op, s, split, n_to)
     finally:
         os.close(read)
         os.kill(pid, signal.SIGKILL)

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import compress, count, islice, zip_longest
+from itertools import count, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .operators import WINDOW, builtin_operator, unroll
@@ -49,10 +49,9 @@ from .operators import WINDOW, builtin_operator, unroll
 ORACLE_LENGTH_CAP = 24
 
 #: Largest index a builtin source serves. A read far from the window starts
-#: its run from ``binomial_summand`` seeds, whose cost grows faster than
-#: linearly: the first A032123 term of a run took 0.03-0.05 s at n = 10^5 and
-#: 0.6-1.1 s at 10^6 (0.8 s and 61 s with ``math.comb``; in process, 2-vCPU
-#: Xeon, CPython 3.11). 10^5 admits ``--max-n 100000``.
+#: its run with ``math.comb``, whose cost grows faster than linearly: the
+#: first A032123 term of a run took 1.0 s at n = 10^5 and 61 s at 10^6 (in
+#: process, 2-vCPU Xeon, CPython 3.11). 10^5 admits ``--max-n 100000``.
 MAX_INDEX = 100_000
 
 
@@ -111,37 +110,9 @@ class SequenceSource:
 
 
 def binomial_summand(step: int, n: int) -> int:
-    """C(2j, j) at n = step * j, else 0: u(n) at step 1, its aeration v(n) at step 2.
-
-    From j = 1000 on, C(2j, j) is the product of p^e over the primes p <= 2j,
-    sieved, where Legendre's formula gives
-    e = sum_k (floor(2j / p^k) - 2 floor(j / p^k)). The prime powers are
-    multiplied in a balanced tree, so no big integer is ever divided: at
-    j = 21213 this takes 5 ms against 50 ms for ``math.comb``, which is the
-    faster below j = 1000 (14 against 61 us at j = 200; 2-vCPU Xeon, CPython
-    3.11).
-    """
+    """C(2j, j) at n = step * j, else 0: u(n) at step 1, its aeration v(n) at step 2."""
     j, r = divmod(n, step)
-    if r:
-        return 0
-    if j < 1000:
-        return math.comb(2 * j, j)
-    m = 2 * j
-    sieve = bytearray([0, 0]) + bytearray([1]) * (m - 1)
-    for p in range(2, math.isqrt(m) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, m + 1, p)))
-    powers = []
-    for p in compress(range(m + 1), sieve):
-        e, q = 0, p
-        while q <= m:
-            e += m // q - 2 * (j // q)
-            q *= p
-        if e:
-            powers.append(p**e)
-    while len(powers) > 1:
-        powers = [a * b for a, b in zip_longest(powers[::2], powers[1::2], fillvalue=1)]
-    return powers[0]
+    return 0 if r else math.comb(2 * j, j)
 
 
 def _unrolled_summand(name: str, n: int) -> Iterator[int]:

@@ -112,6 +112,13 @@ def test_apply_at_propagates_term_range():
         builtin_operator("mathar").apply(short, 6)
 
 
+def test_apply_reads_no_term_where_its_coefficient_vanishes():
+    op = ShiftOperator([Polynomial([1]), n - 10])  # a(n) + (n - 10) a(n - 1)
+    from_10 = BFileSequence("from 10", 10, [5, 7])
+    assert op.apply(from_10, 10) == 5  # a(9), which is not there, is not read
+    assert op.apply(from_10, 11) == 7 + 1 * 5
+
+
 def test_verify_range_past_the_source_is_refused_before_any_read():
     wrong = BFileSequence("wrong", 0, [1, 2, 3])  # u-op leaves a residual at n = 1
     with pytest.raises(TermRangeError, match="n=3 "):
@@ -408,6 +415,20 @@ def test_a_sharded_sweep_passes_as_a_serial_one(monkeypatch, forks):
     assert serial == sharded
     assert sharded.passed and sharded.detail == "all residuals zero on 6..400"
     assert len(forks.pids) == 1
+    _nothing_left(forks)
+
+
+def test_a_shard_reads_each_of_its_terms_once(monkeypatch, forks):
+    reads, term = [], SequenceSource.term
+
+    def counted(self, i):
+        reads.append(i)
+        return term(self, i)
+
+    monkeypatch.setattr(SequenceSource, "term", counted)
+    monkeypatch.setattr(operators, "SHARD_MIN", 16)
+    assert verify_range(builtin_operator("mathar"), builtin_sequence("A032123"), 6, 400).passed
+    assert reads == list(range(1, 282))  # this process's shard, 6..281; the child's is unseen
     _nothing_left(forks)
 
 

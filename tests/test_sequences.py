@@ -264,16 +264,6 @@ def test_a032123_odd_half_sum_still_raises(monkeypatch):
         s.term(1)
 
 
-def test_binomial_summand_is_the_central_binomial():
-    # From j = 1000 on, multiplied from Legendre's prime exponents.
-    for j in range(2001):
-        assert binomial_summand(1, j) == math.comb(2 * j, j)
-    for n in range(401):
-        assert binomial_summand(2, n) == (0 if n % 2 else math.comb(n, n // 2))
-    for j in (99_991, 100_000):
-        assert binomial_summand(1, j) == math.comb(2 * j, j)
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     name=st.sampled_from(["central-binomial", "aerated-central-binomial", "A032123",
