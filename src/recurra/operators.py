@@ -289,12 +289,14 @@ def verify_range(op: ShiftOperator, s: SequenceSource, n_from: int, n_to: int) -
     per index grows with n: this process sweeps n_from..split - 1 and one
     forked child sweeps split..n_to, from a fresh read at split - order. Each
     shard reads each of its terms once (``_streamed_residual``). A failure in
-    the lower shard is reported, and the child killed, before the upper one's
-    is read; a child that sends no result, having raised or died, has its
-    shard swept again here by ``apply``. So the Check, its witness and any
-    error equal those of a sweep in one process. The sweep stays in one
-    process without ``os.fork``, with one usable CPU, or while a second
-    thread is alive.
+    the lower shard is reported, and the child killed, before the child is
+    waited for. The child reports by its exit status alone; unless that is a
+    pass, whether it failed, raised or died, its shard is swept again here by
+    ``apply``, so a failure there takes about as long to find as in one
+    process. So the Check, its witness and any error equal those of a sweep
+    in one process. The sweep stays in one process without ``os.fork``, with
+    one usable CPU, while a second thread is alive, or while SIGCHLD is
+    ignored.
     """
     if op.order >= WINDOW:
         raise ValueError(
@@ -341,12 +343,17 @@ def _streamed_residual(op, s, n_from, n_to):
 
 def _may_fork(length: int) -> bool:
     """Whether a sweep of ``length`` indices is split: it is long, a second CPU
-    is usable, and no second thread is alive, whose locks a fork would copy
-    mid-use."""
+    is usable, no second thread is alive, whose locks a fork would copy
+    mid-use, and SIGCHLD is not ignored, which would have the kernel reap the
+    child before its exit status could be read."""
     import os
     import sys
 
     if length < SHARD_MIN or not hasattr(os, "fork"):
+        return False
+    import signal
+
+    if signal.getsignal(signal.SIGCHLD) is signal.SIG_IGN:
         return False
     threading = sys.modules.get("threading")
     if threading is not None and threading.active_count() > 1:
@@ -359,51 +366,39 @@ def _may_fork(length: int) -> bool:
 def _two_shards(op, s, n_from, n_to):
     """``_first_residual`` on n_from..n_to, with split..n_to swept by a forked child.
 
-    The child sends its result down a pipe by ``marshal`` and leaves by
-    ``os._exit``, never returning into the caller. If it sends nothing whole,
-    having raised or died, this process sweeps its shard again, so an error
-    surfaces as it would in one process. The child is killed and reaped on
-    every path out.
+    The child's only report is its exit status, 0 when its shard passes; it
+    leaves by ``os._exit``, never returning into the caller. On any other
+    status, from a failure, an error or a death, this process sweeps the
+    child's shard again, finding an upper-shard failure a second time. A child
+    not yet reaped is killed and reaped on every way out; a reaped one is never
+    signalled, as its pid may already name another process.
     """
-    import marshal
     import os
     import signal
     from math import isqrt
 
     split = isqrt((n_from * n_from + n_to * n_to) // 2)
-    read, write = os.pipe()
     try:
         pid = os.fork()
-    except BaseException as error:
-        os.close(read)
-        os.close(write)
-        if isinstance(error, OSError):  # no second process to be had
-            return _first_residual(op, s, n_from, n_to)
-        raise
+    except OSError:  # no second process to be had
+        return _first_residual(op, s, n_from, n_to)
     if pid == 0:
+        status = 1
         try:
-            os.close(read)
-            sent = marshal.dumps(_streamed_residual(op, s, split, n_to))
-            with open(write, "wb") as pipe:
-                pipe.write(sent)
+            status = 0 if _streamed_residual(op, s, split, n_to) is None else 1
         finally:
-            os._exit(0)
-    os.close(write)
+            os._exit(status)
+    status = None
     try:
         hit = _streamed_residual(op, s, n_from, split - 1)
         if hit is not None:
             return hit
-        with open(read, "rb", closefd=False) as pipe:
-            sent = pipe.read()
-        try:
-            return marshal.loads(sent)
-        except EOFError:  # the child raised or died before sending its result
-            pass
-        return _first_residual(op, s, split, n_to)
+        status = os.waitpid(pid, 0)[1]
+        return None if status == 0 else _first_residual(op, s, split, n_to)
     finally:
-        os.close(read)
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+        if status is None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _compose(a: Sequence[Polynomial], b: ShiftOperator) -> list[Polynomial]:

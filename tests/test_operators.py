@@ -362,9 +362,9 @@ def test_mathar_annihilates_oracle_terms():
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Two usable CPUs; the pids forked, as the parent sees them, and the pipes opened."""
-    seen = SimpleNamespace(pids=[], fds=[])
-    fork, pipe = os.fork, os.pipe
+    """Two usable CPUs; the pids forked and the signals sent, as the parent sees them."""
+    seen = SimpleNamespace(pids=[], kills=[])
+    fork, kill = os.fork, os.kill
 
     def counted_fork():
         pid = fork()
@@ -372,13 +372,12 @@ def forks(monkeypatch):
             seen.pids.append(pid)
         return pid
 
-    def counted_pipe():
-        fds = pipe()
-        seen.fds.extend(fds)
-        return fds
+    def counted_kill(pid, signum):
+        seen.kills.append((pid, signum))
+        kill(pid, signum)
 
     monkeypatch.setattr(os, "fork", counted_fork)
-    monkeypatch.setattr(os, "pipe", counted_pipe)
+    monkeypatch.setattr(os, "kill", counted_kill)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     return seen
 
@@ -393,12 +392,9 @@ def _sweeps(monkeypatch, op, make_source, n_from, n_to):
 
 
 def _nothing_left(forks):
-    """No child is left unreaped and every pipe opened is closed."""
+    """No child is left unreaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    for fd in forks.fds:
-        with pytest.raises(OSError):
-            os.fstat(fd)
 
 
 def _a032123_with(wrong):
@@ -415,6 +411,7 @@ def test_a_sharded_sweep_passes_as_a_serial_one(monkeypatch, forks):
     assert serial == sharded
     assert sharded.passed and sharded.detail == "all residuals zero on 6..400"
     assert len(forks.pids) == 1
+    assert forks.kills == []  # the child was reaped, and its pid may be another's now
     _nothing_left(forks)
 
 
@@ -445,6 +442,9 @@ def test_a_sharded_sweep_reports_the_first_failure_as_a_serial_one(
     assert sharded.witness == (first, mathar.apply(make(), first)) and sharded.witness[1]
     assert sharded.detail == f"residual {sharded.witness[1]} at n={first}"
     assert len(forks.pids) == 1
+    # Only a lower-shard failure returns before the child is reaped, so only
+    # then is it killed.
+    assert forks.kills == ([(forks.pids[0], signal.SIGKILL)] if first < 282 else [])
     _nothing_left(forks)
 
 
@@ -469,6 +469,23 @@ def test_a_sharded_sweep_raises_as_a_serial_one(monkeypatch, forks, bad):
                          _zeros_until(bad, ValueError(f"no term at n={bad}"))(), 1, 400)
         raised.append((type(info.value), str(info.value)))
     assert raised[0] == raised[1] == (ValueError, f"no term at n={bad}")
+    assert len(forks.pids) == 1
+    _nothing_left(forks)
+
+
+def test_a_child_that_dies_has_its_shard_swept_again(monkeypatch, forks):
+    parent = os.getpid()
+
+    def run(n):  # zero but for a 1 at 350; a forked child is killed at 330
+        for m in count(n):
+            if m == 330 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            yield int(m == 350)
+
+    serial, sharded = _sweeps(monkeypatch, builtin_operator("u-op"),
+                              lambda: SequenceSource("dies", run, 0, MAX_INDEX), 1, 400)
+    assert serial == sharded
+    assert sharded.witness == (350, 350)
     assert len(forks.pids) == 1
     _nothing_left(forks)
 
@@ -514,7 +531,6 @@ def test_a_sweep_that_cannot_fork_runs_in_one_process(monkeypatch, forks):
     monkeypatch.setattr(os, "fork", no_process)
     monkeypatch.setattr(operators, "SHARD_MIN", 16)
     assert verify_range(builtin_operator("mathar"), builtin_sequence("A032123"), 6, 400).passed
-    assert len(forks.fds) == 2
     _nothing_left(forks)
 
 
@@ -536,6 +552,24 @@ def test_no_fork_while_a_second_thread_is_alive(monkeypatch):
         thread.join(timeout=10)
     assert not thread.is_alive()
     with pytest.raises(AssertionError, match="forked"):  # alone again, it would fork
+        verify_range(mathar, builtin_sequence("A032123"), 6, 400)
+
+
+def test_no_fork_while_sigchld_is_ignored(monkeypatch):
+    # The kernel would reap the child itself, and waitpid find none.
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(operators, "SHARD_MIN", 16)
+    mathar = builtin_operator("mathar")
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        assert verify_range(mathar, builtin_sequence("A032123"), 6, 400).passed
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    with pytest.raises(AssertionError, match="forked"):  # with SIGCHLD back, it would fork
         verify_range(mathar, builtin_sequence("A032123"), 6, 400)
 
 
