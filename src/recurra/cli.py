@@ -237,7 +237,7 @@ def _load(spec: str, kind: str):
         raise ValueError(
             f"unknown {kind} {spec!r}: neither a builtin ({', '.join(names())}) nor a file"
         )
-    return read(path.read_text())
+    return read(oeis.read_file(path))
 
 
 # -- subcommands: each takes the parsed arguments and returns the exit code ----
@@ -290,7 +290,7 @@ def _lclm(args) -> int:
 
 
 def _bfile_parse(args) -> int:
-    b = oeis.parse_bfile(Path(args.path).read_text(), source=args.path)
+    b = oeis.parse_bfile(oeis.read_file(args.path), source=args.path)
     print(f"{len(b.values)} terms, indices {b.min_index}..{b.max_index}")
     return EXIT_PASS
 
@@ -305,7 +305,7 @@ def _bfile_fetch(args) -> int:
 
 def _bfile_compare(args) -> int:
     s = _load(args.sequence, "sequence")
-    b = oeis.parse_bfile(Path(args.bfile).read_text(), source=args.bfile)
+    b = oeis.parse_bfile(oeis.read_file(args.bfile), source=args.bfile)
     check = oeis.compare_sequence(s, b, args.n_from, args.n_to)
     return _report(check, args.format, f"{'PASS' if check.passed else 'FAIL'}: {check.detail}")
 

@@ -5,6 +5,8 @@ and blank lines allowed. Indices must be contiguous; every downstream
 consumer assumes gap-free windows. Fetching hits
 ``https://oeis.org/<id>/b<digits>.txt`` once and caches the raw bytes; a
 bundled 20-term A032123 fixture keeps the whole test suite offline.
+``read_file`` is the one way an input file is read, a b-file or the CLI's
+operator and term files; it refuses a file over ``MAX_FILE_BYTES``.
 """
 from __future__ import annotations
 
@@ -24,6 +26,9 @@ _INT_RE = re.compile(r"[+-]?[0-9]+")
 _ECHO_CHARS = 80
 #: Seconds a b-file fetch may wait on oeis.org before it fails.
 FETCH_TIMEOUT_S = 30.0
+#: Most bytes ``read_file`` accepts. The longest A032123 b-file whose values
+#: all fit under the int parsing limit, on 0..7146, takes 14.7 MiB.
+MAX_FILE_BYTES = 64 << 20
 
 
 class BFileError(ValueError):
@@ -51,6 +56,20 @@ class OfflineError(RuntimeError):
 
 class FetchError(RuntimeError):
     """The HTTP fetch failed (network error or non-200 status)."""
+
+
+def read_file(path: str | Path) -> str:
+    """The UTF-8 text of the file at path, refused past ``MAX_FILE_BYTES``.
+
+    At most one byte past the cap is read, so a device such as ``/dev/zero``
+    fails at once instead of filling memory; a pipe reads as a file does.
+    """
+    with open(path, "rb") as f:
+        data = f.read(MAX_FILE_BYTES + 1)
+    if len(data) > MAX_FILE_BYTES:
+        raise ValueError(f"{path} holds more than the cap MAX_FILE_BYTES = "
+                         f"{MAX_FILE_BYTES} bytes")
+    return data.decode("utf-8")
 
 
 def parse_bfile(text: str, sequence_id: str = "", source: str = "") -> BFileSequence:
@@ -129,7 +148,7 @@ def fetch_bfile(
 
     if cache_path.exists() and not refresh:
         return parse_bfile(
-            cache_path.read_text(), sequence_id=sequence_id, source=str(cache_path)
+            read_file(cache_path), sequence_id=sequence_id, source=str(cache_path)
         )
     if offline:
         raise OfflineError(

@@ -35,13 +35,18 @@ MAX_ORDER_CAP = 10
 MAX_DEGREE_CAP = 16
 #: A sequence source's window keeps at least its last WINDOW terms, and a
 #: read at most WINDOW past the window's last term draws forward from its run
-#: instead of starting a new one. WINDOW exceeds the order caps of ``guess``
-#: and ``lclm`` (8 by default, ``MAX_ORDER_CAP`` at most), so applying an
-#: operator they build along a sweep only ever hits or draws. ``verify_range``
-#: refuses an operator of order WINDOW or more, as each of its reads would
-#: land behind the window and restart the run from its seed. Unrefused, six
-#: A032123 terms at n = 20000..20005 took 4.1 s, and n = 32..3000 took 26 s
-#: (2-vCPU Xeon, CPython 3.11).
+#: instead of starting a new one. The window serves the reads made by index:
+#: ``apply`` along a sweep shorter than ``SHARD_MIN``, ``guess``'s holdout
+#: check, the proof's n = 5 note, and in-order reads such as ``terms``; a
+#: longer sweep reads its source's run directly. Applying an operator of order
+#: below WINDOW along a sweep only ever hits or draws. ``lclm`` builds none of
+#: order above ``MAX_ORDER_CAP``, but ``guess`` has no order cap of its own
+#: (``guess --order 40 --degree 0 --terms 400`` ran in 0.37 s), so its holdout
+#: may restart runs. ``verify_range`` refuses an operator of order WINDOW or
+#: more, as each read of a short sweep would land behind the window and
+#: restart the run from its seed. Unrefused, six A032123 terms at
+#: n = 20000..20005 took 4.1 s, and n = 32..3000 took 26 s (2-vCPU Xeon,
+#: CPython 3.11).
 WINDOW = 32
 #: Fewest indices ``verify_range`` splits between two processes. Two shards
 #: break even with one process at 500 to 1,000 indices (mathar on A032123,
@@ -52,6 +57,16 @@ WINDOW = 32
 #: lies above the proof's default sweep, 6..5000, so sweeps of tens of
 #: milliseconds stay in one process.
 SHARD_MIN = 10_000
+#: Highest coefficient degree ``verify_range`` accepts. Horner evaluation
+#: costs about D^2 per index at degree D: c_0 = n^D, c_1 = -n^D on a b-file
+#: of 1s over 1..2000 took 0.09 s at D = 150, 2.0-3.2 s at D = 1000 and
+#: 33.8 s at D = 4000. The cap admits every operator recurra emits: ``guess``
+#: reaches degree 149 at order 1 under ``MAX_UNKNOWNS`` = 300. The worst case
+#: measured at the cap: order 31, every coefficient of degree 150 (a dense
+#: order-26 operator times ``mathar``), on A032123 over 32..100000 in two
+#: shards, took 705 s and 22 min of CPU; on 32..5000 it took 4.2 s in one
+#: process, and 0.16 s at degree 2 (2-vCPU Xeon, CPython 3.11, shared).
+MAX_VERIFY_DEGREE = 150
 #: Most coefficient bits one LCLM system may be built from: each input's
 #: coefficients counted as certify counts them (``exact.width_bits``), once per
 #: cofactor term, (order - order(a) + 1)(degree + 1) times for a and likewise
@@ -279,36 +294,41 @@ def verify_range(op: ShiftOperator, s: SequenceSource, n_from: int, n_to: int) -
     """Check op annihilates s on n_from..n_to, stopping at the first failure.
 
     A failure's witness is ``(n, residual)``, at the least failing n. An
-    operator of order ``WINDOW`` or more, and a range that reads past either
-    end of the source, n_from - order included, are refused before any term
-    is read.
+    operator of order ``WINDOW`` or more or of degree over
+    ``MAX_VERIFY_DEGREE``, and a range that reads past either end of the
+    source, n_from - order included, are refused before any term is read.
 
-    In one process the sweep is ``op.apply`` at each n. A range of
-    ``SHARD_MIN`` indices or more is split in two at
+    A sweep of fewer than ``SHARD_MIN`` indices is ``op.apply`` at each n. A
+    longer one reads each term once, from the source's run
+    (``_streamed_residual``), split in two at
     split = isqrt((n_from^2 + n_to^2) / 2), which halves the work, as the cost
     per index grows with n: this process sweeps n_from..split - 1 and one
-    forked child sweeps split..n_to, from a fresh read at split - order. Each
-    shard reads each of its terms once (``_streamed_residual``). A failure in
-    the lower shard is reported, and the child killed, before the child is
-    waited for. The child reports by its exit status alone; unless that is a
-    pass, whether it failed, raised or died, its shard is swept again here by
-    ``apply``, so a failure there takes about as long to find as in one
-    process. So the Check, its witness and any error equal those of a sweep
-    in one process. The sweep stays in one process without ``os.fork``, with
-    one usable CPU, while a second thread is alive, or while SIGCHLD is
-    ignored.
+    forked child sweeps split..n_to. A failure in the lower shard is
+    reported, and the child killed, before the child is waited for. The child
+    reports by its exit status alone; unless that is a pass, whether it
+    failed, raised or died, its shard is swept again here, so a failure there
+    takes about as long to find as in one process. So the Check, its witness
+    and any error equal those of a sweep in one process. A long sweep streams
+    in one process when it cannot fork: without ``os.fork``, with one usable
+    CPU, while a second thread is alive or SIGCHLD is ignored, or when the
+    fork fails.
     """
     if op.order >= WINDOW:
         raise ValueError(
             f"operator order {op.order} is not below WINDOW = {WINDOW}, the terms a "
             "sequence keeps; every read would restart its run"
         )
+    degree = max(p.degree for p in op.coeffs)
+    if degree > MAX_VERIFY_DEGREE:
+        raise ValueError(f"operator coefficients have degree {degree}, over the cap "
+                         f"MAX_VERIFY_DEGREE = {MAX_VERIFY_DEGREE}")
     if n_from < op.order:
         raise ValueError(f"range must start at or above the order {op.order}")
     if n_from > n_to:
         raise ValueError("empty verification range")
     s.check_range(n_from - op.order, n_to)
-    sweep = _two_shards if _may_fork(n_to - n_from + 1) else _first_residual
+    sweep = (_first_residual if n_to - n_from + 1 < SHARD_MIN
+             else _two_shards if _may_fork() else _streamed_residual)
     hit = sweep(op, s, n_from, n_to)
     if hit is None:
         return Check("verify", True, f"all residuals zero on {n_from}..{n_to}")
@@ -326,14 +346,13 @@ def _first_residual(op, s, n_from, n_to):
 
 
 def _streamed_residual(op, s, n_from, n_to):
-    """``_first_residual``, reading each term from n_from - order on once: the
-    last order + 1 are kept in a list, not read again through the source's
-    window at every n."""
-    term = s.term
-    window = [term(m) for m in range(n_from - op.order, n_from)][::-1]
+    """``_first_residual``, reading each term once from ``s.run(n_from - order)``:
+    the last order + 1 are kept in a list, and the source's window is not used."""
+    run = s.run(n_from - op.order)
+    window = [next(run) for _ in range(op.order)][::-1]
     past = window.__getitem__  # past(j) is a(i - j)
     for i in range(n_from, n_to + 1):
-        window.insert(0, term(i))
+        window.insert(0, next(run))
         r = _combine(op._horner, i, past)
         if r:
             return i, r
@@ -341,15 +360,15 @@ def _streamed_residual(op, s, n_from, n_to):
     return None
 
 
-def _may_fork(length: int) -> bool:
-    """Whether a sweep of ``length`` indices is split: it is long, a second CPU
-    is usable, no second thread is alive, whose locks a fork would copy
-    mid-use, and SIGCHLD is not ignored, which would have the kernel reap the
-    child before its exit status could be read."""
+def _may_fork() -> bool:
+    """Whether a long sweep is split across a forked child: a second CPU is
+    usable, no second thread is alive, whose locks a fork would copy mid-use,
+    and SIGCHLD is not ignored, which would have the kernel reap the child
+    before its exit status could be read."""
     import os
     import sys
 
-    if length < SHARD_MIN or not hasattr(os, "fork"):
+    if not hasattr(os, "fork"):
         return False
     import signal
 
@@ -364,11 +383,11 @@ def _may_fork(length: int) -> bool:
 
 
 def _two_shards(op, s, n_from, n_to):
-    """``_first_residual`` on n_from..n_to, with split..n_to swept by a forked child.
+    """``_streamed_residual`` on n_from..n_to, with split..n_to swept by a forked child.
 
     The child's only report is its exit status, 0 when its shard passes; it
     leaves by ``os._exit``, never returning into the caller. On any other
-    status, from a failure, an error or a death, this process sweeps the
+    status, from a failure, an error or a death, this process streams the
     child's shard again, finding an upper-shard failure a second time. A child
     not yet reaped is killed and reaped on every way out; a reaped one is never
     signalled, as its pid may already name another process.
@@ -381,7 +400,7 @@ def _two_shards(op, s, n_from, n_to):
     try:
         pid = os.fork()
     except OSError:  # no second process to be had
-        return _first_residual(op, s, n_from, n_to)
+        return _streamed_residual(op, s, n_from, n_to)
     if pid == 0:
         status = 1
         try:
@@ -394,7 +413,7 @@ def _two_shards(op, s, n_from, n_to):
         if hit is not None:
             return hit
         status = os.waitpid(pid, 0)[1]
-        return None if status == 0 else _first_residual(op, s, split, n_to)
+        return None if status == 0 else _streamed_residual(op, s, split, n_to)
     finally:
         if status is None:
             os.kill(pid, signal.SIGKILL)

@@ -8,10 +8,11 @@ Builtin sequences (exact identifiers):
 * ``aerated-central-binomial``  C(n, n/2) for even n, 0 for odd n
 
 A source is one ``SequenceSource(name, run, min_index, max_index)``, where
-``run(n)`` is a generator over its terms from n on, read through a short
-window of recent terms, never its whole history, so a sweep's memory stays
-flat in its length. A builtin is one ``_BUILTINS`` row, its first index and
-its run, and serves indices up to ``MAX_INDEX``. The binomials are unrolled
+``run(n)`` is a generator over its terms from n on. A read by index goes
+through a short window of recent terms, never its whole history, and a long
+sweep reads a run directly, so a sweep's memory stays flat in its length. A
+builtin is one ``_BUILTINS`` row, its first index and its run, and serves
+indices up to ``MAX_INDEX``. The binomials are unrolled
 from their operators ``u-op`` and ``v-op`` (``operators.unroll``), so sweeping
 to n = 5000 costs one big-integer multiplication and one exact division per
 step; a run starts from ``binomial_summand`` seeds when a read lands behind
@@ -70,7 +71,8 @@ class SequenceSource:
     starts a new window at ``run(n)``. Past ``2 * WINDOW`` terms the window
     drops all but its last ``WINDOW``, so an operator of order below
     ``WINDOW`` applied along a sweep only ever hits or draws. ``term`` is the
-    one read path. A source is not safe to share between threads: a read may
+    one read by index; a long sweep in ``operators.verify_range`` reads
+    ``run`` itself. A source is not safe to share between threads: a read may
     move the window under another.
     """
 

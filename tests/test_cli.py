@@ -27,7 +27,7 @@ from recurra.cli import (
     render,
     run_prove_a032123,
 )
-from recurra import operators
+from recurra import oeis, operators
 from recurra.exact import Polynomial
 from recurra.operators import (
     LclmCapError,
@@ -96,6 +96,53 @@ def test_a_misspelled_name_is_neither_builtin_nor_file(
 def test_a_read_error_on_an_existing_path_is_io(tmp_path, capsys):
     assert main(["certify", "--operator", str(tmp_path), "--term", "u-spec"]) == EXIT_IO
     assert capsys.readouterr().err.startswith("error: [Errno")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--operator", "{file}", "--sequence", "A032123", "--from", "6", "--to", "19"],
+    ["verify", "--operator", "mathar", "--sequence", "{file}", "--from", "6", "--to", "19"],
+    ["bfile", "parse", "{file}"],
+    ["bfile", "compare", "--sequence", "A032123", "--bfile", "{file}", "--from", "0", "--to", "19"],
+    ["--offline", "--cache-dir", "{dir}", "bfile", "fetch", "A032123"],
+], ids=["operator", "sequence", "bfile-parse", "bfile-compare", "cached-fetch"])
+def test_a_file_over_the_byte_cap_is_refused(tmp_path, monkeypatch, capsys, argv):
+    path = tmp_path / "A032123.txt"  # the name a cached fetch reads
+    operator_file = argv[1:3] == ["--operator", "{file}"]
+    text = builtin_operator("mathar").to_json() if operator_file else BUNDLED_TEXT
+    path.write_text(text)
+    argv = [a.format(file=path, dir=tmp_path) for a in argv]
+    size = len(text.encode())
+    monkeypatch.setattr(oeis, "MAX_FILE_BYTES", size)
+    assert main(argv) == EXIT_PASS
+    capsys.readouterr()
+    monkeypatch.setattr(oeis, "MAX_FILE_BYTES", size - 1)
+    assert main(argv) == EXIT_FAIL
+    assert capsys.readouterr().err == (
+        f"error: {path} holds more than the cap MAX_FILE_BYTES = {size - 1} bytes\n"
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_an_endless_file_is_refused_at_the_byte_cap(monkeypatch, capsys):
+    monkeypatch.setattr(oeis, "MAX_FILE_BYTES", 1000)
+    argv = ["verify", "--operator", "/dev/zero", "--sequence", "A032123", "--from", "6", "--to", "10"]
+    assert main(argv) == EXIT_FAIL
+    assert capsys.readouterr().err == (
+        "error: /dev/zero holds more than the cap MAX_FILE_BYTES = 1000 bytes\n"
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_a_bfile_on_a_pipe_is_read(tmp_path):
+    code = "import sys\nfrom recurra.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    argv = ["verify", "--operator", "mathar", "--sequence", "/dev/stdin", "--from", "6",
+            "--to", "19"]
+    path = str(Path(recurra.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([path, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code, *argv], input=BUNDLED_TEXT,
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == EXIT_PASS, done.stderr
+    assert done.stdout == "PASS\n"
 
 
 def test_gen_out_of_range_fails(capsys):

@@ -5,6 +5,7 @@ import random
 import signal
 import threading
 import time
+from contextlib import contextmanager, nullcontext
 from itertools import count, islice
 from types import SimpleNamespace
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recurra import operators
+from recurra import guess, operators
 from recurra.exact import COEFF_DIGITS, Polynomial, n
 from recurra.linalg import nullspace
 from recurra.operators import (
@@ -416,15 +417,17 @@ def test_a_sharded_sweep_passes_as_a_serial_one(monkeypatch, forks):
 
 
 def test_a_shard_reads_each_of_its_terms_once(monkeypatch, forks):
-    reads, term = [], SequenceSource.term
+    reads, a032123 = [], builtin_sequence("A032123")
+    run = a032123.run
 
-    def counted(self, i):
-        reads.append(i)
-        return term(self, i)
+    def counted(n):  # the indices of the values a run yields
+        for i, value in zip(count(n), run(n)):
+            reads.append(i)
+            yield value
 
-    monkeypatch.setattr(SequenceSource, "term", counted)
+    a032123.run = counted
     monkeypatch.setattr(operators, "SHARD_MIN", 16)
-    assert verify_range(builtin_operator("mathar"), builtin_sequence("A032123"), 6, 400).passed
+    assert verify_range(builtin_operator("mathar"), a032123, 6, 400).passed
     assert reads == list(range(1, 282))  # this process's shard, 6..281; the child's is unseen
     _nothing_left(forks)
 
@@ -571,6 +574,109 @@ def test_no_fork_while_sigchld_is_ignored(monkeypatch):
         signal.signal(signal.SIGCHLD, previous)
     with pytest.raises(AssertionError, match="forked"):  # with SIGCHLD back, it would fork
         verify_range(mathar, builtin_sequence("A032123"), 6, 400)
+
+
+@pytest.fixture
+def window_reads(monkeypatch):
+    """The names of the ``ShiftOperator.apply`` and ``SequenceSource.term`` calls made."""
+    calls = []
+    for cls, name in ((ShiftOperator, "apply"), (SequenceSource, "term")):
+        def counted(self, *args, _read=getattr(cls, name), _name=name):
+            calls.append(_name)
+            return _read(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+@contextmanager
+def _second_thread():
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+@contextmanager
+def _sigchld_ignored():
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+
+
+def _failed_fork():
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+@pytest.mark.parametrize("why", ["one CPU", "no os.fork", "a failed fork", "a second thread",
+                                 "SIGCHLD ignored"])
+def test_a_long_sweep_in_one_process_streams(monkeypatch, forks, window_reads, why):
+    monkeypatch.setattr(operators, "SHARD_MIN", 16)
+    context = nullcontext()
+    if why == "one CPU":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    elif why == "no os.fork":
+        monkeypatch.delattr(os, "fork")
+    elif why == "a failed fork":
+        monkeypatch.setattr(os, "fork", _failed_fork)
+    else:
+        context = _second_thread() if why == "a second thread" else _sigchld_ignored()
+    mathar, wrong = builtin_operator("mathar"), _a032123_with({330})()
+    window_reads.clear()  # the wrong terms were read through the window
+    with context:
+        passed = verify_range(mathar, builtin_sequence("A032123"), 6, 400)
+        failed = verify_range(mathar, wrong, 6, 400)
+    assert passed.passed and failed.witness[0] == 330
+    assert window_reads == []
+    assert forks.pids == []
+    _nothing_left(forks)
+
+
+def test_the_shard_of_a_child_that_dies_is_streamed_again(monkeypatch, forks, window_reads):
+    parent = os.getpid()
+
+    def run(n):  # zero but for a 1 at 350; a forked child is killed at 330
+        for m in count(n):
+            if m == 330 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            yield int(m == 350)
+
+    monkeypatch.setattr(operators, "SHARD_MIN", 16)
+    check = verify_range(builtin_operator("u-op"), SequenceSource("dies", run, 0, MAX_INDEX),
+                         1, 400)
+    assert check.witness == (350, 350)
+    assert window_reads == []
+    assert len(forks.pids) == 1
+    _nothing_left(forks)
+
+
+def test_verify_range_refuses_a_degree_over_the_cap_before_any_read():
+    drawn = []
+
+    def run(n):
+        for m in count(n):
+            drawn.append(m)
+            yield 1
+
+    ones, cap = SequenceSource("ones", run, 0, MAX_INDEX), operators.MAX_VERIFY_DEGREE
+    assert verify_range(ShiftOperator([n**cap, -n**cap]), ones, 1, 10).passed
+    drawn.clear()
+    with pytest.raises(ValueError, match=f"degree {cap + 1}, over the cap "
+                                         f"MAX_VERIFY_DEGREE = {cap}$"):
+        verify_range(ShiftOperator([n ** (cap + 1), -n ** (cap + 1)]), ones, 1, 10)
+    assert drawn == []
+
+
+def test_the_verify_degree_cap_admits_every_guess():
+    # guess's highest degree comes at order 1, its least: (1 + 1)(degree + 1) unknowns.
+    assert guess.MAX_UNKNOWNS // 2 - 1 <= operators.MAX_VERIFY_DEGREE
 
 
 _scalars = st.integers(-20, 20)
