@@ -1,12 +1,12 @@
-"""Exact nullspace computation by elimination modulo primes, checked over Z.
+"""Exact nullspace computation by elimination modulo large moduli, checked over Z.
 
 The rows are integer rows. Each is divided by its content, reduced modulo a
-prime p, and brought to reduced row echelon form mod p. That gives the pivot
-columns and, for each free column, a kernel vector mod p. Residues from several
-primes combine by CRT; each entry is rebuilt as a rational by rational
-reconstruction (Wang, Guy & Davenport, SIGSAM Bull. 1982), the vector is scaled
-to a primitive integer vector, and A x = 0 is checked exactly over Z before it
-is returned.
+modulus p (a prime as a rule), and brought to reduced row echelon form mod p.
+That gives the pivot columns and, for each free column, a kernel vector mod p.
+Residues from several moduli combine by CRT; each entry is rebuilt as a
+rational by rational reconstruction (Wang, Guy & Davenport, SIGSAM Bull. 1982),
+the vector is scaled to a primitive integer vector, and A x = 0 is checked
+exactly over Z before it is returned.
 
 Both inner loops run on packed integers, so CPython's big-integer code does
 the work per entry:
@@ -21,13 +21,16 @@ the work per entry:
   every |(A x)[r]| < ncols·2^(bits(A) + bits(x)) <= 2^(w - 1), so it is zero
   exactly when A x = 0.
 
-The result does not trust the primes. A verified vector is supported on its
-own free column and on pivot columns to its left, so that column is free over
-Q as well; and the nullity mod p is never below the nullity over Q. So once
-every free column of one pivot list has a vector verified under that list,
-the vectors are exactly the basis the contract defines: one primitive integer
-vector (content 1) per free column, ascending, positive there and zero at the
-other free columns.
+The result does not trust the moduli, nor needs them prime. A modulus p is
+skipped when a pivot has no inverse mod p, or when p shares a factor with the
+moduli it would join by CRT. Otherwise every pivot was a unit mod p, so the
+list mod p never has more pivots, or an earlier pivot, than the list over Q,
+and where the two agree the residues are images of the kernel over Q. A
+verified vector is supported on its own free column and on pivot columns to
+its left, so that column is free over Q as well. So once every free column of
+one pivot list has a vector verified under that list, the vectors are exactly
+the basis the contract defines: one primitive integer vector (content 1) per
+free column, ascending, positive there and zero at the other free columns.
 """
 from __future__ import annotations
 
@@ -36,12 +39,11 @@ from typing import Iterator, Sequence
 
 from .exact import primitive
 
-#: The first modulus, the Mersenne prime 2^127 - 1; later ones are the
-#: primes below it, in descending order.
+#: The first modulus, the Mersenne prime 2^127 - 1. Only the rank bound of
+#: ``nullity_bound`` needs it prime; ``nullspace`` takes any modulus.
 FIRST_PRIME = 2**127 - 1
-#: Fixed Miller-Rabin bases. A composite that passed them could only cost an
-#: extra round: every returned vector is checked exactly over Z.
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+#: The odd primes up to 37, multiplied: ``_primes`` skips a multiple of one.
+_SMALL_ODD_PRIMES = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37
 #: Margin of a reconstruction: a residue t is read as the integer t when
 #: |t| < modulus / 2^SLACK_BITS, and as a rational a/b when Euclid's quotient
 #: after it exceeds 2^SLACK_BITS. A misreading costs one more prime, since
@@ -50,37 +52,37 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 SLACK_BITS = 20
 
 
-def nullspace(rows: Sequence[Sequence[int]], ncols: int | None = None) -> list[tuple[int, ...]]:
-    """Basis of {x : A x = 0} for the matrix with the given integer rows.
+def nullspace(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
+    """Basis of {x : A x = 0} for the matrix with the given integer rows,
+    each ncols long.
 
     Returns one vector per free column, ascending. An empty row list (or a
     matrix of zero rows) yields the standard basis of the full space.
     """
-    if ncols is None:
-        if not rows:
-            raise ValueError("column count required for an empty matrix")
-        ncols = len(rows[0])
     m = _prepare(rows, ncols)
 
     found: dict[int, tuple[int, ...]] = {}  # free column -> verified vector
-    best: list[int] | None = None  # pivot columns of the primes being combined
+    best: list[int] | None = None  # pivot columns of the moduli being combined
     for p in _primes():
-        pivots, kernel = _kernel_mod(m, ncols, p)
+        try:
+            pivots, kernel = _kernel_mod(m, ncols, p)
+        except ValueError:  # a pivot has no inverse mod p, a composite
+            continue
         if best is None or len(pivots) > len(best) or (
             len(pivots) == len(best) and pivots < best
-        ):  # nearer the profile over Q: restart the CRT from this prime
+        ):  # nearer the profile over Q: restart the CRT from this modulus
             best, modulus, residues = pivots, p, kernel
             # A vector checked under the old pivot list may be nonzero at a
             # free column of the new one, so it is no contract vector.
             found.clear()
-        elif pivots == best:  # same profile: extend the modulus by CRT
+        elif pivots == best and math.gcd(modulus, p) == 1:  # extend the modulus by CRT
             scale = modulus * pow(modulus, -1, p)
             modulus *= p
             for f, old in residues.items():
                 residues[f] = [
                     (x + (y - x) * scale) % modulus for x, y in zip(old, kernel[f])
                 ]
-        else:  # the rank drops mod p, or a later column pivots: unlucky prime
+        else:  # the rank drops mod p, a later column pivots, or p is not coprime
             continue
         candidates = {}
         for f, res in residues.items():
@@ -92,7 +94,7 @@ def nullspace(rows: Sequence[Sequence[int]], ncols: int | None = None) -> list[t
         found.update(fv for fv, ok in zip(candidates.items(), checks) if ok)
         if all(f in found for f in residues):
             return [found[f] for f in sorted(residues)]
-    raise AssertionError("unreachable: the prime sequence is infinite")
+    raise AssertionError("unreachable: the modulus sequence is infinite")
 
 
 def nullity_bound(rows: Sequence[Sequence[int]], ncols: int) -> int:
@@ -269,31 +271,15 @@ def _in_kernel(m: list[list[int]], vectors: list[tuple[int, ...]]) -> list[bool]
 
 
 def _primes() -> Iterator[int]:
-    """FIRST_PRIME, then the primes below it in descending order, lazily."""
+    """FIRST_PRIME, then in descending order the odd numbers below it that
+    are prime to ``_SMALL_ODD_PRIMES`` and pass Fermat's test to base 2, lazily.
+
+    A composite that passes costs at most a round of ``nullspace``, which
+    skips it or checks what it gives exactly over Z.
+    """
     yield FIRST_PRIME
     q = FIRST_PRIME - 2
     while True:
-        if _is_probable_prime(q):
+        if math.gcd(q, _SMALL_ODD_PRIMES) == 1 and pow(2, q - 1, q) == 1:
             yield q
         q -= 2
-
-
-def _is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with the fixed bases ``_WITNESSES``, for odd n > 37."""
-    if any(n % w == 0 for w in _WITNESSES):  # cheap rejection of most candidates
-        return False
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for w in _WITNESSES:
-        x = pow(w, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True

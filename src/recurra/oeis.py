@@ -5,15 +5,15 @@ and blank lines allowed. Indices must be contiguous; every downstream
 consumer assumes gap-free windows. Fetching hits
 ``https://oeis.org/<id>/b<digits>.txt`` once and caches the raw bytes; a
 bundled 20-term A032123 fixture keeps the whole test suite offline.
-``read_file`` is the one way an input file is read, a b-file or the CLI's
-operator and term files; it refuses a file over ``MAX_FILE_BYTES``.
+``read_file`` is the one way a file is read: a b-file, cached or bundled, and
+the CLI's operator and term files. It and a fetch refuse more than
+``MAX_FILE_BYTES``, reading at most one byte past the cap.
 """
 from __future__ import annotations
 
 import os
 import re
 import sys
-from importlib import resources
 from pathlib import Path
 
 from .check import Check, decimal
@@ -29,6 +29,8 @@ FETCH_TIMEOUT_S = 30.0
 #: Most bytes ``read_file`` accepts. The longest A032123 b-file whose values
 #: all fit under the int parsing limit, on 0..7146, takes 14.7 MiB.
 MAX_FILE_BYTES = 64 << 20
+#: Most bytes one read asks for, so a small file allocates no 64 MiB buffer.
+_CHUNK_BYTES = 64 << 10
 
 
 class BFileError(ValueError):
@@ -65,11 +67,19 @@ def read_file(path: str | Path) -> str:
     fails at once instead of filling memory; a pipe reads as a file does.
     """
     with open(path, "rb") as f:
-        data = f.read(MAX_FILE_BYTES + 1)
-    if len(data) > MAX_FILE_BYTES:
-        raise ValueError(f"{path} holds more than the cap MAX_FILE_BYTES = "
-                         f"{MAX_FILE_BYTES} bytes")
-    return data.decode("utf-8")
+        return _read_capped(f, path).decode("utf-8")
+
+
+def _read_capped(stream, name: str | Path) -> bytearray:
+    """The bytes of a binary stream up to EOF, read ``_CHUNK_BYTES`` at a
+    time; ValueError, naming name, at the first byte past ``MAX_FILE_BYTES``."""
+    data = bytearray()
+    while chunk := stream.read(min(_CHUNK_BYTES, MAX_FILE_BYTES + 1 - len(data))):
+        data += chunk
+        if len(data) > MAX_FILE_BYTES:
+            raise ValueError(f"{name} holds more than the cap MAX_FILE_BYTES = "
+                             f"{MAX_FILE_BYTES} bytes")
+    return data
 
 
 def parse_bfile(text: str, sequence_id: str = "", source: str = "") -> BFileSequence:
@@ -132,10 +142,11 @@ def fetch_bfile(
 ) -> BFileSequence:
     """Return the cached b-file, fetching it from oeis.org on a cold cache.
 
-    Offline mode never touches the network and errors on a cache miss.
-    Cache writes go through a temp file and an atomic rename, so concurrent
-    fetchers never see a torn file. The network modules are imported here, so
-    importing the package loads none of them.
+    Offline mode never touches the network and errors on a cache miss. A
+    body over ``MAX_FILE_BYTES`` is refused as ``read_file`` refuses a file,
+    and nothing is cached. Cache writes go through a temp file and an atomic
+    rename, so concurrent fetchers never see a torn file. The network modules
+    are imported here, so importing the package loads none of them.
     """
     import tempfile
     import urllib.error
@@ -161,7 +172,7 @@ def fetch_bfile(
             status = getattr(resp, "status", 200)
             if status != 200:
                 raise FetchError(f"GET {url} returned HTTP {status}")
-            raw = resp.read()
+            raw = _read_capped(resp, url)
     except urllib.error.HTTPError as e:
         raise FetchError(f"GET {url} returned HTTP {e.code}") from e
     except urllib.error.URLError as e:
@@ -200,5 +211,5 @@ def compare_sequence(s: SequenceSource, b: BFileSequence, n_from: int, n_to: int
 
 def bundled_a032123() -> BFileSequence:
     """The in-repo 20-term A032123 fixture; keeps everything offline."""
-    text = resources.files("recurra").joinpath("data/b032123_first20.txt").read_text()
+    text = read_file(Path(__file__).parent / "data" / "b032123_first20.txt")
     return parse_bfile(text, sequence_id="A032123", source="bundled fixture")

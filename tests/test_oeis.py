@@ -1,3 +1,4 @@
+import io
 import sys
 import urllib.error
 from importlib import resources
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from recurra import oeis
+from recurra.cli import EXIT_FAIL, main
 from recurra.oeis import (
     BFileParseError,
     BFileSequence,
@@ -199,11 +202,11 @@ def test_fetch_cold_cache_offline_errors(tmp_path, monkeypatch):
 
 class _FakeResponse:
     def __init__(self, payload: bytes):
-        self._payload = payload
+        self.body = io.BytesIO(payload)
         self.status = 200
 
-    def read(self):
-        return self._payload
+    def read(self, size=-1):
+        return self.body.read(size)
 
     def __enter__(self):
         return self
@@ -261,6 +264,30 @@ def test_refresh_forces_refetch(tmp_path, monkeypatch):
     b = fetch_bfile("A032123", cache_dir=tmp_path, refresh=True)
     assert b.values == (1, 1)
     assert (tmp_path / "A032123.txt").read_bytes() == payload
+
+
+def test_a_fetched_body_over_the_byte_cap_is_refused_and_not_cached(
+    tmp_path, monkeypatch, capsys
+):
+    payload = BUNDLED_TEXT.encode()
+    responses = []
+
+    def fake_urlopen(url, timeout=None):
+        responses.append(_FakeResponse(payload * 10))
+        return responses[-1]
+
+    monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
+    monkeypatch.setattr(oeis, "MAX_FILE_BYTES", len(payload))
+    message = (f"{bfile_url('A032123')} holds more than the cap MAX_FILE_BYTES = "
+               f"{len(payload)} bytes")
+    with pytest.raises(ValueError) as refused:
+        fetch_bfile("A032123", cache_dir=tmp_path)
+    assert str(refused.value) == message
+    assert responses[-1].body.tell() == len(payload) + 1  # one byte past the cap
+    assert list(tmp_path.iterdir()) == []
+    assert main(["--cache-dir", str(tmp_path), "bfile", "fetch", "A032123"]) == EXIT_FAIL
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bfile_is_a_sequence_source():
