@@ -13,7 +13,6 @@ from .certify import (
     HyperTermSpec,
     UnsupportedChainError,
     builtin_term,
-    builtin_term_names,
     certify_annihilation,
     check_cancellation_identities,
     perturbed,
@@ -45,7 +44,6 @@ from .operators import (
     LclmCapError,
     ShiftOperator,
     builtin_operator,
-    builtin_operator_names,
     lclm,
     verify_range,
 )
@@ -54,7 +52,6 @@ from .sequences import (
     SequenceSource,
     TermRangeError,
     builtin_sequence,
-    builtin_sequence_names,
     orbit_count_oracle,
     series_inv_sqrt,
     verify_ogf,
@@ -82,11 +79,8 @@ __all__ = [
     "TermRangeError",
     "UnsupportedChainError",
     "builtin_operator",
-    "builtin_operator_names",
     "builtin_sequence",
-    "builtin_sequence_names",
     "builtin_term",
-    "builtin_term_names",
     "bundled_a032123",
     "certify_annihilation",
     "check_cancellation_identities",

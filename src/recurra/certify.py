@@ -146,10 +146,6 @@ def _summand_term(name: str) -> HyperTermSpec:
 _builtin_terms = {"u-spec": _summand_term("u-op"), "v-spec": _summand_term("v-op")}
 
 
-def builtin_term_names() -> tuple[str, ...]:
-    return tuple(sorted(_builtin_terms))
-
-
 @dataclass(frozen=True)
 class ResidueReduction:
     """One residue class reduced to a cleared-numerator polynomial."""

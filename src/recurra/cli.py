@@ -219,25 +219,23 @@ def _bounded_int(low: int, why_low: str, high: int | None = None, why_high: str 
 def _load(spec: str, kind: str):
     """The builtin operator, term or sequence (kind) named spec, else the file at path spec.
 
-    A file is a JSON operator or term, or a b-file for a sequence. A name that
-    is neither a builtin nor an existing path is a ``ValueError``.
+    A builtin wins over a same-named file. A file is a JSON operator or term, or
+    a b-file for a sequence; it is read outside the lookup's ``try``, so a
+    malformed file's ``ValueError`` is never taken for an unknown name. A name
+    that is neither is the lookup's ``ValueError``, which lists the builtins,
+    with "; no file of that name either" appended.
     """
-    names, builtin, read = {
-        "operator": (ops.builtin_operator_names, ops.builtin_operator,
-                     ops.ShiftOperator.from_json),
-        "term": (certify_mod.builtin_term_names, certify_mod.builtin_term,
-                 certify_mod.HyperTermSpec.from_json),
-        "sequence": (seqs.builtin_sequence_names, seqs.builtin_sequence,
-                     lambda text: oeis.parse_bfile(text, source=spec)),
+    lookup, read = {
+        "operator": (ops.builtin_operator, ops.ShiftOperator.from_json),
+        "term": (certify_mod.builtin_term, certify_mod.HyperTermSpec.from_json),
+        "sequence": (seqs.builtin_sequence, partial(oeis.parse_bfile, source=spec)),
     }[kind]
-    if spec in names():
-        return builtin(spec)
-    path = Path(spec)
-    if not path.exists():
-        raise ValueError(
-            f"unknown {kind} {spec!r}: neither a builtin ({', '.join(names())}) nor a file"
-        )
-    return read(oeis.read_file(path))
+    try:
+        return lookup(spec)
+    except ValueError as e:
+        if not Path(spec).exists():
+            raise ValueError(f"{e}; no file of that name either") from None
+    return read(oeis.read_file(spec))
 
 
 # -- subcommands: each takes the parsed arguments and returns the exit code ----

@@ -3,11 +3,13 @@
 A b-file is plain text, one ``index value`` pair per line, ``#`` comments
 and blank lines allowed. Indices must be contiguous; every downstream
 consumer assumes gap-free windows. Fetching hits
-``https://oeis.org/<id>/b<digits>.txt`` once and caches the raw bytes; a
+``https://oeis.org/<id>/b<digits>.txt`` once and caches the raw bytes, only
+after they decode and parse, so a bad body never reaches the cache; a
 bundled 20-term A032123 fixture keeps the whole test suite offline.
 ``read_file`` is the one way a file is read: a b-file, cached or bundled, and
 the CLI's operator and term files. It and a fetch refuse more than
-``MAX_FILE_BYTES``, reading at most one byte past the cap.
+``MAX_FILE_BYTES``, reading at most one byte past the cap, and bytes that are
+not UTF-8, naming the file or URL and the offset of the first bad byte.
 """
 from __future__ import annotations
 
@@ -67,7 +69,15 @@ def read_file(path: str | Path) -> str:
     fails at once instead of filling memory; a pipe reads as a file does.
     """
     with open(path, "rb") as f:
-        return _read_capped(f, path).decode("utf-8")
+        return _decode(_read_capped(f, path), path)
+
+
+def _decode(data: bytes, name: str | Path) -> str:
+    """data as UTF-8 text; ValueError, naming name and the offset of the first bad byte."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{name} is not UTF-8 text: {e.reason} at byte {e.start}") from None
 
 
 def _read_capped(stream, name: str | Path) -> bytearray:
@@ -143,10 +153,12 @@ def fetch_bfile(
     """Return the cached b-file, fetching it from oeis.org on a cold cache.
 
     Offline mode never touches the network and errors on a cache miss. A
-    body over ``MAX_FILE_BYTES`` is refused as ``read_file`` refuses a file,
-    and nothing is cached. Cache writes go through a temp file and an atomic
-    rename, so concurrent fetchers never see a torn file. The network modules
-    are imported here, so importing the package loads none of them.
+    body over ``MAX_FILE_BYTES``, or one that does not decode and parse, is
+    refused as ``read_file`` and ``parse_bfile`` refuse a file, and nothing is
+    cached: a refresh keeps the old file. Cache writes go through a temp file
+    and an atomic rename, so concurrent fetchers never see a torn file. The
+    network modules are imported here, so importing the package loads none of
+    them.
     """
     import tempfile
     import urllib.error
@@ -178,6 +190,7 @@ def fetch_bfile(
     except urllib.error.URLError as e:
         raise FetchError(f"GET {url} failed: {e.reason}") from e
 
+    b = parse_bfile(_decode(raw, url), sequence_id=sequence_id, source=url)
     cache_dir.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=cache_dir, prefix=f".{sequence_id}.")
     try:
@@ -188,7 +201,7 @@ def fetch_bfile(
         if os.path.exists(tmp_name):
             os.unlink(tmp_name)
         raise
-    return parse_bfile(raw.decode("utf-8"), sequence_id=sequence_id, source=url)
+    return b
 
 
 def compare_sequence(s: SequenceSource, b: BFileSequence, n_from: int, n_to: int) -> Check:

@@ -244,10 +244,6 @@ def builtin_operator(name: str) -> ShiftOperator:
         ) from None
 
 
-def builtin_operator_names() -> tuple[str, ...]:
-    return tuple(sorted(_BUILTINS))
-
-
 def unroll(op: ShiftOperator, n: int, first: Sequence[int]) -> Iterator[int]:
     """The terms at n, n + 1, ... of the sequence op annihilates, from its first ones.
 

@@ -171,10 +171,6 @@ def builtin_sequence(name: str) -> SequenceSource:
     return SequenceSource(name, run, min_index, MAX_INDEX)
 
 
-def builtin_sequence_names() -> tuple[str, ...]:
-    return tuple(sorted(_BUILTINS))
-
-
 # -- orbit counting oracle ----------------------------------------------------
 
 def orbit_count_oracle(length: int, ones: int | None = None) -> int:
@@ -285,8 +281,6 @@ def verify_ogf(order: int) -> OgfReport:
     even-index aeration, so the half-sum must reproduce A032123; both sides
     are compared doubled, so no division is needed.
     """
-    if order < 0:
-        raise ValueError("truncation order must be nonnegative")
     a = builtin_sequence("A032123")
     a.check_range(0, order)
     g1 = series_inv_sqrt([1, -4], order)

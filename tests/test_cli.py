@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import recurra
-from recurra.certify import HyperTermSpec, builtin_term_names, perturbed
+from recurra.certify import HyperTermSpec, perturbed
 from recurra.check import Check, decimal
 from recurra.cli import (
     EXIT_FAIL,
@@ -33,14 +33,12 @@ from recurra.operators import (
     LclmCapError,
     ShiftOperator,
     builtin_operator,
-    builtin_operator_names,
     lclm,
     verify_range,
 )
 from recurra.sequences import (
     MAX_INDEX,
     builtin_sequence,
-    builtin_sequence_names,
     orbit_count_oracle,
 )
 
@@ -63,9 +61,9 @@ def test_gen_unknown_sequence_fails(capsys):
 
 
 _BUILTIN_NAMES = {
-    "operator": builtin_operator_names,
-    "term": builtin_term_names,
-    "sequence": builtin_sequence_names,
+    "operator": ("mathar", "u-op", "v-op"),
+    "term": ("u-spec", "v-spec"),
+    "sequence": ("A005418", "A032123", "aerated-central-binomial", "central-binomial"),
 }
 
 
@@ -82,14 +80,40 @@ _BUILTIN_NAMES = {
     ],
     ids=["verify-operator", "certify-operator", "certify-term", "verify-sequence", "gen"],
 )
-def test_a_misspelled_name_is_neither_builtin_nor_file(
+def test_a_misspelled_name_lists_the_builtins_and_no_file(
     tmp_path, monkeypatch, capsys, argv, kind, spec
 ):
     monkeypatch.chdir(tmp_path)  # no file of that name either
     assert main(argv) == EXIT_FAIL
-    names = ", ".join(_BUILTIN_NAMES[kind]())
+    names = ", ".join(_BUILTIN_NAMES[kind])
     assert capsys.readouterr().err == (
-        f"error: unknown {kind} {spec!r}: neither a builtin ({names}) nor a file\n"
+        f"error: unknown {kind} {spec!r}; builtins: {names}; no file of that name either\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--operator", "mathar", "--sequence", "A032123", "--from", "6", "--to", "9"],
+    ["certify", "--operator", "mathar", "--term", "u-spec"],
+], ids=["verify", "certify"])
+def test_a_builtin_wins_over_a_same_named_file(tmp_path, monkeypatch, capsys, argv):
+    for name in ("mathar", "u-spec", "A032123"):
+        (tmp_path / name).write_text("garbage\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_PASS
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--operator", "{file}", "--sequence", "A032123", "--from", "6", "--to", "10"],
+    ["verify", "--operator", "mathar", "--sequence", "{file}", "--from", "6", "--to", "10"],
+    ["bfile", "parse", "{file}"],
+], ids=["operator", "sequence", "bfile-parse"])
+def test_a_file_that_is_not_utf8_is_named_with_its_bad_byte(tmp_path, capsys, argv):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\xfe")
+    assert main([a.format(file=path) for a in argv]) == EXIT_FAIL
+    assert capsys.readouterr().err == (
+        f"error: {path} is not UTF-8 text: invalid start byte at byte 0\n"
     )
 
 

@@ -266,6 +266,41 @@ def test_refresh_forces_refetch(tmp_path, monkeypatch):
     assert (tmp_path / "A032123.txt").read_bytes() == payload
 
 
+@pytest.mark.parametrize("payload, error, message", [
+    (b"<html><body>Not found</body></html>\n", BFileParseError, "line 1: expected"),
+    (b"\xff\xfe0 1\n", ValueError,
+     f"{bfile_url('A032123')} is not UTF-8 text: invalid start byte at byte 0"),
+], ids=["html", "not-utf8"])
+def test_a_fetched_body_that_does_not_parse_is_not_cached(
+    tmp_path, monkeypatch, payload, error, message
+):
+    monkeypatch.setattr(
+        "urllib.request.urlopen", lambda url, timeout=None: _FakeResponse(payload)
+    )
+    with pytest.raises(error) as refused:
+        fetch_bfile("A032123", cache_dir=tmp_path)
+    assert str(refused.value).startswith(message)
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(OfflineError):
+        fetch_bfile("A032123", cache_dir=tmp_path, offline=True)
+
+
+def test_a_refresh_whose_body_does_not_parse_keeps_the_cached_file(tmp_path, monkeypatch):
+    cached = tmp_path / "A032123.txt"
+    cached.write_text(BUNDLED_TEXT)
+    good = cached.read_bytes()
+    monkeypatch.setattr(
+        "urllib.request.urlopen", lambda url, timeout=None: _FakeResponse(b"<html></html>\n")
+    )
+    with pytest.raises(BFileParseError):
+        fetch_bfile("A032123", cache_dir=tmp_path, refresh=True)
+    assert cached.read_bytes() == good
+    assert [p.name for p in tmp_path.iterdir()] == ["A032123.txt"]
+    assert fetch_bfile("A032123", cache_dir=tmp_path, offline=True).values[:13] == tuple(
+        A032123_HEAD
+    )
+
+
 def test_a_fetched_body_over_the_byte_cap_is_refused_and_not_cached(
     tmp_path, monkeypatch, capsys
 ):
