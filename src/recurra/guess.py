@@ -22,11 +22,11 @@ MARGIN = 10
 HOLDOUT = 10
 #: Most unknowns (order+1)(degree+1) one guess may solve for: the system is
 #: dense, about that many columns by that many rows. (14, 19), 300 unknowns on
-#: the default 334 terms of A032123, takes 1.9-2.3 s and peaks at 45 MB in a
+#: the default 334 terms of A032123, takes 1.2-1.3 s and peaks at 41 MB in a
 #: fresh ``recurra guess`` process (2-vCPU Xeon, CPython 3.11, shared).
 MAX_UNKNOWNS = 300
 #: Most terms one guess may sample; each adds an equation. 1000 terms at 300
-#: unknowns take 8.3-10.5 s and peak at 193 MB on A032123, measured the same way.
+#: unknowns take 5.0-5.4 s and peak at 162 MB on A032123, measured the same way.
 MAX_TERMS = 1000
 
 

@@ -1,41 +1,59 @@
 """Exact nullspace computation by elimination modulo large moduli, checked over Z.
 
-The rows are integer rows. Each is divided by its content, reduced modulo a
-modulus p (a prime as a rule), and brought to reduced row echelon form mod p.
-That gives the pivot columns and, for each free column, a kernel vector mod p.
+The rows are integer rows. Each is divided by its content and reduced modulo
+a modulus p (a prime as a rule). One elimination reads them one row at a time
+into a row echelon form mod p, and back-substitutes to give the pivot columns
+and, for each free column, a kernel vector mod p. It need not read them all:
+- At ncols pivots the rank is full, so the kernel is {0}, and it stops.
+- Where a dependent row follows a dependent row, it offers the kernel of the
+  prefix read so far, once per modulus. If not every vector of that offer
+  verifies, it reads on from where it stopped, through the last row.
 Residues from several moduli combine by CRT; each entry is rebuilt as a
 rational by rational reconstruction (Wang, Guy & Davenport, SIGSAM Bull. 1982),
 the vector is scaled to a primitive integer vector, and A x = 0 is checked
-exactly over Z before it is returned.
+exactly over Z, against every row, before it is returned.
 
 Both inner loops run on packed integers, so CPython's big-integer code does
 the work per entry:
 - The elimination packs each row into one int, column c in slot ncols - 1 - c,
   every slot 8·ceil((2·bits(p) + bits(ncols) + 1) / 8) bits wide. A slot
-  starts below p and gains less than p^2 per pivot, so after at most ncols
-  pivots it is below (ncols + 1)·p^2 <= 2^(2·bits(p) + bits(ncols)) and never
-  carries into the next.
+  starts below p and gains less than p^2 per update, so after at most ncols
+  updates it is below (ncols + 1)·p^2 <= 2^(2·bits(p) + bits(ncols)) and
+  never carries into the next.
 - The exact check packs column c of A as the sum of A[r][c]·2^(w·r) over the
   rows r, with w >= bits(A) + bits(x) + bits(ncols) + 1 rounded up to bytes.
   The sum of x[c] times column c is then the sum of (A x)[r]·2^(w·r), and
   every |(A x)[r]| < ncols·2^(bits(A) + bits(x)) <= 2^(w - 1), so it is zero
   exactly when A x = 0.
 
-The result does not trust the moduli, nor needs them prime. A modulus p is
-skipped when a pivot has no inverse mod p, or when p shares a factor with the
-moduli it would join by CRT. Otherwise every pivot was a unit mod p, so the
-list mod p never has more pivots, or an earlier pivot, than the list over Q,
-and where the two agree the residues are images of the kernel over Q. A
-verified vector is supported on its own free column and on pivot columns to
-its left, so that column is free over Q as well. So once every free column of
-one pivot list has a vector verified under that list, the vectors are exactly
-the basis the contract defines: one primitive integer vector (content 1) per
-free column, ascending, positive there and zero at the other free columns.
+The result does not trust the moduli, nor needs them prime, nor needs every
+row read:
+- A modulus p is skipped when a pivot has no inverse mod p, or when p shares
+  a factor with the moduli it would join by CRT. Otherwise every pivot was a
+  unit mod p, so the list mod p never has more pivots, or an earlier pivot,
+  than the list over Q, and where the two agree the residues are images of
+  the kernel over Q.
+- The kernel of a prefix contains the full kernel. A prefix whose list mod p
+  is A's list over Q has A's rank, so its rows span A's over Q and its
+  residues are images of A's kernel.
+- A vector that passes the exact check is supported on its own free column
+  and on pivot columns to its left, so that column is free over Q as well:
+  were it a pivot column of A over Q, the row of A's RREF over Q with its
+  pivot there would give A x != 0.
+- If every free column of a prefix's list verifies, that list has
+  ncols - rank_p(prefix) >= ncols - rank_Q(A) free columns, all of them free
+  over Q, so it is A's list over Q.
+- Residues combine by CRT only between states with the same list, and a
+  longer list, or an equally long one pivoting earlier, starts the CRT anew.
+So once every free column of one pivot list has a vector verified under that
+list, the vectors are exactly the basis the contract defines: one primitive
+integer vector (content 1) per free column, ascending, positive there and
+zero at the other free columns.
 """
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .exact import primitive
 
@@ -64,36 +82,34 @@ def nullspace(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]
     found: dict[int, tuple[int, ...]] = {}  # free column -> verified vector
     best: list[int] | None = None  # pivot columns of the moduli being combined
     for p in _primes():
-        try:
-            pivots, kernel = _kernel_mod(m, ncols, p)
-        except ValueError:  # a pivot has no inverse mod p, a composite
-            continue
-        if best is None or len(pivots) > len(best) or (
-            len(pivots) == len(best) and pivots < best
-        ):  # nearer the profile over Q: restart the CRT from this modulus
-            best, modulus, residues = pivots, p, kernel
-            # A vector checked under the old pivot list may be nonzero at a
-            # free column of the new one, so it is no contract vector.
-            found.clear()
-        elif pivots == best and math.gcd(modulus, p) == 1:  # extend the modulus by CRT
-            scale = modulus * pow(modulus, -1, p)
-            modulus *= p
-            for f, old in residues.items():
-                residues[f] = [
-                    (x + (y - x) * scale) % modulus for x, y in zip(old, kernel[f])
-                ]
-        else:  # the rank drops mod p, a later column pivots, or p is not coprime
-            continue
-        candidates = {}
-        for f, res in residues.items():
-            if f not in found:
-                v = _reconstruct(f, best, res, modulus, ncols)
-                if v is not None:
-                    candidates[f] = v
-        checks = _in_kernel(m, list(candidates.values()))
-        found.update(fv for fv, ok in zip(candidates.items(), checks) if ok)
-        if all(f in found for f in residues):
-            return [found[f] for f in sorted(residues)]
+        for pivots, kernel in _kernel_mod(m, ncols, p):
+            if best is None or len(pivots) > len(best) or (
+                len(pivots) == len(best) and pivots < best
+            ):  # nearer the profile over Q: restart the CRT from this modulus
+                best, modulus, residues = pivots, p, kernel()
+                # A vector checked under the old pivot list may be nonzero at a
+                # free column of the new one, so it is no contract vector.
+                found.clear()
+            elif pivots == best and math.gcd(modulus, p) == 1:  # extend the modulus by CRT
+                scale = modulus * pow(modulus, -1, p)
+                modulus *= p
+                for f, new in kernel().items():
+                    residues[f] = [
+                        (x + (y - x) * scale) % modulus for x, y in zip(residues[f], new)
+                    ]
+            else:  # a short prefix, a rank drop mod p, a later pivot, or p not
+                # coprime, as when p's last offer repeats the list of its prefix
+                continue  # to the offer of more rows, or to the next modulus
+            candidates = {}
+            for f, res in residues.items():
+                if f not in found:
+                    v = _reconstruct(f, best, res, modulus, ncols)
+                    if v is not None:
+                        candidates[f] = v
+            checks = _in_kernel(m, list(candidates.values()))
+            found.update(fv for fv, ok in zip(candidates.items(), checks) if ok)
+            if all(f in found for f in residues):
+                return [found[f] for f in sorted(residues)]
     raise AssertionError("unreachable: the modulus sequence is infinite")
 
 
@@ -104,7 +120,7 @@ def nullity_bound(rows: Sequence[Sequence[int]], ncols: int) -> int:
     never below the nullity over Q: 0 proves A x = 0 has only x = 0. It
     may exceed the nullity under a prime where the rank drops.
     """
-    pivots, _ = _kernel_mod(_prepare(rows, ncols), ncols, FIRST_PRIME)
+    pivots, _ = next(_kernel_mod(_prepare(rows, ncols), ncols, FIRST_PRIME, early=False))
     return ncols - len(pivots)
 
 
@@ -121,72 +137,96 @@ def _prepare(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
     return [row for row in m if any(row)]
 
 
-def _kernel_mod(m: list[list[int]], ncols: int, p: int) -> tuple[list[int], dict[int, list[int]]]:
-    """Pivot columns of the RREF of m mod p, and per free column the pivot
-    coordinates of its kernel vector mod p (1 there, 0 at the other free columns).
+def _kernel_mod(
+    m: list[list[int]], ncols: int, p: int, early: bool = True
+) -> Iterator[tuple[list[int], Callable[[], dict[int, list[int]]]]]:
+    """Offers (pivots, kernel) of the RREF mod p of a prefix of m, read one
+    row at a time: the pivot columns, ascending, and a function that gives
+    per free column the pivot coordinates of its kernel vector mod p (1
+    there, 0 at the other free columns).
+
+    At ncols pivots the rank is full: it offers every column and no kernel,
+    and stops. With ``early``, a dependent row that follows a dependent row
+    offers the rows read so far, once; asked for more, it reads on from
+    there. A single dependent row makes no offer, since rows that raise the
+    rank often follow one. The last offer covers every row. A pivot with no
+    inverse mod p ends the offers.
 
     Each row is one int: column c sits in slot ncols - 1 - c of ``size``
-    bytes, so the current column is the top slot of every row not yet a
-    pivot row. The slot width is at least 2·bits(p) + bits(ncols) + 1: a slot
-    starts below p and each pivot adds f·(-t mod p) < p^2 to it, so it stays
-    below (ncols + 1)·p^2 and never carries into the next.
-
-    With t the pivot row scaled to 1 at the pivot column, ``neg`` packs
-    -t mod p after that column, and every other row is updated by one
-    big-by-small multiply-add, row + f·neg, f being its slot at the column
-    mod p. A row below the pivot drops that slot as it is updated, so it
-    keeps shrinking; a slot left in place is 0 mod p and masked off when
-    read. The pivot row is stored as its neg, which the same rule keeps
-    updating: slot f of pivot row i is then the kernel vector's coordinate
-    -t_i[f] at pivot i, read at the free columns only.
+    bytes. An echelon row, t scaled to 1 at its pivot column, is stored as
+    ``neg``, -t mod p at the columns after the pivot, every slot below p. A
+    new row is reduced from its top slot down. A slot 0 mod p is dropped; at
+    an echelon row's pivot column the row becomes (row below the slot) +
+    f·neg, f the slot mod p, one big-by-small multiply-add; any other slot is
+    the pivot of a fresh echelon row. A row left with no slot is dependent.
+    The kernel back-substitutes on copies of the echelon rows, each taking
+    the later pivot columns in ascending order. Either way a slot starts
+    below p and gains less than p^2 per update, at most ncols of them, so it
+    stays below (ncols + 1)·p^2 < 2^(2·bits(p) + bits(ncols)) and never
+    carries into the next. Slot f of a reduced row i is then the kernel
+    vector's coordinate -t_i[f] at pivot i, read at the free columns only.
     """
     size = (2 * p.bit_length() + ncols.bit_length() + 8) // 8  # bytes per slot
     width = 8 * size
     mask = (1 << width) - 1
-    a = [
-        int.from_bytes(b"".join((x % p).to_bytes(size, "big") for x in row), "big")
-        for row in m
-    ]
-    a = [row for row in a if row]
-    pivots: list[int] = []
-    shift = width * ncols
-    for col in range(ncols):
-        shift -= width  # the bit offset of column col's slot
-        rank = len(pivots)
-        if rank == len(a):
-            break
-        piv = next((r for r in range(rank, len(a)) if (a[r] >> shift & mask) % p), None)
-        if piv is None:
+    echelon: dict[int, tuple[int, int]] = {}  # pivot column -> (neg, mask below its slot)
+
+    def kernel() -> dict[int, list[int]]:
+        pivots = sorted(echelon)
+        reduced = []
+        for i, col in enumerate(pivots):
+            row = echelon[col][0]
+            for later in pivots[i + 1 :]:
+                f = (row >> width * (ncols - 1 - later) & mask) % p
+                if f:
+                    row += f * echelon[later][0]
+            reduced.append(row.to_bytes(size * ncols, "big"))
+        return {
+            f: [int.from_bytes(row[f * size : (f + 1) * size], "big") % p for row in reduced]
+            for f in range(ncols)
+            if f not in echelon
+        }
+
+    follows = False  # whether the row before was dependent
+    for row in m:
+        a = int.from_bytes(b"".join((x % p).to_bytes(size, "big") for x in row), "big")
+        while a:
+            shift = (a.bit_length() - 1) // width * width  # the bit offset of the top slot
+            col = ncols - 1 - shift // width
+            top = a >> shift
+            f = top % p
+            if not f:
+                a -= top << shift
+            elif col in echelon:
+                neg, low = echelon[col]
+                a = (a & low) + f * neg
+            else:
+                break
+        else:  # a dependent row
+            if early and follows:  # the one early offer
+                early = False
+                yield sorted(echelon), kernel
+            follows = True
             continue
-        row, a[piv] = a[piv], a[rank]
-        inv = pow(row >> shift & mask, -1, p)
+        follows = False
+        try:
+            inv = pow(f, -1, p)
+        except ValueError:  # no inverse: p is composite
+            return
         low = (1 << shift) - 1
-        tail = (row & low).to_bytes(shift // 8, "big")
-        neg = a[rank] = int.from_bytes(
+        tail = (a & low).to_bytes(shift // 8, "big")
+        neg = int.from_bytes(
             b"".join(
                 (-int.from_bytes(tail[i : i + size], "big") * inv % p).to_bytes(size, "big")
-                for i in range(0, len(tail), size)
+                for i in range(0, shift // 8, size)
             ),
             "big",
         )
-        for r in range(rank):
-            f = (a[r] >> shift & mask) % p
-            if f:
-                a[r] += f * neg
-        for r in range(rank + 1, len(a)):
-            row = a[r]
-            f = (row >> shift & mask) % p
-            if f:
-                a[r] = (row & low) + f * neg
-        pivots.append(col)
-    packed = [row.to_bytes(size * ncols, "big") for row in a[: len(pivots)]]
-    pivot_set = set(pivots)
-    kernel = {
-        f: [int.from_bytes(row[f * size : (f + 1) * size], "big") % p for row in packed]
-        for f in range(ncols)
-        if f not in pivot_set
-    }
-    return pivots, kernel
+        echelon[col] = neg, low
+        if len(echelon) == ncols:
+            yield list(range(ncols)), dict  # no free column: the kernel is {}
+            return
+    yield sorted(echelon), kernel
 
 
 def _reconstruct(
@@ -262,12 +302,14 @@ def _in_kernel(m: list[list[int]], vectors: list[tuple[int, ...]]) -> list[bool]
     )
     size = (bits + 7) // 8  # bytes per slot
     half = 1 << (8 * size - 1)
-    cols = [
-        int.from_bytes(b"".join((x + half).to_bytes(size, "little") for x in column), "little")
-        for column in zip(*m)
-    ]
     k = int.from_bytes(half.to_bytes(size, "little") * len(m), "little")
-    return [sum(x * cols[c] for c, x in enumerate(v) if x) == sum(v) * k for v in vectors]
+    sums = [-sum(v) * k for v in vectors]
+    for c, column in enumerate(zip(*m)):  # one packed column alive at a time
+        col = int.from_bytes(b"".join((x + half).to_bytes(size, "little") for x in column), "little")
+        for i, v in enumerate(vectors):
+            if v[c]:
+                sums[i] += v[c] * col
+    return [not s for s in sums]
 
 
 def _primes() -> Iterator[int]:

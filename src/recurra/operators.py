@@ -27,10 +27,10 @@ if TYPE_CHECKING:
 #: Largest ``order_cap`` and ``degree_cap`` an LCLM search accepts. A failing
 #: search tries every order up to the cap, each at its largest admitted degree,
 #: and the worst systems come from two order-1 operators: u-op against one with
-#: degree-20 coefficients of 2 and 9 bits fails at (10, 16) in 1.2-2.3 s, every
-#: order's nullity bound 0 (17.5 s when every degree was solved); at (8, 10),
-#: the defaults, with degree 12, in 0.25-0.35 s (was 1.7 s; 2-vCPU Xeon,
-#: CPython 3.11, shared).
+#: degree-20 coefficients of 2 and 9 bits fails at (10, 16) in 0.45-0.48 s,
+#: every order's nullity bound 0 (17.5 s when every degree was solved); at
+#: (8, 10), the defaults, with degree 12, in 0.17-0.20 s. They peak at 22 and
+#: 18 MB in a fresh ``recurra lclm`` process (2-vCPU Xeon, CPython 3.11, shared).
 MAX_ORDER_CAP = 10
 MAX_DEGREE_CAP = 16
 #: A sequence source's window keeps at least its last WINDOW terms, and a
@@ -76,11 +76,12 @@ MAX_VERIFY_DEGREE = 150
 #: nullspace is nonempty, as its vectors grow with them: uncapped, v-op against
 #: n*a(n) + C*a(n-1) took 2.4-2.8 s at a 5,000-bit C and 16 s at 10,000 bits.
 #: The worst case measured at the cap: mathar against n*a(n) + C*a(n-5) with a
-#: 555-bit C, found at (10, 16) in 3.1-5.0 s at the largest caps, one nullspace
+#: 555-bit C, found at (10, 16) in 2.6-3.1 s at the largest caps, one nullspace
 #: solved (4.5-5.8 s when the 15 empty systems before it were solved too); at the
-#: defaults, mathar against n*a(n) + C*a(n-2) with a 1,010-bit C in 1.4-2.2 s
-#: (2-vCPU Xeon, CPython 3.11, shared). That found search is the slowest
-#: measured, ahead of any failing one.
+#: defaults, mathar against n*a(n) + C*a(n-2) with a 1,010-bit C in 1.2-1.4 s.
+#: They peak at 20 and 18 MB in a fresh ``recurra lclm`` process (2-vCPU Xeon,
+#: CPython 3.11, shared). That found search is the slowest measured, ahead of
+#: any failing one.
 MAX_LCLM_BITS = 70_000
 
 

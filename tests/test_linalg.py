@@ -160,12 +160,13 @@ def test_rank_drop_mod_the_first_prime():
 
 
 def test_kernel_past_one_prime_reconstruction_bound(monkeypatch):
+    # One elimination per modulus, which may offer a prefix and then all rows.
     primes_used = []
     kernel_mod = linalg._kernel_mod
 
-    def counting(m, ncols, p):
+    def counting(m, ncols, p, early=True):
         primes_used.append(p)
-        return kernel_mod(m, ncols, p)
+        return kernel_mod(m, ncols, p, early)
 
     monkeypatch.setattr(linalg, "_kernel_mod", counting)
     assert nullspace([[3**190, 2**300 + 1]], ncols=2) == [(-(2**300 + 1), 3**190)]
@@ -258,10 +259,116 @@ def test_nullity_bound_is_never_below_the_nullity(matrix):
     assert nullity_bound(rows, ncols) >= len(nullspace(rows, ncols=ncols))
 
 
+# Rows that depend on rows after them, read first: duplicates, multiples and
+# combinations. Two of them in a row make the elimination offer the kernel of
+# a prefix too large for the matrix, which the exact check must refuse.
+@st.composite
+def _dependent_rows_first(draw):
+    cols = draw(st.integers(1, 6))
+    base = draw(st.lists(st.lists(_entries, min_size=cols, max_size=cols), min_size=1, max_size=6))
+    row = st.sampled_from(base)
+    scale = st.integers(-5, 5)
+    dependent = st.one_of(
+        row,
+        st.builds(lambda r, c: [c * x for x in r], row, scale),
+        st.builds(lambda r, s, c, d: [c * x + d * y for x, y in zip(r, s)], row, row, scale, scale),
+    )
+    return draw(st.lists(dependent, min_size=1, max_size=4)) + base, cols
+
+
+# Tall matrices of full column rank: a triangular block with a nonzero
+# diagonal among random rows, in any order.
+@st.composite
+def _tall_full_rank(draw):
+    cols = draw(st.integers(1, 8))
+    entry = st.integers(-(2**100), 2**100)
+    block = [
+        [draw(entry) if c < r else draw(st.integers(1, 9)) if c == r else 0 for c in range(cols)]
+        for r in range(cols)
+    ]
+    extra = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), max_size=2 * cols))
+    return draw(st.permutations(block + extra)), cols
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(_dependent_rows_first(), _tall_full_rank()))
+def test_a_prefix_read_first_gives_the_contract_basis(matrix):
+    rows, ncols = matrix
+    test_nullspace_contract.hypothesis.inner_test(matrix)
+    assert nullity_bound(rows, ncols) == ncols - _reference_rank(rows)
+
+
+def _count_rows_read(monkeypatch):
+    """Wraps ``linalg._kernel_mod``: one record per elimination, with its
+    modulus, the rows it was given, the rows it read and, at each offer,
+    (rows read, rank)."""
+    calls = []
+    kernel_mod = linalg._kernel_mod
+
+    def counting(m, ncols, p, early=True):
+        call = {"p": p, "rows": len(m), "read": 0, "offers": []}
+        calls.append(call)
+
+        class Read(list):
+            def __iter__(self):
+                call["read"] += 1
+                return super().__iter__()
+
+        for pivots, kernel in kernel_mod([Read(row) for row in m], ncols, p, early):
+            call["offers"].append((call["read"], len(pivots)))
+            yield pivots, kernel
+
+    monkeypatch.setattr(linalg, "_kernel_mod", counting)
+    return calls
+
+
+def test_a_failed_early_offer_reads_on_without_restarting(monkeypatch):
+    # Rows 2 and 3 depend on row 1, so the first three offer the kernel
+    # spanned by (0, 1, 0) and (0, 0, 1); row 4 refutes the first. The same
+    # elimination then reads row 4 alone and offers all four rows.
+    calls = _count_rows_read(monkeypatch)
+    assert nullspace([[1, 0, 0], [2, 0, 0], [3, 0, 0], [0, 1, 0]], ncols=3) == [(0, 0, 1)]
+    assert calls == [{"p": MERSENNE_127, "rows": 4, "read": 4, "offers": [(3, 1), (4, 2)]}]
+
+
+def test_one_dependent_row_makes_no_offer(monkeypatch):
+    # Row 2 depends on row 1, but row 3 does not: only all rows are offered.
+    calls = _count_rows_read(monkeypatch)
+    assert nullspace([[1, 0, 0], [2, 0, 0], [0, 1, 0]], ncols=3) == [(0, 0, 1)]
+    assert calls == [{"p": MERSENNE_127, "rows": 3, "read": 3, "offers": [(3, 2)]}]
+
+
+def test_a_tall_system_of_full_rank_reads_ncols_rows(monkeypatch):
+    # Any 12 rows of this Vandermonde matrix are independent.
+    rows = [[(i + 1) ** j for j in range(12)] for i in range(40)]
+    calls = _count_rows_read(monkeypatch)
+    assert nullity_bound(rows, 12) == 0
+    assert nullspace(rows, ncols=12) == []
+    assert calls == [{"p": MERSENNE_127, "rows": 40, "read": 12, "offers": [(12, 12)]}] * 2
+
+
+def test_the_discover_system_reads_55_of_127_rows(monkeypatch):
+    # guess (8, 12) on 145 terms of A032123: rank 53, nullity 64. Rows 54 and
+    # 55 are the first dependent ones, and the kernel of those 55 verifies.
+    from recurra.guess import guess_recurrence
+    from recurra.sequences import builtin_sequence
+
+    calls = _count_rows_read(monkeypatch)
+    result = guess_recurrence(builtin_sequence("A032123").terms(0, 144), 8, 12)
+    assert len(result.candidates) == 64
+    assert calls == [{"p": MERSENNE_127, "rows": 127, "read": 55, "offers": [(55, 53)]}]
+
+
+def _all_rows(m, ncols, p):
+    """``linalg._kernel_mod``'s offer of every row: pivots and kernel."""
+    (pivots, kernel), = linalg._kernel_mod(m, ncols, p, early=False)
+    return pivots, kernel()
+
+
 def _reference_kernel_mod(m, ncols, p):
-    """The list-based elimination ``linalg._kernel_mod`` replaced: the oracle
-    for its packed rows. Same contract: pivot columns of the RREF of m mod p,
-    and per free column the pivot coordinates of its kernel vector mod p."""
+    """A list-based Gauss-Jordan elimination over every row: the oracle for
+    the packed rows of ``linalg._kernel_mod``. Pivot columns of the RREF of m
+    mod p, and per free column the pivot coordinates of its kernel vector mod p."""
     a = [[x % p for x in row] for row in m]
     a = [row for row in a if any(row)]
     pivots = []
@@ -326,7 +433,7 @@ def test_packed_elimination_matches_the_list_reference(case):
     # pivot list than the true one; nullspace would then restart its CRT on a
     # profile no vector verifies under, and walk the primes forever.
     rows, ncols, p = case
-    assert linalg._kernel_mod(rows, ncols, p) == _reference_kernel_mod(rows, ncols, p)
+    assert _all_rows(rows, ncols, p) == _reference_kernel_mod(rows, ncols, p)
 
 
 def test_packed_elimination_matches_the_list_reference_on_dense_systems():
@@ -336,7 +443,7 @@ def test_packed_elimination_matches_the_list_reference_on_dense_systems():
             m = [[rng.randint(-(2**200), 2**200) for _ in range(cols)] for _ in range(rows)]
             m[1] = [x * p for x in m[0]]  # a row that vanishes mod p
             m[2] = [x + 2 * y for x, y in zip(m[3], m[4])]  # a dependent row
-            assert linalg._kernel_mod(m, cols, p) == _reference_kernel_mod(m, cols, p)
+            assert _all_rows(m, cols, p) == _reference_kernel_mod(m, cols, p)
 
 
 def _direct_in_kernel(m, vectors):
