@@ -246,8 +246,8 @@ def _gen(args) -> int:
     if args.n_from > args.n_to:
         raise ValueError("empty term range")
     s.check_range(args.n_from, args.n_to)
-    for i in range(args.n_from, args.n_to + 1):
-        print(decimal(s.term(i)))
+    for _, t in zip(range(args.n_from, args.n_to + 1), s.run(args.n_from)):
+        print(decimal(t))
     return EXIT_PASS
 
 

@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .exact import Polynomial
 from .linalg import nullspace
-from .operators import ShiftOperator
+from .operators import ShiftOperator, _streamed_residual
 from .sequences import BFileSequence
 
 #: Extra equations demanded beyond the unknown count before a fit is trusted.
@@ -112,10 +112,7 @@ def guess_recurrence(
             continue
         op = ShiftOperator(polys)
         candidates.append(op)
-        if all(
-            op.apply(seq, i) == 0
-            for i in range(max(sample_hi + 1, lo + op.order), hi + 1)
-        ):
+        if _streamed_residual(op, seq, max(sample_hi + 1, lo + op.order), hi) is None:
             verified.append(op)
     return GuessResult(candidates=tuple(candidates), verified=tuple(verified))
 

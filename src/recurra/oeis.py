@@ -214,8 +214,7 @@ def compare_sequence(s: SequenceSource, b: BFileSequence, n_from: int, n_to: int
         raise ValueError("empty comparison range")
     b.check_range(n_from, n_to)
     s.check_range(n_from, n_to)
-    for i in range(n_from, n_to + 1):
-        sv, bv = s.term(i), b.term(i)
+    for i, sv, bv in zip(range(n_from, n_to + 1), s.run(n_from), b.run(n_from)):
         if sv != bv:
             detail = f"mismatch at n={i}: {decimal(sv)} != {decimal(bv)}"
             return Check("compare", False, detail, (i, sv, bv))

@@ -33,21 +33,6 @@ if TYPE_CHECKING:
 #: 18 MB in a fresh ``recurra lclm`` process (2-vCPU Xeon, CPython 3.11, shared).
 MAX_ORDER_CAP = 10
 MAX_DEGREE_CAP = 16
-#: A sequence source's window keeps at least its last WINDOW terms, and a
-#: read at most WINDOW past the window's last term draws forward from its run
-#: instead of starting a new one. The window serves the reads made by index:
-#: ``apply`` along a sweep shorter than ``SHARD_MIN``, ``guess``'s holdout
-#: check, the proof's n = 5 note, and in-order reads such as ``terms``; a
-#: longer sweep reads its source's run directly. Applying an operator of order
-#: below WINDOW along a sweep only ever hits or draws. ``lclm`` builds none of
-#: order above ``MAX_ORDER_CAP``, but ``guess`` has no order cap of its own
-#: (``guess --order 40 --degree 0 --terms 400`` ran in 0.37 s), so its holdout
-#: may restart runs. ``verify_range`` refuses an operator of order WINDOW or
-#: more, as each read of a short sweep would land behind the window and
-#: restart the run from its seed. Unrefused, six A032123 terms at
-#: n = 20000..20005 took 4.1 s, and n = 32..3000 took 26 s (2-vCPU Xeon,
-#: CPython 3.11).
-WINDOW = 32
 #: Fewest indices ``verify_range`` splits between two processes. Two shards
 #: break even with one process at 500 to 1,000 indices (mathar on A032123,
 #: 6..500: 6.5 ms against 6.1 ms; 6..1000: 9.1 ms against 12.4 ms) and take
@@ -67,6 +52,13 @@ SHARD_MIN = 10_000
 #: shards, took 705 s and 22 min of CPU; on 32..5000 it took 4.2 s in one
 #: process, and 0.16 s at degree 2 (2-vCPU Xeon, CPython 3.11, shared).
 MAX_VERIFY_DEGREE = 150
+#: Highest operator order ``verify_range`` accepts. A sweep's cost per index
+#: grows with its order, as each nonzero c_j(n) multiplies one term, and the
+#: worst sweep this cap and ``MAX_VERIFY_DEGREE`` admit together is the one
+#: measured above: order 31 at degree 150 took 705 s over 32..100000. The cap
+#: admits every order ``lclm`` builds (``MAX_ORDER_CAP``); ``guess``, which has
+#: no order cap of its own, checks its holdout without it.
+MAX_VERIFY_ORDER = 31
 #: Most coefficient bits one LCLM system may be built from: each input's
 #: coefficients counted as certify counts them (``exact.width_bits``), once per
 #: cofactor term, (order - order(a) + 1)(degree + 1) times for a and likewise
@@ -291,30 +283,27 @@ def verify_range(op: ShiftOperator, s: SequenceSource, n_from: int, n_to: int) -
     """Check op annihilates s on n_from..n_to, stopping at the first failure.
 
     A failure's witness is ``(n, residual)``, at the least failing n. An
-    operator of order ``WINDOW`` or more or of degree over
+    operator of order over ``MAX_VERIFY_ORDER`` or of degree over
     ``MAX_VERIFY_DEGREE``, and a range that reads past either end of the
     source, n_from - order included, are refused before any term is read.
 
-    A sweep of fewer than ``SHARD_MIN`` indices is ``op.apply`` at each n. A
-    longer one reads each term once, from the source's run
-    (``_streamed_residual``), split in two at
-    split = isqrt((n_from^2 + n_to^2) / 2), which halves the work, as the cost
-    per index grows with n: this process sweeps n_from..split - 1 and one
-    forked child sweeps split..n_to. A failure in the lower shard is
+    Every sweep reads each term once, from the source's run
+    (``_streamed_residual``). One of ``SHARD_MIN`` indices or more is split in
+    two at split = isqrt((n_from^2 + n_to^2) / 2), which halves the work, as
+    the cost per index grows with n: this process sweeps n_from..split - 1 and
+    one forked child sweeps split..n_to. A failure in the lower shard is
     reported, and the child killed, before the child is waited for. The child
     reports by its exit status alone; unless that is a pass, whether it
     failed, raised or died, its shard is swept again here, so a failure there
     takes about as long to find as in one process. So the Check, its witness
-    and any error equal those of a sweep in one process. A long sweep streams
-    in one process when it cannot fork: without ``os.fork``, with one usable
-    CPU, while a second thread is alive or SIGCHLD is ignored, or when the
-    fork fails.
+    and any error equal those of a sweep in one process. A long sweep stays in
+    one process when it cannot fork: without ``os.fork``, with one usable CPU,
+    while a second thread is alive or SIGCHLD is ignored, or when the fork
+    fails.
     """
-    if op.order >= WINDOW:
-        raise ValueError(
-            f"operator order {op.order} is not below WINDOW = {WINDOW}, the terms a "
-            "sequence keeps; every read would restart its run"
-        )
+    if op.order > MAX_VERIFY_ORDER:
+        raise ValueError(f"operator order {op.order} is over the cap "
+                         f"MAX_VERIFY_ORDER = {MAX_VERIFY_ORDER}")
     degree = max(p.degree for p in op.coeffs)
     if degree > MAX_VERIFY_DEGREE:
         raise ValueError(f"operator coefficients have degree {degree}, over the cap "
@@ -324,8 +313,8 @@ def verify_range(op: ShiftOperator, s: SequenceSource, n_from: int, n_to: int) -
     if n_from > n_to:
         raise ValueError("empty verification range")
     s.check_range(n_from - op.order, n_to)
-    sweep = (_first_residual if n_to - n_from + 1 < SHARD_MIN
-             else _two_shards if _may_fork() else _streamed_residual)
+    sweep = (_two_shards if n_to - n_from + 1 >= SHARD_MIN and _may_fork()
+             else _streamed_residual)
     hit = sweep(op, s, n_from, n_to)
     if hit is None:
         return Check("verify", True, f"all residuals zero on {n_from}..{n_to}")
@@ -333,27 +322,20 @@ def verify_range(op: ShiftOperator, s: SequenceSource, n_from: int, n_to: int) -
     return Check("verify", False, f"residual {decimal(r)} at n={i}", (i, r))
 
 
-def _first_residual(op, s, n_from, n_to):
-    """The first (n, residual) on n_from..n_to that is not zero, or None."""
-    for i in range(n_from, n_to + 1):
-        r = op.apply(s, i)
-        if r:
-            return i, r
-    return None
-
-
 def _streamed_residual(op, s, n_from, n_to):
-    """``_first_residual``, reading each term once from ``s.run(n_from - order)``:
-    the last order + 1 are kept in a list, and the source's window is not used."""
+    """The first (n, residual) on n_from..n_to that is not zero, or None.
+
+    Each term is read once, from ``s.run(n_from - order)``, and the last
+    order + 1 are kept in a list."""
     run = s.run(n_from - op.order)
-    window = [next(run) for _ in range(op.order)][::-1]
-    past = window.__getitem__  # past(j) is a(i - j)
+    recent = [next(run) for _ in range(op.order)][::-1]
+    past = recent.__getitem__  # past(j) is a(i - j)
     for i in range(n_from, n_to + 1):
-        window.insert(0, next(run))
+        recent.insert(0, next(run))
         r = _combine(op._horner, i, past)
         if r:
             return i, r
-        del window[-1]
+        del recent[-1]
     return None
 
 

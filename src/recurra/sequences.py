@@ -8,25 +8,24 @@ Builtin sequences (exact identifiers):
 * ``aerated-central-binomial``  C(n, n/2) for even n, 0 for odd n
 
 A source is one ``SequenceSource(name, run, min_index, max_index)``, where
-``run(n)`` is a generator over its terms from n on. A read by index goes
-through a short window of recent terms, never its whole history, and a long
-sweep reads a run directly, so a sweep's memory stays flat in its length. A
-builtin is one ``_BUILTINS`` row, its first index and its run, and serves
-indices up to ``MAX_INDEX``. The binomials are unrolled
+``run(n)`` is a generator over its terms from n on. It keeps no read state:
+each reader in index order reads one run, keeping only the terms it needs, so
+a sweep's memory stays flat in its length, and a read by index starts a run
+of its own. A builtin is one ``_BUILTINS`` row, its first index and its run,
+and serves indices up to ``MAX_INDEX``. The binomials are unrolled
 from their operators ``u-op`` and ``v-op`` (``operators.unroll``), so sweeping
 to n = 5000 costs one big-integer multiplication and one exact division per
-step; a run starts from ``binomial_summand`` seeds when a read lands behind
-the window or far ahead of it. ``binomial_summand(step, n)``, C(2j, j) at
-n = step * j and 0 elsewhere, is the summands' one closed form, the step
-being the operator's order. A032123 is the half-sum, by shift, of the two
-summands' runs read side by side; the sum is always even, as the reversal
+step; a run starts from ``binomial_summand`` seeds. ``binomial_summand(step, n)``,
+C(2j, j) at n = step * j and 0 elsewhere, is the summands' one closed form,
+the step being the operator's order. A032123 is the half-sum, by shift, of the
+two summands' runs read side by side; the sum is always even, as the reversal
 action has even orbit defect. A005418 is the closed
 form (2^n + 2^ceil(n/2)) / 2 from n = 1: its n = 0 value is deliberately not
 exposed, as the catalogued offset convention starts at 1.
 ``builtin_sequence`` hands out a fresh source on every call;
-``BFileSequence`` runs over a fixed tuple of terms, such as a parsed b-file,
-through the same window. ``check_range`` refuses a range with an index past
-either end of a source, naming that index, before any term is read.
+``BFileSequence`` runs over a fixed tuple of terms, such as a parsed b-file.
+``check_range`` refuses a range with an index past either end of a source,
+naming that index, before any term is read.
 ``orbit_count_oracle`` counts equivalence classes of binary strings under
 reversal over half-strings: writing s = hi.[c].lo, s <= reverse(s) iff
 hi <= rev(lo), so each (c, lo) contributes the halves hi up to rev(lo).
@@ -42,17 +41,17 @@ from dataclasses import dataclass, field
 from itertools import count, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .operators import WINDOW, builtin_operator, unroll
+from .operators import builtin_operator, unroll
 
 #: Length guard for the orbit oracle. A count walks the 2^(length // 2)
 #: half-strings, 4096 at (24, 12) (about 8 ms; 2-vCPU Xeon, CPython 3.11),
 #: where the strings themselves number about 2.7M.
 ORACLE_LENGTH_CAP = 24
 
-#: Largest index a builtin source serves. A read far from the window starts
-#: its run with ``math.comb``, whose cost grows faster than linearly: the
-#: first A032123 term of a run took 1.0 s at n = 10^5 and 61 s at 10^6 (in
-#: process, 2-vCPU Xeon, CPython 3.11). 10^5 admits ``--max-n 100000``.
+#: Largest index a builtin source serves. Every run starts from
+#: ``math.comb`` seeds, whose cost grows faster than linearly: the first
+#: A032123 term of a run took 1.0 s at n = 10^5 and 61 s at 10^6 (in process,
+#: 2-vCPU Xeon, CPython 3.11). 10^5 admits ``--max-n 100000``.
 MAX_INDEX = 100_000
 
 
@@ -61,25 +60,18 @@ class TermRangeError(LookupError):
 
 
 class SequenceSource:
-    """An integer sequence addressable by index, through a window of terms.
+    """An integer sequence, read through its run.
 
     ``run(n)`` is an iterator over the terms at n, n + 1, ..., up to
-    ``max_index`` (inclusive) at least. ``_cache`` holds the terms at indices
-    ``_lo``, ``_lo + 1``, ... drawn so far from the iterator ``_rest``. A read
-    inside the window is a hit. A read at most ``WINDOW`` past its last term
-    draws forward to it; any other read (behind the window, or far ahead)
-    starts a new window at ``run(n)``. Past ``2 * WINDOW`` terms the window
-    drops all but its last ``WINDOW``, so an operator of order below
-    ``WINDOW`` applied along a sweep only ever hits or draws. ``term`` is the
-    one read by index; a long sweep in ``operators.verify_range`` reads
-    ``run`` itself. A source is not safe to share between threads: a read may
-    move the window under another.
+    ``max_index`` (inclusive) at least. A source keeps no read state, so it
+    is safe to share between threads: ``term(n)`` takes the first term of a
+    run started at n, ``terms`` lists the start of one run, and a reader in
+    index order, such as ``operators.verify_range``, reads one run itself.
     """
 
     def __init__(self, name: str, run: Callable[[int], Iterator[int]],
                  min_index: int, max_index: int):
         self.name, self.run, self.min_index, self.max_index = name, run, min_index, max_index
-        self._lo, self._cache, self._rest = min_index, [], run(min_index)
 
     def check_range(self, n_from: int, n_to: int) -> None:
         """Raise ``TermRangeError`` naming the first of n_from..n_to with no term."""
@@ -89,26 +81,12 @@ class SequenceSource:
             raise TermRangeError(f"{self.name} has no term at n={n} (available: {lo}..{hi})")
 
     def term(self, n: int) -> int:
-        if not self.min_index <= n <= self.max_index:
-            self.check_range(n, n)
-        c = self._cache
-        idx = n - self._lo
-        if 0 <= idx < len(c):
-            return c[idx]
-        if idx < 0 or idx >= len(c) + WINDOW:
-            self._lo, self._cache, self._rest = n, [], self.run(n)
-            c, idx = self._cache, 0
-        c.extend(islice(self._rest, idx + 1 - len(c)))
-        if len(c) > 2 * WINDOW:
-            drop = len(c) - WINDOW
-            del c[:drop]
-            self._lo += drop
-            idx -= drop
-        return c[idx]
+        self.check_range(n, n)
+        return next(self.run(n))
 
     def terms(self, n_from: int, n_to: int) -> list[int]:
         self.check_range(n_from, n_to)
-        return [self.term(i) for i in range(n_from, n_to + 1)]
+        return list(islice(self.run(n_from), n_to - n_from + 1)) if n_from <= n_to else []
 
 
 def binomial_summand(step: int, n: int) -> int:
@@ -134,8 +112,8 @@ def _half_sum(n: int, u: int, v: int) -> int:
 class BFileSequence(SequenceSource):
     """A fixed run of terms, e.g. a parsed b-file; ``min_index`` is its offset.
 
-    Reads go through the same window as any source's, drawn from ``values``;
-    ``source`` records where the terms came from.
+    A run is a slice of ``values``; ``source`` records where the terms came
+    from.
     """
 
     def __init__(self, name: str, offset: int, values: Iterable[int], source: str = ""):
@@ -285,5 +263,5 @@ def verify_ogf(order: int) -> OgfReport:
     a.check_range(0, order)
     g1 = series_inv_sqrt([1, -4], order)
     g2 = series_inv_sqrt([1, 0, -4], order)
-    pairs = [(k, g1[k] + g2[k], 2 * a.term(k)) for k in range(order + 1)]
+    pairs = [(k, x + y, 2 * t) for k, x, y, t in zip(range(order + 1), g1, g2, a.run(0))]
     return OgfReport(order=order, mismatches=tuple(m for m in pairs if m[1] != m[2]))

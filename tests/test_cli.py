@@ -332,8 +332,8 @@ def test_verify_fail_exit_code(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_verify_refuses_an_operator_of_window_order_at_once(tmp_path, capsys):
-    # (1 + S^27) * mathar annihilates A032123 but has order 32 = WINDOW.
+def test_verify_refuses_an_operator_over_the_order_cap_at_once(tmp_path, capsys):
+    # (1 + S^27) * mathar annihilates A032123 but has order 32 > MAX_VERIFY_ORDER.
     deep = ShiftOperator([1] + [0] * 26 + [1]) * builtin_operator("mathar")
     op_file = tmp_path / "deep.json"
     op_file.write_text(deep.to_json())
@@ -347,8 +347,7 @@ def test_verify_refuses_an_operator_of_window_order_at_once(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: operator order 32 is not below WINDOW = 32, the terms a sequence "
-        "keeps; every read would restart its run\n"
+        "error: operator order 32 is over the cap MAX_VERIFY_ORDER = 31\n"
     )
 
 

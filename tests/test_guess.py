@@ -10,7 +10,7 @@ from recurra.guess import (
     minimal_guess,
     required_terms,
 )
-from recurra.operators import builtin_operator, verify_range
+from recurra.operators import MAX_VERIFY_ORDER, ShiftOperator, builtin_operator, verify_range
 from recurra.sequences import builtin_sequence
 
 
@@ -128,3 +128,11 @@ def test_mathar_is_consistent_as_frozen_solution():
 def test_guess_refuses_a_bad_shape(terms, order, degree, error, match):
     with pytest.raises(error, match=match):
         guess_recurrence(terms, order, degree)
+
+
+def test_the_holdout_verifies_an_order_over_the_verify_cap():
+    # guess has no order cap, and its holdout check does not go through verify_range.
+    period = ShiftOperator([1] + [0] * 32 + [-1])
+    assert period.order == 33 > MAX_VERIFY_ORDER
+    terms = [(k % 33) ** 3 + 7 * (k % 33) for k in range(200)]
+    assert guess_recurrence(terms, 33, 0).verified == (period,)

@@ -10,12 +10,14 @@ from itertools import count, islice
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from recurra import guess, operators
+from recurra import guess, operators, sequences
+from recurra.cli import EXIT_PASS, main
 from recurra.exact import COEFF_DIGITS, Polynomial, n
 from recurra.linalg import nullspace
+from recurra.oeis import compare_sequence
 from recurra.operators import (
     LclmCapError,
     ShiftOperator,
@@ -26,12 +28,12 @@ from recurra.operators import (
 )
 from recurra.sequences import (
     MAX_INDEX,
-    WINDOW,
     BFileSequence,
     SequenceSource,
     TermRangeError,
     builtin_sequence,
     orbit_count_oracle,
+    verify_ogf,
 )
 
 A032123_HEAD = [1, 1, 4, 10, 38, 126, 472, 1716, 6470, 24310, 92504, 352716, 1352540]
@@ -129,7 +131,7 @@ def test_verify_range_past_the_source_is_refused_before_any_read():
         verify_range(builtin_operator("mathar"), builtin_sequence("A032123"), 6, MAX_INDEX + 1)
 
 
-def test_verify_range_refuses_an_order_of_window_or_more_before_any_read():
+def test_verify_range_refuses_an_order_over_the_cap_before_any_read():
     drawn = []
 
     def run(n):
@@ -137,14 +139,16 @@ def test_verify_range_refuses_an_order_of_window_or_more_before_any_read():
             drawn.append(m)
             yield 0
 
-    zero = SequenceSource("zero", run, 0, MAX_INDEX)
-    shift = ShiftOperator([1] + [0] * (WINDOW - 2) + [1])
-    assert verify_range(shift, zero, WINDOW - 1, 2 * WINDOW).passed
+    zero, cap = SequenceSource("zero", run, 0, MAX_INDEX), operators.MAX_VERIFY_ORDER
+    shift = ShiftOperator([1] + [0] * (cap - 1) + [1])
+    assert shift.order == cap == 31
+    assert verify_range(shift, zero, cap, 2 * cap + 2).passed
     drawn.clear()
     deep = ShiftOperator([1] + [0] * 26 + [1]) * builtin_operator("mathar")
-    assert deep.order == WINDOW
-    with pytest.raises(ValueError, match=f"WINDOW = {WINDOW}"):
-        verify_range(deep, zero, WINDOW, MAX_INDEX)
+    assert deep.order == cap + 1
+    with pytest.raises(ValueError, match=f"order {cap + 1} is over the cap "
+                                         f"MAX_VERIFY_ORDER = {cap}$"):
+        verify_range(deep, zero, cap + 1, MAX_INDEX)
     assert drawn == []
 
 
@@ -340,8 +344,8 @@ def test_half_sum_identity_to_5000():
     a = builtin_sequence("A032123")
     u = builtin_sequence("central-binomial")
     v = builtin_sequence("aerated-central-binomial")
-    for i in range(0, 5001):
-        assert 2 * a.term(i) == u.term(i) + v.term(i)
+    for ai, ui, vi in zip(a.terms(0, 5000), u.terms(0, 5000), v.terms(0, 5000)):
+        assert 2 * ai == ui + vi
 
 
 def test_mathar_annihilates_each_summand_separately():
@@ -630,7 +634,6 @@ def test_a_long_sweep_in_one_process_streams(monkeypatch, forks, window_reads, w
     else:
         context = _second_thread() if why == "a second thread" else _sigchld_ignored()
     mathar, wrong = builtin_operator("mathar"), _a032123_with({330})()
-    window_reads.clear()  # the wrong terms were read through the window
     with context:
         passed = verify_range(mathar, builtin_sequence("A032123"), 6, 400)
         failed = verify_range(mathar, wrong, 6, 400)
@@ -656,6 +659,67 @@ def test_the_shard_of_a_child_that_dies_is_streamed_again(monkeypatch, forks, wi
     assert window_reads == []
     assert len(forks.pids) == 1
     _nothing_left(forks)
+
+
+def _counted(run, starts):
+    """``run``, appending the index of each run it starts to ``starts``."""
+    def counted(n):
+        starts.append(n)
+        return run(n)
+
+    return counted
+
+
+def _runs_counted(s, starts):
+    s.run = _counted(s.run, starts)
+    return s
+
+
+def _read_in_order(reader, monkeypatch, starts):
+    """Run one in-order reader of A032123, its runs counted in ``starts``."""
+    first, run = sequences._BUILTINS["A032123"]
+    monkeypatch.setitem(sequences._BUILTINS, "A032123", (first, _counted(run, starts)))
+    mathar, a = builtin_operator("mathar"), builtin_sequence("A032123")
+    if reader == "short verify_range":
+        assert verify_range(mathar, a, 6, 400).passed
+    elif reader == "long verify_range, one process":
+        monkeypatch.setattr(operators, "SHARD_MIN", 16)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert verify_range(mathar, a, 6, 400).passed
+    elif reader == "verify_ogf":
+        assert verify_ogf(50).passed
+    elif reader == "compare_sequence":
+        head = _runs_counted(BFileSequence("A032123", 0, A032123_HEAD), starts)
+        assert compare_sequence(a, head, 0, 12).passed
+    elif reader == "gen":
+        assert main(["gen", "A032123", "--from", "3", "--to", "40"]) == EXIT_PASS
+    elif reader == "terms":
+        assert a.terms(3, 40)[:3] == A032123_HEAD[3:6]
+    else:  # guess's holdout, on the one candidate u-op
+        monkeypatch.setattr(guess, "BFileSequence",
+                            lambda *args: _runs_counted(BFileSequence(*args), starts))
+        u = builtin_sequence("central-binomial").terms(0, 40)
+        assert guess.guess_recurrence(u, 1, 1).verified == (builtin_operator("u-op"),)
+
+
+#: Each in-order reader, and the first index of each run it starts.
+_RUNS = {
+    "short verify_range": [1],
+    "long verify_range, one process": [1],
+    "verify_ogf": [0],
+    "compare_sequence": [0, 0],
+    "gen": [3],
+    "terms": [3],
+    "guess's holdout": [30],
+}
+
+
+@pytest.mark.parametrize("reader", _RUNS)
+def test_each_in_order_reader_reads_one_run(monkeypatch, capsys, window_reads, reader):
+    starts = []
+    _read_in_order(reader, monkeypatch, starts)
+    assert starts == _RUNS[reader]
+    assert window_reads == []
 
 
 def test_verify_range_refuses_a_degree_over_the_cap_before_any_read():
@@ -693,6 +757,25 @@ _operators = st.tuples(
 
 def _all_int(op):
     return all(type(c) is int for p in op.coeffs for c in p.coeffs)
+
+
+# Zeros, then a few small terms: a sweep from inside the zeros fails late or passes.
+_bfiles = st.tuples(st.integers(0, 20), st.lists(st.integers(-3, 3), min_size=1, max_size=6)).map(
+    lambda t: [0] * t[0] + t[1]
+)
+
+
+@settings(deadline=None)
+@given(_operators, _bfiles, st.data())
+def test_the_witness_is_the_first_index_where_apply_is_not_zero(op, values, data):
+    # The per-index reference: apply, reading each term by index.
+    assume(len(values) > op.order)
+    s = BFileSequence("s", 0, values)
+    n_from = data.draw(st.integers(op.order, len(values) - 1))
+    n_to = data.draw(st.integers(n_from, len(values) - 1))
+    residuals = ((i, op.apply(s, i)) for i in range(n_from, n_to + 1))
+    assert verify_range(op, s, n_from, n_to).witness == next(
+        ((i, r) for i, r in residuals if r), None)
 
 
 @settings(deadline=None)

@@ -14,7 +14,6 @@ from recurra.operators import builtin_operator, verify_range
 from recurra.sequences import (
     MAX_INDEX,
     ORACLE_LENGTH_CAP,
-    WINDOW,
     BFileSequence,
     TermRangeError,
     binomial_summand,
@@ -73,9 +72,9 @@ def test_a032123_closed_specific():
 
 
 def test_half_sum_parity_holds_far_out():
-    for k in range(0, 501):
-        assert (U.term(k) + V.term(k)) % 2 == 0
-        assert 2 * A.term(k) == U.term(k) + V.term(k)
+    for a, u, v in zip(A.terms(0, 500), U.terms(0, 500), V.terms(0, 500)):
+        assert (u + v) % 2 == 0
+        assert 2 * a == u + v
 
 
 @pytest.mark.parametrize("length,ones,expected", [(6, 3, 10), (4, 2, 4), (2, None, 3)])
@@ -223,31 +222,31 @@ def test_term_queries_are_deterministic():
 def test_builtin_sequences_are_fresh_and_independent():
     a, b = builtin_sequence("A032123"), builtin_sequence("A032123")
     assert a is not b
-    assert a.term(3000) == _reference("A032123", 3000)  # a's window moves far ahead
+    assert a.term(3000) == _reference("A032123", 3000)  # a far read on a
     assert [b.term(k) for k in range(13)] == A032123_HEAD
     assert a.term(2999) == _reference("A032123", 2999)
     assert b.term(12) == A032123_HEAD[12]
 
 
 def test_a032123_first_reads_on_fresh_sources():
-    # A fresh source's run starts at n = 0; 1 and 2 draw from it, or start there.
+    # Each read starts a run of its own, from seeds at n = 0, 1 or 2.
     assert [builtin_sequence("A032123").term(k) for k in range(3)] == [1, 1, 4]
     for k in range(3):
         s = builtin_sequence("A032123")
-        s.term(10 * WINDOW)  # move the window away, so the next read restarts at k
+        assert s.term(320) == _reference("A032123", 320)  # a far read first
         assert [s.term(m) for m in range(k, 6)] == A032123_HEAD[k:6]
+        assert list(islice(s.run(k), 6 - k)) == A032123_HEAD[k:6]
 
 
-@pytest.mark.parametrize("target", [3 * WINDOW + 1, 3 * WINDOW + 2])
+@pytest.mark.parametrize("target", [97, 98])
 def test_a032123_reseeds_on_either_parity(target):
     # v steps two indices at a time, so a run must start with v(n - 1) as well as v(n).
     s = builtin_sequence("A032123")
     assert s.term(5) == _reference("A032123", 5)
-    for n in range(target, target + WINDOW + 3):  # jump to target, then step on
-        assert s.term(n) == _reference("A032123", n)
-    back = target - 2 * WINDOW - 1  # behind the window: restart there and step on
-    for n in range(back, back + 5):
-        assert s.term(n) == _reference("A032123", n)
+    for start, length in ((target, 35), (target - 65, 5)):  # far ahead, then back
+        want = [_reference("A032123", n) for n in range(start, start + length)]
+        assert [s.term(n) for n in range(start, start + length)] == want
+        assert list(islice(s.run(start), length)) == want
 
 
 def test_a032123_odd_half_sum_still_raises(monkeypatch):
@@ -281,8 +280,8 @@ def test_unrolled_runs_match_the_closed_forms(name, start, k):
 
 
 def test_sweep_memory_is_bounded():
-    # Holding every term up to n = 10000 takes about 29.5 MiB; a window of
-    # them about 0.4 MiB.
+    # Holding every term up to n = 10000 takes about 29.5 MiB; the sweep
+    # keeps its last six.
     tracemalloc.start()
     try:
         rep = verify_range(builtin_operator("mathar"), builtin_sequence("A032123"), 6, 10000)
@@ -294,7 +293,7 @@ def test_sweep_memory_is_bounded():
 
 
 def _reference(name: str, n: int) -> int:
-    """Direct closed forms, with no window and no ratio steps."""
+    """Direct closed forms, with no run and no ratio steps."""
     name = name.removesuffix(" b-file")
     u = math.comb(2 * n, n)
     v = math.comb(n, n // 2) if n % 2 == 0 else 0
@@ -307,20 +306,21 @@ def _reference(name: str, n: int) -> int:
 
 
 _LAST = 1500  # reads stay on min_index.._LAST, where math.comb is cheap
+_SPAN = 32  # the scale of the moves below, in indices
 
 
 def _source(name: str):
     if name == "A032123 b-file":
-        # Longer than 2 * WINDOW, so reads through it draw, drop and restart.
-        return BFileSequence(name, 3, [_reference(name, k) for k in range(3, 3 + 5 * WINDOW)])
+        # Five spans long, so walks reach its end and jumps land on both sides.
+        return BFileSequence(name, 3, [_reference(name, k) for k in range(3, 3 + 5 * _SPAN)])
     return builtin_sequence(name)
 
 
 _MOVES = st.one_of(
-    st.tuples(st.just("walk"), st.integers(1, 3 * WINDOW)),  # sequential reads
-    st.tuples(st.just("jump"), st.integers(-(WINDOW - 1), WINDOW - 1)),
-    st.tuples(st.just("jump"), st.integers(-10 * WINDOW, -WINDOW)),
-    st.tuples(st.just("jump"), st.integers(WINDOW, 10 * WINDOW)),
+    st.tuples(st.just("walk"), st.integers(1, 3 * _SPAN)),  # sequential reads
+    st.tuples(st.just("jump"), st.integers(-(_SPAN - 1), _SPAN - 1)),
+    st.tuples(st.just("jump"), st.integers(-10 * _SPAN, -_SPAN)),
+    st.tuples(st.just("jump"), st.integers(_SPAN, 10 * _SPAN)),
 )
 
 
@@ -332,16 +332,33 @@ _MOVES = st.one_of(
     start=st.integers(0, _LAST),
     moves=st.lists(_MOVES, max_size=20),
 )
-def test_window_reads_match_the_closed_forms(name, start, moves):
+def test_reads_and_runs_match_the_closed_forms(name, start, moves):
+    # A walk reads the next terms from one run, a jump reads one term by index.
     s = _source(name)
     last = min(s.max_index, _LAST)
     n = min(max(start, s.min_index), last)
     assert s.term(n) == _reference(name, n)
     for kind, k in moves:
-        targets = range(n + 1, n + k + 1) if kind == "walk" else [n + k]
-        for m in targets:
-            n = min(max(m, s.min_index), last)
+        if kind == "walk":
+            k = min(k, last - n)
+            want = [_reference(name, m) for m in range(n + 1, n + k + 1)]
+            assert list(islice(s.run(n + 1), k)) == want
+            n += k
+        else:
+            n = min(max(n + k, s.min_index), last)
             assert s.term(n) == _reference(name, n)
+
+
+def test_a_source_keeps_no_read_state():
+    mathar = builtin_operator("mathar")
+    s = builtin_sequence("A032123")
+    b = BFileSequence("b", 0, A032123_HEAD, "head")
+    for source, top in ((s, 400), (b, 12)):
+        assert source.term(7) == A032123_HEAD[7]
+        assert source.terms(0, 12) == A032123_HEAD
+        assert verify_range(mathar, source, 6, top).passed
+    assert vars(s).keys() == {"name", "run", "min_index", "max_index"}
+    assert vars(b).keys() == {"name", "run", "min_index", "max_index", "values", "source"}
 
 
 def test_verify_ogf():
