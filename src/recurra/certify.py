@@ -15,7 +15,7 @@ support {0} and n_min = k, so each summand's recurrence is written once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Iterable, NamedTuple
 
 from .check import Check, decimal
 from .exact import Polynomial, integer_roots, n, read_polynomials, width_bits
@@ -78,41 +78,57 @@ class UnsupportedChainError(ValueError):
     """Contributions from several independent sub-chains in one residue class."""
 
 
-@dataclass(frozen=True)
-class HyperTermSpec:
-    """A term satisfying p(n) * t(n) = q(n) * t(n - step).
-
-    ``support`` lists the residues mod step where t may be nonzero; ``n_min``
-    is the smallest index at which the one-step relation is valid.
-    ``q_roots`` holds the integer roots of q, found once per term: those of
-    q(n - s) are the same plus s.
-    """
-
+class _TermFields(NamedTuple):
     step: int
     p: Polynomial
     q: Polynomial
     support: frozenset[int]
     n_min: int
-    q_roots: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.step not in (1, 2):
+
+class HyperTermSpec(_TermFields):
+    """A term satisfying p(n) * t(n) = q(n) * t(n - step).
+
+    ``support`` lists the residues mod step where t may be nonzero; ``n_min``
+    is the smallest index at which the one-step relation is valid.
+    ``q_roots`` holds the integer roots of q, found once per term: those of
+    q(n - s) are the same plus s. It is no field, so equality and repr leave
+    it out. Every construction, ``_replace`` included, validates.
+    """
+
+    q_roots: tuple[int, ...]
+
+    def __new__(cls, step: int, p: Polynomial, q: Polynomial, support: Iterable[int],
+                n_min: int):
+        if step not in (1, 2):
             raise ValueError("only step-1 and step-2 terms are supported")
-        if self.p.is_zero or self.q.is_zero:
+        if p.is_zero or q.is_zero:
             raise DegenerateRatioError("ratio polynomials must be nonzero")
-        if max(self.p.degree, self.q.degree) > MAX_TERM_DEGREE:
-            raise ValueError(f"p and q have degrees {self.p.degree} and {self.q.degree}, "
+        if max(p.degree, q.degree) > MAX_TERM_DEGREE:
+            raise ValueError(f"p and q have degrees {p.degree} and {q.degree}, "
                              f"over the cap MAX_TERM_DEGREE = {MAX_TERM_DEGREE}")
-        bits = width_bits((self.p, self.q))
+        bits = width_bits((p, q))
         if bits > MAX_TERM_BITS:
             raise ValueError(f"p and q take {bits} bits at the width of their widest "
                              f"coefficients, over the cap MAX_TERM_BITS = {MAX_TERM_BITS}")
-        object.__setattr__(self, "support", frozenset(self.support))
-        if not self.support:
+        support = frozenset(support)
+        if not support:
             raise ValueError("support must be nonempty")
-        if any(r not in range(self.step) for r in self.support):
-            raise ValueError(f"support residues must lie in 0..{self.step - 1}")
-        object.__setattr__(self, "q_roots", tuple(integer_roots(self.q)))
+        if any(r not in range(step) for r in support):
+            raise ValueError(f"support residues must lie in 0..{step - 1}")
+        self = super().__new__(cls, step, p, q, support, n_min)
+        object.__setattr__(self, "q_roots", tuple(integer_roots(q)))
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("HyperTermSpec is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("HyperTermSpec is immutable")
+
+    @classmethod
+    def _make(cls, iterable) -> "HyperTermSpec":
+        return cls(*iterable)
 
     @classmethod
     def from_json(cls, text: str) -> "HyperTermSpec":
@@ -146,8 +162,7 @@ def _summand_term(name: str) -> HyperTermSpec:
 _builtin_terms = {"u-spec": _summand_term("u-op"), "v-spec": _summand_term("v-op")}
 
 
-@dataclass(frozen=True)
-class ResidueReduction:
+class ResidueReduction(NamedTuple):
     """One residue class reduced to a cleared-numerator polynomial."""
 
     residue: int
@@ -160,8 +175,7 @@ class ResidueReduction:
         return self.numerator.is_zero
 
 
-@dataclass(frozen=True)
-class CertificationReport:
+class CertificationReport(NamedTuple):
     """Outcome of certifying one operator against one term description."""
 
     residues: tuple[ResidueReduction, ...]

@@ -6,7 +6,7 @@ residual of a sweep, or the index and both values of a comparison.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 #: ``decimal`` and ``from_decimal`` convert integers in chunks of this many
 #: digits, each well under CPython's int/str digit cap, so neither depends on
@@ -15,8 +15,7 @@ _CHUNK_DIGITS = 1000
 _CHUNK = 10**_CHUNK_DIGITS
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """Verdict of one exact check; ``witness`` holds the failing values."""
 
     name: str

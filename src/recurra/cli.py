@@ -3,22 +3,24 @@ guessing, LCLM, b-file handling, and the one-shot A032123 proof pipeline.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage error,
 3 I/O or network trouble.
+
+A subcommand imports ``certify``, ``guess`` and ``oeis`` itself, where it
+uses them, so a command loads only the modules it runs.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 import time
-from dataclasses import replace
 from functools import cache, partial
-from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import certify as certify_mod
-from . import guess as guess_mod
-from . import oeis
 from . import operators as ops
 from . import sequences as seqs
 from .check import Check, decimal
+
+if TYPE_CHECKING:
+    from .certify import HyperTermSpec
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -47,8 +49,10 @@ def render(checks: list[Check], fmt: str) -> str:
     return "\n".join(lines)
 
 
-def _certify(op: ops.ShiftOperator, term: certify_mod.HyperTermSpec) -> Check:
-    rep = certify_mod.certify_annihilation(op, term)
+def _certify(op: ops.ShiftOperator, term: HyperTermSpec) -> Check:
+    from .certify import certify_annihilation
+
+    rep = certify_annihilation(op, term)
     return Check("certify", rep.certified, rep.detail())
 
 
@@ -60,7 +64,9 @@ def _summand_recurrence(op: ops.ShiftOperator) -> Check:
 
 
 def _identities() -> Check:
-    bad = [c.name for c in certify_mod.check_cancellation_identities() if not c.passed]
+    from .certify import check_cancellation_identities
+
+    bad = [c.name for c in check_cancellation_identities() if not c.passed]
     detail = f"failed: {bad}" if bad else "all transcription identities hold"
     return Check("identities", not bad, detail)
 
@@ -71,7 +77,7 @@ def _sweep(op: ops.ShiftOperator, max_n: int) -> Check:
     check = ops.verify_range(op, a, max(SWEEP_FROM, op.order), max_n)
     note = (decimal(op.apply(a, 5)) if op.order <= 5
             else f"does not apply at order {op.order}")
-    return replace(check, detail=f"{check.detail}; n=5 residual (informational): {note}")
+    return check._replace(detail=f"{check.detail}; n=5 residual (informational): {note}")
 
 
 def _lclm_order(lcm) -> Check:
@@ -92,7 +98,7 @@ def _run_stages(stages) -> list[Check]:
             check = stage()
         except Exception as e:  # a component error counts as a failing check
             check = Check(name, False, f"error: {e}")
-        checks.append(replace(check, name=name, seconds=time.perf_counter() - start))
+        checks.append(check._replace(name=name, seconds=time.perf_counter() - start))
     return checks
 
 
@@ -102,6 +108,9 @@ def run_prove_a032123(max_n: int = 5000, operator: ops.ShiftOperator | None = No
     ``operator`` replaces Mathar's order-5 operator in the certify and sweep stages.
     The LCLM of ``u-op`` and ``v-op`` is computed once and read by both LCLM stages.
     """
+    from . import oeis
+    from .certify import builtin_term
+
     op = operator if operator is not None else ops.builtin_operator("mathar")
     u_op, v_op = ops.builtin_operator("u-op"), ops.builtin_operator("v-op")
     lcm = cache(lambda: ops.lclm(u_op, v_op)[0])
@@ -111,8 +120,8 @@ def run_prove_a032123(max_n: int = 5000, operator: ops.ShiftOperator | None = No
         )),
         ("u-recurrence", partial(_summand_recurrence, u_op)),
         ("v-recurrence", partial(_summand_recurrence, v_op)),
-        ("certify-u", partial(_certify, op, certify_mod.builtin_term("u-spec"))),
-        ("certify-v", partial(_certify, op, certify_mod.builtin_term("v-spec"))),
+        ("certify-u", partial(_certify, op, builtin_term("u-spec"))),
+        ("certify-v", partial(_certify, op, builtin_term("v-spec"))),
         ("identities", _identities),
         ("mathar-numeric", partial(_sweep, op, max_n)),
         ("lclm-order", partial(_lclm_order, lcm)),
@@ -225,17 +234,25 @@ def _load(spec: str, kind: str):
     that is neither is the lookup's ``ValueError``, which lists the builtins,
     with "; no file of that name either" appended.
     """
-    lookup, read = {
-        "operator": (ops.builtin_operator, ops.ShiftOperator.from_json),
-        "term": (certify_mod.builtin_term, certify_mod.HyperTermSpec.from_json),
-        "sequence": (seqs.builtin_sequence, partial(oeis.parse_bfile, source=spec)),
-    }[kind]
+    if kind == "term":
+        from .certify import HyperTermSpec, builtin_term
+
+        lookup, read = builtin_term, HyperTermSpec.from_json
+    elif kind == "operator":
+        lookup, read = ops.builtin_operator, ops.ShiftOperator.from_json
+    else:
+        lookup, read = seqs.builtin_sequence, None  # a b-file, which oeis parses
     try:
         return lookup(spec)
     except ValueError as e:
+        from pathlib import Path
+
         if not Path(spec).exists():
             raise ValueError(f"{e}; no file of that name either") from None
-    return read(oeis.read_file(spec))
+    from . import oeis
+
+    text = oeis.read_file(spec)
+    return read(text) if read else oeis.parse_bfile(text, source=spec)
 
 
 # -- subcommands: each takes the parsed arguments and returns the exit code ----
@@ -264,6 +281,8 @@ def _certify_term(args) -> int:
 
 
 def _guess(args) -> int:
+    from . import guess as guess_mod
+
     s = _load(args.sequence, "sequence")
     count = args.terms or guess_mod.required_terms(args.order, args.degree)
     guess_mod.check_size(args.order, args.degree, count)
@@ -288,12 +307,16 @@ def _lclm(args) -> int:
 
 
 def _bfile_parse(args) -> int:
+    from . import oeis
+
     b = oeis.parse_bfile(oeis.read_file(args.path), source=args.path)
     print(f"{len(b.values)} terms, indices {b.min_index}..{b.max_index}")
     return EXIT_PASS
 
 
 def _bfile_fetch(args) -> int:
+    from . import oeis
+
     b = oeis.fetch_bfile(
         args.sequence_id, cache_dir=args.cache_dir, offline=args.offline, refresh=args.refresh
     )
@@ -302,6 +325,8 @@ def _bfile_fetch(args) -> int:
 
 
 def _bfile_compare(args) -> int:
+    from . import oeis
+
     s = _load(args.sequence, "sequence")
     b = oeis.parse_bfile(oeis.read_file(args.bfile), source=args.bfile)
     check = oeis.compare_sequence(s, b, args.n_from, args.n_to)
@@ -325,15 +350,23 @@ def _report(check: Check, fmt: str, human: str) -> int:
 _PARSER = _build_parser()
 
 
+def _loaded(module: str, *names: str) -> tuple[type[BaseException], ...]:
+    """The named exception classes of module, or none while it is not imported:
+    a module that never ran raised nothing, so looking them up imports nothing."""
+    mod = sys.modules.get(f"{__package__}.{module}")
+    return tuple(getattr(mod, name) for name in names) if mod else ()
+
+
 def main(argv: list[str]) -> int:
     """Parse argv and run its subcommand; returns the process exit code."""
     args = _PARSER.parse_args(argv)
     try:
         return args.run(args)
-    except (oeis.OfflineError, oeis.FetchError, OSError) as e:
+    except (OSError, *_loaded("oeis", "OfflineError", "FetchError")) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, seqs.TermRangeError, ops.LclmCapError, guess_mod.GuessNotFoundError) as e:
+    except (ValueError, seqs.TermRangeError, ops.LclmCapError,
+            *_loaded("guess", "GuessNotFoundError")) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FAIL
 

@@ -11,12 +11,14 @@ safe.
 """
 from __future__ import annotations
 
-import fractions
 import math
 import re
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .check import decimal, from_decimal
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 #: Most decimal digits a coefficient read from text may have in its numerator
 #: or in its denominator. It is checked on the text before any integer is
@@ -41,7 +43,7 @@ def primitive(values: Sequence[int]) -> list[int]:
     return [v // g for v in values] if g > 1 else list(values)
 
 
-def parse_coefficient(text: str) -> int | fractions.Fraction:
+def parse_coefficient(text: str) -> int | Fraction:
     """The value of one coefficient, as ``Fraction(text)`` reads it; an int
     when integral.
 
@@ -63,8 +65,9 @@ def parse_coefficient(text: str) -> int | fractions.Fraction:
         exp = _EXPONENT.search(text)
         if len(text) > _SHORT_TEXT or (exp and len(text) + abs(int(exp[1])) > COEFF_DIGITS):
             raise _over_cap(text)
+    from fractions import Fraction  # past the integer return: integer input never loads it
     try:
-        value = fractions.Fraction(value, from_decimal(den)) if plain else fractions.Fraction(text)
+        value = Fraction(value, from_decimal(den)) if plain else Fraction(text)
     except ZeroDivisionError:  # "1/0" in a file is bad input, not a bug
         raise ValueError(f"zero denominator in coefficient {text!r}") from None
     return value.numerator if value.denominator == 1 else value

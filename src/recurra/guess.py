@@ -8,8 +8,7 @@ underdetermined fits.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exact import Polynomial
 from .linalg import nullspace
@@ -59,8 +58,7 @@ def check_size(order: int, degree: int, terms: int) -> None:
         raise ValueError(f"{terms} terms requested, over the cap MAX_TERMS = {MAX_TERMS}")
 
 
-@dataclass(frozen=True)
-class GuessResult:
+class GuessResult(NamedTuple):
     """One guess's nullspace, read as operators.
 
     ``candidates`` has one entry per basis vector: its operator, or None

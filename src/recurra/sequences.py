@@ -37,9 +37,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import count, islice
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .operators import builtin_operator, unroll
 
@@ -240,12 +239,11 @@ def _mul_low(a: list[int], b: list[int], k: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class OgfReport:
+class OgfReport(NamedTuple):
     """The OGF against the closed form; a mismatch is (k, g1[k] + g2[k], 2*a(k))."""
 
     order: int
-    mismatches: tuple[tuple[int, int, int], ...] = field(default=())
+    mismatches: tuple[tuple[int, int, int], ...] = ()
 
     @property
     def passed(self) -> bool:

@@ -40,6 +40,39 @@ def test_term_spec_validation():
         HyperTermSpec(step=2, p=n, q=n, support=frozenset({2}), n_min=0)
 
 
+def test_term_spec_validates_on_every_construction():
+    doc = {"step": 3, "p": ["0", "1"], "q": ["0", "1"], "support": [0], "n_min": 0}
+    with pytest.raises(ValueError, match="only step-1 and step-2"):
+        HyperTermSpec.from_json(json.dumps(doc))
+    with pytest.raises(DegenerateRatioError):
+        HyperTermSpec.from_json(json.dumps({**doc, "step": 1, "p": []}))
+    with pytest.raises(ValueError, match=r"support residues must lie in 0\.\.0"):
+        HyperTermSpec.from_json(json.dumps({**doc, "step": 1, "support": [1]}))
+    u = builtin_term("u-spec")
+    with pytest.raises(ValueError, match=r"support residues must lie in 0\.\.0"):
+        u._replace(support=frozenset({1}))
+    with pytest.raises(DegenerateRatioError):
+        u._replace(q=Polynomial())
+    moved = u._replace(q=n - 7)
+    assert type(moved) is HyperTermSpec and moved.q_roots == (7,)
+
+
+def test_term_spec_keeps_q_roots_out_of_equality_and_repr():
+    t = HyperTermSpec(1, n, (n - 3) * (n + 2), [0], 1)
+    assert t.q_roots == (-2, 3)
+    assert t.support == frozenset({0})
+    assert t._fields == ("step", "p", "q", "support", "n_min")
+    assert t == (1, n, (n - 3) * (n + 2), frozenset({0}), 1)
+    assert repr(t) == (
+        "HyperTermSpec(step=1, p=Polynomial(['0', '1']), q=Polynomial(['-6', '-1', '1']), "
+        "support=frozenset({0}), n_min=1)"
+    )
+    with pytest.raises(AttributeError):
+        t.q_roots = ()
+    with pytest.raises(AttributeError):
+        del t.q_roots
+
+
 def _term_json(t: HyperTermSpec) -> str:
     """t as a term file holds it."""
     doc = {"step": t.step, "p": t.p.to_strings(), "q": t.q.to_strings(),

@@ -3,16 +3,13 @@ import json
 import math
 import os
 import re
-import subprocess
 import sys
 import time
 from functools import partial
 from importlib import resources
-from pathlib import Path
 
 import pytest
 
-import recurra
 from recurra.certify import HyperTermSpec, perturbed
 from recurra.check import Check, decimal
 from recurra.cli import (
@@ -157,14 +154,11 @@ def test_an_endless_file_is_refused_at_the_byte_cap(monkeypatch, capsys):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
-def test_a_bfile_on_a_pipe_is_read(tmp_path):
+def test_a_bfile_on_a_pipe_is_read(fresh_python):
     code = "import sys\nfrom recurra.cli import main\nsys.exit(main(sys.argv[1:]))\n"
     argv = ["verify", "--operator", "mathar", "--sequence", "/dev/stdin", "--from", "6",
             "--to", "19"]
-    path = str(Path(recurra.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([path, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", code, *argv], input=BUNDLED_TEXT,
-                          capture_output=True, text=True, env=env)
+    done = fresh_python(code, *argv, input=BUNDLED_TEXT)
     assert done.returncode == EXIT_PASS, done.stderr
     assert done.stdout == "PASS\n"
 
@@ -895,7 +889,7 @@ def test_a005418_proof_fails_a_mutated_operator_with_witnesses():
     assert checks["oracle"].passed
 
 
-def test_importing_the_cli_loads_no_network_module():
+def test_importing_the_cli_loads_no_network_module(fresh_python):
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -903,11 +897,66 @@ def test_importing_the_cli_loads_no_network_module():
         "net = {'urllib.request', 'http.client', 'ssl', 'socket'}\n"
         "print(sorted(net & (set(sys.modules) - before)))\n"
     )
-    path = str(Path(recurra.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([path, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    done = fresh_python(code)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_a_command_loads_only_the_modules_it_runs(fresh_python, tmp_path):
+    # A rational coefficient still parses once fractions is loaded on demand.
+    rational = {"convention": "backward", "order": 1, "coeffs": [["0", "1/2"], ["-1", "-2"]]}
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(rational))
+    code = (
+        "import io, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "import recurra.cli\n"
+        "lazy = {'dataclasses', 'fractions', 'recurra.certify', 'recurra.guess', 'recurra.oeis'}\n"
+        "print(sorted(lazy & set(sys.modules)))\n"
+        "argv = ['guess', '--sequence', 'A032123', '--order', '5', '--degree', '4',\n"
+        "        '--terms', '80', '--minimal']\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        "    assert recurra.cli.main(argv) == 0\n"
+        "print(sorted(lazy & set(sys.modules)))\n"
+        "from recurra.operators import ShiftOperator\n"
+        "print(ShiftOperator.from_json(open(sys.argv[1]).read()).to_json())\n"
+    )
+    done = fresh_python(code, str(path))
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.split("\n", 2)
+    assert lines[:2] == ["[]", "['recurra.guess']"]
+    assert json.loads(lines[2])["coeffs"] == [["0", "1"], ["-2", "-4"]]
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["--offline", "--cache-dir", "{empty}", "bfile", "fetch", "A032123"], EXIT_IO,
+         "error: A032123 is not cached at {empty}/A032123.txt and offline mode forbids fetching\n"),
+        (["guess", "--sequence", "A032123", "--order", "2", "--degree", "1", "--minimal"],
+         EXIT_FAIL, "error: no verified recurrence within order<=2, degree<=1\n"),
+        (["gen", "A032123", "--from", "100001", "--to", "100001"], EXIT_FAIL,
+         "error: A032123 has no term at n=100001 (available: 0..100000)\n"),
+        (["lclm", "--a", "u-op", "--b", "v-op", "--order-cap", "2"], EXIT_FAIL,
+         "error: no common left multiple within order_cap=2, degree_cap=10\n"),
+    ],
+    ids=["OfflineError", "GuessNotFoundError", "TermRangeError", "LclmCapError"],
+)
+def test_an_error_maps_to_its_exit_code_in_a_fresh_process(argv, code, err, fresh_python,
+                                                           tmp_path):
+    # The module that defines the error is not loaded when main starts.
+    empty = str(tmp_path)
+    argv = [a.replace("{empty}", empty) for a in argv]
+    check_code = (
+        "import sys\n"
+        "from recurra.cli import main\n"
+        "assert not {'recurra.guess', 'recurra.oeis'} & set(sys.modules)\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    done = fresh_python(check_code, *argv)
+    assert done.returncode == code
+    assert done.stderr == err.replace("{empty}", empty)
+    assert done.stdout == ""
 
 
 # sha256 of the stdout of two discovery commands, recorded before the modular
