@@ -231,8 +231,9 @@ def _load(spec: str, kind: str):
     A builtin wins over a same-named file. A file is a JSON operator or term, or
     a b-file for a sequence; it is read outside the lookup's ``try``, so a
     malformed file's ``ValueError`` is never taken for an unknown name. A name
-    that is neither is the lookup's ``ValueError``, which lists the builtins,
-    with "; no file of that name either" appended.
+    that is neither, the empty name included (``Path("")`` is the current
+    directory), is the lookup's ``ValueError``, which lists the builtins, with
+    "; no file of that name either" appended.
     """
     if kind == "term":
         from .certify import HyperTermSpec, builtin_term
@@ -247,7 +248,7 @@ def _load(spec: str, kind: str):
     except ValueError as e:
         from pathlib import Path
 
-        if not Path(spec).exists():
+        if not spec or not Path(spec).exists():
             raise ValueError(f"{e}; no file of that name either") from None
     from . import oeis
 

@@ -102,6 +102,11 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        """Rebuilt by the constructor, for ``pickle`` and ``copy``, which would set
+        ``coeffs`` through the refusing ``__setattr__``."""
+        return Polynomial, (self.coeffs,)
+
     # -- basic structure ---------------------------------------------------
 
     @property

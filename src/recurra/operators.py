@@ -42,23 +42,36 @@ MAX_DEGREE_CAP = 16
 #: lies above the proof's default sweep, 6..5000, so sweeps of tens of
 #: milliseconds stay in one process.
 SHARD_MIN = 10_000
-#: Highest coefficient degree ``verify_range`` accepts. Horner evaluation
-#: costs about D^2 per index at degree D: c_0 = n^D, c_1 = -n^D on a b-file
-#: of 1s over 1..2000 took 0.09 s at D = 150, 2.0-3.2 s at D = 1000 and
-#: 33.8 s at D = 4000. The cap admits every operator recurra emits: ``guess``
-#: reaches degree 149 at order 1 under ``MAX_UNKNOWNS`` = 300. The worst case
-#: measured at the cap: order 31, every coefficient of degree 150 (a dense
-#: order-26 operator times ``mathar``), on A032123 over 32..100000 in two
-#: shards, took 705 s and 22 min of CPU; on 32..5000 it took 4.2 s in one
-#: process, and 0.16 s at degree 2 (2-vCPU Xeon, CPython 3.11, shared).
-MAX_VERIFY_DEGREE = 150
-#: Highest operator order ``verify_range`` accepts. A sweep's cost per index
-#: grows with its order, as each nonzero c_j(n) multiplies one term, and the
-#: worst sweep this cap and ``MAX_VERIFY_DEGREE`` admit together is the one
-#: measured above: order 31 at degree 150 took 705 s over 32..100000. The cap
-#: admits every order ``lclm`` builds (``MAX_ORDER_CAP``); ``guess``, which has
-#: no order cap of its own, checks its holdout without it.
-MAX_VERIFY_ORDER = 31
+#: Most work ``verify_range`` takes on; a sweep over it is refused before any
+#: term is read. The work is counted from the operator and the range alone:
+#: for each term read, n_from - order..n_to, and each of the order + 1 rows
+#: c_j, (_ROW_BITS + b_j)(n_from + n_to) to multiply a term by c_j(n) and add
+#: the product, plus _HORNER * len_j * (_STEP_BITS + b_j) for Horner's steps on
+#: c_j's len_j coefficients. b_j, the bits of c_j's widest coefficient plus
+#: len_j times those of n_to, bounds the bits of c_j(n_to); n_from + n_to is a
+#: term's mean bits at the builtins' growth, 2 bits an index. Zero rows and the
+#: order terms read before n_from count too, so the window of order + 1 terms a
+#: sweep holds is bounded as well: order 800 is refused at ``MAX_INDEX``. The
+#: constants are a least-squares fit to 114 timed sweeps (orders 1-400, degrees
+#: 0-10,000, coefficients of 1-20,000 bits, n_to 1,000-100,000), which the
+#: model matches within 0.35-2.3x: under where the source's own term generation
+#: dominates, over for sparse high orders and for coefficients past about 2,000
+#: bits, which CPython multiplies by Karatsuba. Measured on a 2-vCPU Xeon,
+#: CPython 3.11, shared, whose speed drifts by up to 2x: mathar on A032123 over
+#: 6..100000 counts 1.08 * 10^13 and took 6.6 s in two shards (11.3 s of CPU;
+#: 11.5 s on one CPU). The 705-s sweep, order 31 with every coefficient of
+#: degree 150 on 32..100000, counts 63 times the cap; that shape is admitted on
+#: ranges up to 2000 with coefficients of up to 30,000 bits. A search over 125
+#: shapes (orders 1-400, degrees 0-5,000, coefficients of 4-20,000 bits), each
+#: swept from the least n_from the cap admits to ``MAX_INDEX``, put none above
+#: 22 s from timed samples; the slowest run end to end took 17 s in one
+#: process, an order-3 operator of 1,500-bit constants times mathar on
+#: 94922..100000. A b-file's values outgrow 2 bits an index below n = 7150
+#: (4300 digits): over one of 4300-digit values, an order-121 operator of
+#: 2,000-bit constants took 24.7 s on 121..7146. c_0 = n^D, c_1 = -n^D on 1s
+#: took 14 s at D = 10,000 on 1..295 and 19 s at D = 2,000 on 1..4373.
+MAX_SWEEP_WORK = 15 * 10**12
+_ROW_BITS, _HORNER, _STEP_BITS = 120, 27, 3600
 #: Most coefficient bits one LCLM system may be built from: each input's
 #: coefficients counted as certify counts them (``exact.width_bits``), once per
 #: cofactor term, (order - order(a) + 1)(degree + 1) times for a and likewise
@@ -102,6 +115,10 @@ class ShiftOperator:
 
     def __setattr__(self, name, value):
         raise AttributeError("ShiftOperator is immutable")
+
+    def __reduce__(self):
+        """Rebuilt by the constructor, as ``Polynomial`` is."""
+        return ShiftOperator, (self.coeffs,)
 
     @property
     def order(self) -> int:
@@ -282,10 +299,10 @@ def _combine(rows, n: int, term) -> int:
 def verify_range(op: ShiftOperator, s: SequenceSource, n_from: int, n_to: int) -> Check:
     """Check op annihilates s on n_from..n_to, stopping at the first failure.
 
-    A failure's witness is ``(n, residual)``, at the least failing n. An
-    operator of order over ``MAX_VERIFY_ORDER`` or of degree over
-    ``MAX_VERIFY_DEGREE``, and a range that reads past either end of the
-    source, n_from - order included, are refused before any term is read.
+    A failure's witness is ``(n, residual)``, at the least failing n. A range
+    that reads past either end of the source, n_from - order included, and a
+    sweep of more work than ``MAX_SWEEP_WORK`` are refused before any term is
+    read.
 
     Every sweep reads each term once, from the source's run
     (``_streamed_residual``). One of ``SHARD_MIN`` indices or more is split in
@@ -301,18 +318,18 @@ def verify_range(op: ShiftOperator, s: SequenceSource, n_from: int, n_to: int) -
     while a second thread is alive or SIGCHLD is ignored, or when the fork
     fails.
     """
-    if op.order > MAX_VERIFY_ORDER:
-        raise ValueError(f"operator order {op.order} is over the cap "
-                         f"MAX_VERIFY_ORDER = {MAX_VERIFY_ORDER}")
-    degree = max(p.degree for p in op.coeffs)
-    if degree > MAX_VERIFY_DEGREE:
-        raise ValueError(f"operator coefficients have degree {degree}, over the cap "
-                         f"MAX_VERIFY_DEGREE = {MAX_VERIFY_DEGREE}")
     if n_from < op.order:
         raise ValueError(f"range must start at or above the order {op.order}")
     if n_from > n_to:
         raise ValueError("empty verification range")
     s.check_range(n_from - op.order, n_to)
+    rows = [(len(p.coeffs), len(p.coeffs) * n_to.bit_length()
+             + max(map(abs, p.coeffs), default=0).bit_length()) for p in op.coeffs]
+    work = (n_to - n_from + 1 + op.order) * sum(
+        (_ROW_BITS + b) * (n_from + n_to) + _HORNER * d * (_STEP_BITS + b) for d, b in rows)
+    if work > MAX_SWEEP_WORK:
+        raise ValueError(f"sweeping {n_from}..{n_to} is {work} units of work, over the cap "
+                         f"MAX_SWEEP_WORK = {MAX_SWEEP_WORK}")
     sweep = (_two_shards if n_to - n_from + 1 >= SHARD_MIN and _may_fork()
              else _streamed_residual)
     hit = sweep(op, s, n_from, n_to)

@@ -27,6 +27,7 @@ from recurra.cli import (
 from recurra import oeis, operators
 from recurra.exact import Polynomial
 from recurra.operators import (
+    MAX_SWEEP_WORK,
     LclmCapError,
     ShiftOperator,
     builtin_operator,
@@ -74,13 +75,19 @@ _BUILTIN_NAMES = {
         (["verify", "--operator", "mathar", "--sequence", "A03212", "--from", "6", "--to", "9"],
          "sequence", "A03212"),
         (["gen", "A03212", "--from", "0", "--to", "3"], "sequence", "A03212"),
+        (["verify", "--operator", "", "--sequence", "A032123", "--from", "6", "--to", "9"],
+         "operator", ""),
+        (["verify", "--operator", "mathar", "--sequence", "", "--from", "6", "--to", "9"],
+         "sequence", ""),
+        (["certify", "--operator", "mathar", "--term", ""], "term", ""),
     ],
-    ids=["verify-operator", "certify-operator", "certify-term", "verify-sequence", "gen"],
+    ids=["verify-operator", "certify-operator", "certify-term", "verify-sequence", "gen",
+         "empty-operator", "empty-sequence", "empty-term"],
 )
 def test_a_misspelled_name_lists_the_builtins_and_no_file(
     tmp_path, monkeypatch, capsys, argv, kind, spec
 ):
-    monkeypatch.chdir(tmp_path)  # no file of that name either
+    monkeypatch.chdir(tmp_path)  # no file of that name either; "" is the directory
     assert main(argv) == EXIT_FAIL
     names = ", ".join(_BUILTIN_NAMES[kind])
     assert capsys.readouterr().err == (
@@ -326,9 +333,10 @@ def test_verify_fail_exit_code(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_verify_refuses_an_operator_over_the_order_cap_at_once(tmp_path, capsys):
-    # (1 + S^27) * mathar annihilates A032123 but has order 32 > MAX_VERIFY_ORDER.
-    deep = ShiftOperator([1] + [0] * 26 + [1]) * builtin_operator("mathar")
+def test_verify_refuses_a_sweep_over_the_work_cap_at_once(tmp_path, capsys):
+    # An order-31 operator of degree 150 that annihilates A032123; this sweep
+    # took 705 s before the work cap.
+    deep = ShiftOperator([Polynomial([1] * 149)] * 27) * builtin_operator("mathar")
     op_file = tmp_path / "deep.json"
     op_file.write_text(deep.to_json())
     start = time.perf_counter()
@@ -340,8 +348,9 @@ def test_verify_refuses_an_operator_over_the_order_cap_at_once(tmp_path, capsys)
     assert code == EXIT_FAIL
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        "error: operator order 32 is over the cap MAX_VERIFY_ORDER = 31\n"
+    assert captured.err.startswith(f"error: sweeping 32..{MAX_INDEX} is ")
+    assert captured.err.endswith(
+        f" units of work, over the cap MAX_SWEEP_WORK = {MAX_SWEEP_WORK}\n"
     )
 
 
@@ -363,11 +372,12 @@ def test_verify_with_operator_and_bfile_files(tmp_path, capsys):
         ("--operator", {"convention": "backward", "coeffs": [["0", "1"], ["2", "-4"]]}),
         ("--operator", [["0", "1"], ["2", "-4"]]),
         ("--operator", {"convention": "backward", "order": 1, "coeffs": [[None], ["1"]]}),
+        ("--operator", {"convention": "backward", "order": 2, "coeffs": [["1"], ["-4"]]}),
         ("--term", {"step": 1, "p": ["0", "1"], "support": [0], "n_min": 1}),
         ("--term", {"step": 1, "p": ["1/0"], "q": ["1"], "support": [0], "n_min": 1}),
     ],
-    ids=["operator-without-order", "top-level-list", "null-coefficient", "term-without-q",
-         "zero-denominator"],
+    ids=["operator-without-order", "top-level-list", "null-coefficient", "order-mismatch",
+         "term-without-q", "zero-denominator"],
 )
 def test_malformed_json_is_a_clean_error(tmp_path, capsys, flag, doc):
     path = tmp_path / "input.json"
@@ -939,8 +949,11 @@ def test_a_command_loads_only_the_modules_it_runs(fresh_python, tmp_path):
          "error: A032123 has no term at n=100001 (available: 0..100000)\n"),
         (["lclm", "--a", "u-op", "--b", "v-op", "--order-cap", "2"], EXIT_FAIL,
          "error: no common left multiple within order_cap=2, degree_cap=10\n"),
+        (["guess", "--sequence", "A032123", "--order", "1", "--degree", "0"], EXIT_FAIL,
+         "no holdout-verified recurrence found\n"),
     ],
-    ids=["OfflineError", "GuessNotFoundError", "TermRangeError", "LclmCapError"],
+    ids=["OfflineError", "GuessNotFoundError", "TermRangeError", "LclmCapError",
+         "no-verified-guess"],
 )
 def test_an_error_maps_to_its_exit_code_in_a_fresh_process(argv, code, err, fresh_python,
                                                            tmp_path):
@@ -1180,14 +1193,18 @@ def test_operator_bit_cap_fails_fast_and_names_the_cap(over, tmp_path, capsys):
         assert captured.out.startswith("CERTIFIED")
 
 
-@pytest.mark.parametrize("terms", ["0", "-3"])
-def test_guess_terms_below_one_is_usage_error(terms, capsys):
+@pytest.mark.parametrize("terms, why", [
+    ("0", "must be at least 1; got 0"),
+    ("-3", "must be at least 1; got -3"),
+    ("x", "invalid int value: 'x'"),  # and no integer at all
+], ids=["0", "-3", "x"])
+def test_guess_terms_below_one_is_usage_error(terms, why, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["guess", "--sequence", "A032123", "--order", "1", "--degree", "1",
               "--terms", terms])
     assert exc.value.code == EXIT_USAGE
     err = capsys.readouterr().err
-    assert f"--terms: must be at least 1; got {terms}" in err
+    assert f"--terms: {why}" in err
     assert "Traceback" not in err
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from recurra import operators
 from recurra.guess import (
     HOLDOUT,
     MARGIN,
@@ -10,7 +11,7 @@ from recurra.guess import (
     minimal_guess,
     required_terms,
 )
-from recurra.operators import MAX_VERIFY_ORDER, ShiftOperator, builtin_operator, verify_range
+from recurra.operators import ShiftOperator, builtin_operator, verify_range
 from recurra.sequences import builtin_sequence
 
 
@@ -130,9 +131,10 @@ def test_guess_refuses_a_bad_shape(terms, order, degree, error, match):
         guess_recurrence(terms, order, degree)
 
 
-def test_the_holdout_verifies_an_order_over_the_verify_cap():
-    # guess has no order cap, and its holdout check does not go through verify_range.
+def test_the_holdout_verifies_an_order_over_the_verify_cap(monkeypatch):
+    # guess has no order cap, and its holdout check does not go through
+    # verify_range, whose work cap would refuse every sweep here.
+    monkeypatch.setattr(operators, "MAX_SWEEP_WORK", 0)
     period = ShiftOperator([1] + [0] * 32 + [-1])
-    assert period.order == 33 > MAX_VERIFY_ORDER
     terms = [(k % 33) ** 3 + 7 * (k % 33) for k in range(200)]
     assert guess_recurrence(terms, 33, 0).verified == (period,)

@@ -70,6 +70,8 @@ def test_u_op_and_v_op_shapes():
 
 
 def test_operator_requires_nonzero_ends():
+    with pytest.raises(ValueError, match="at least the order-0 coefficient"):
+        ShiftOperator([])
     with pytest.raises(ValueError):
         ShiftOperator([Polynomial(), n])
     with pytest.raises(ValueError):
@@ -131,7 +133,8 @@ def test_verify_range_past_the_source_is_refused_before_any_read():
         verify_range(builtin_operator("mathar"), builtin_sequence("A032123"), 6, MAX_INDEX + 1)
 
 
-def test_verify_range_refuses_an_order_over_the_cap_before_any_read():
+def _recorded():
+    """A source of zeros on 0..MAX_INDEX, and the list of the indices its runs yield."""
     drawn = []
 
     def run(n):
@@ -139,17 +142,80 @@ def test_verify_range_refuses_an_order_over_the_cap_before_any_read():
             drawn.append(m)
             yield 0
 
-    zero, cap = SequenceSource("zero", run, 0, MAX_INDEX), operators.MAX_VERIFY_ORDER
-    shift = ShiftOperator([1] + [0] * (cap - 1) + [1])
-    assert shift.order == cap == 31
-    assert verify_range(shift, zero, cap, 2 * cap + 2).passed
+    return SequenceSource("zero", run, 0, MAX_INDEX), drawn
+
+
+def test_verify_range_refuses_work_over_the_cap_before_any_read(monkeypatch):
+    # The work counted, read from the refusal under a cap of 0, is admitted
+    # exactly; one unit less is refused with nothing read.
+    mathar = builtin_operator("mathar")
+    zero, drawn = _recorded()
+    monkeypatch.setattr(operators, "MAX_SWEEP_WORK", 0)
+    with pytest.raises(ValueError, match=r"^sweeping 6..400 is \d+ units of work") as refusal:
+        verify_range(mathar, zero, 6, 400)
+    work = int(str(refusal.value).split()[3])
+    monkeypatch.setattr(operators, "MAX_SWEEP_WORK", work)
+    assert verify_range(mathar, zero, 6, 400).passed
+    assert drawn == list(range(1, 401))
     drawn.clear()
-    deep = ShiftOperator([1] + [0] * 26 + [1]) * builtin_operator("mathar")
-    assert deep.order == cap + 1
-    with pytest.raises(ValueError, match=f"order {cap + 1} is over the cap "
-                                         f"MAX_VERIFY_ORDER = {cap}$"):
-        verify_range(deep, zero, cap + 1, MAX_INDEX)
+    monkeypatch.setattr(operators, "MAX_SWEEP_WORK", work - 1)
+    with pytest.raises(ValueError, match=f"^sweeping 6..400 is {work} units of work, over the "
+                                         f"cap MAX_SWEEP_WORK = {work - 1}$"):
+        verify_range(mathar, zero, 6, 400)
     assert drawn == []
+
+
+#: An order-31 operator with every coefficient of degree 150, which annihilates
+#: A032123: its sweep over 32..MAX_INDEX took 705 s and 22 min of CPU.
+ORDER_31_DEGREE_150 = ShiftOperator([Polynomial([1] * 149)] * 27) * builtin_operator("mathar")
+
+
+@pytest.mark.parametrize("op, n_from, n_to", [
+    (ORDER_31_DEGREE_150, 32, MAX_INDEX),
+    (ShiftOperator([Polynomial([0] * 100_000 + [1]), Polynomial([0] * 100_000 + [-1])]), 1, 10),
+    (ShiftOperator([1] + [0] * 49_999 + [-1]), 50_000, 50_001),
+], ids=["order31-degree150-to-MAX_INDEX", "degree100000", "window-of-50001-terms"])
+def test_verify_range_refuses_a_costly_sweep_at_once(op, n_from, n_to):
+    zero, drawn = _recorded()
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"units of work, over the cap MAX_SWEEP_WORK = "):
+        verify_range(op, zero, n_from, n_to)
+    assert time.perf_counter() - start < 1.0
+    assert drawn == []
+
+
+class _Read(Exception):
+    """Raised by a source at its first read: the sweep was admitted."""
+
+
+def _unread(n):
+    raise _Read
+    yield
+
+
+_WIDE = [Polynomial([(1 << 4095) + k for k in range(151)])] * 32
+
+
+@pytest.mark.parametrize("op, n_from, n_to", [
+    (builtin_operator("mathar"), 6, MAX_INDEX),
+    (builtin_operator("u-op"), 1, 200),
+    (builtin_operator("v-op"), 2, 200),
+    (lclm(builtin_operator("u-op"), builtin_operator("v-op"))[0], 3, 2000),
+    (ShiftOperator([1, 1]) * builtin_operator("mathar"), 6, 200),
+    (ShiftOperator([1, 0, 1]) * builtin_operator("mathar"), 7, 200),
+    (ORDER_31_DEGREE_150, 31, 2000),
+    (ShiftOperator(_WIDE), 31, 2000),
+    (ShiftOperator(_WIDE[:2]), 1, 2000),
+], ids=["mathar-numeric-to-MAX_INDEX", "u-recurrence", "v-recurrence", "lclm-numeric",
+        "order6-mathar", "order7-mathar", "order31-degree150", "order31-degree150-4096bits",
+        "order1-degree150-4096bits"])
+def test_the_sweep_cap_admits_every_sweep_recurra_runs(op, n_from, n_to):
+    # The proof's sweeps, and the order-6 and order-7 operators it passes; the
+    # widest shapes the former caps admitted, order 31 at degree 150, and
+    # guess's widest emit, order 1 at degree 149 under MAX_UNKNOWNS, on ranges
+    # up to 2000. The admitted sweep stops at its first read.
+    with pytest.raises(_Read):
+        verify_range(op, SequenceSource("unread", _unread, 0, MAX_INDEX), n_from, n_to)
 
 
 def test_unroll_from_a_wrong_seed_raises_at_the_first_non_integral_step():
@@ -720,28 +786,6 @@ def test_each_in_order_reader_reads_one_run(monkeypatch, capsys, window_reads, r
     _read_in_order(reader, monkeypatch, starts)
     assert starts == _RUNS[reader]
     assert window_reads == []
-
-
-def test_verify_range_refuses_a_degree_over_the_cap_before_any_read():
-    drawn = []
-
-    def run(n):
-        for m in count(n):
-            drawn.append(m)
-            yield 1
-
-    ones, cap = SequenceSource("ones", run, 0, MAX_INDEX), operators.MAX_VERIFY_DEGREE
-    assert verify_range(ShiftOperator([n**cap, -n**cap]), ones, 1, 10).passed
-    drawn.clear()
-    with pytest.raises(ValueError, match=f"degree {cap + 1}, over the cap "
-                                         f"MAX_VERIFY_DEGREE = {cap}$"):
-        verify_range(ShiftOperator([n ** (cap + 1), -n ** (cap + 1)]), ones, 1, 10)
-    assert drawn == []
-
-
-def test_the_verify_degree_cap_admits_every_guess():
-    # guess's highest degree comes at order 1, its least: (1 + 1)(degree + 1) unknowns.
-    assert guess.MAX_UNKNOWNS // 2 - 1 <= operators.MAX_VERIFY_DEGREE
 
 
 _scalars = st.integers(-20, 20)

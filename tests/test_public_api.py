@@ -1,12 +1,15 @@
+import copy
 import importlib
+import pickle
 
 import pytest
 
 import recurra
-from recurra.certify import CertificationReport, HyperTermSpec, ResidueReduction
+from recurra.certify import CertificationReport, HyperTermSpec, ResidueReduction, builtin_term
 from recurra.check import Check
 from recurra.exact import Polynomial, n
 from recurra.guess import GuessResult
+from recurra.operators import builtin_operator
 from recurra.sequences import OgfReport
 
 
@@ -88,3 +91,15 @@ def test_a_record_refuses_assignment_and_compares_by_its_fields(record, change):
     assert rebuilt is not record and rebuilt == record and hash(rebuilt) == hash(record)
     assert record == tuple(record)
     assert record._replace(**change) != record
+
+
+@pytest.mark.parametrize("copier", [lambda x: pickle.loads(pickle.dumps(x)), copy.copy,
+                                    copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+@pytest.mark.parametrize("value", [n**2 - 3, builtin_operator("mathar"), builtin_term("v-spec")],
+                         ids=["Polynomial", "ShiftOperator", "HyperTermSpec"])
+def test_an_immutable_value_survives_pickle_and_copy(value, copier):
+    # Each is rebuilt through its constructor, which the refusing __setattr__ requires.
+    twin = copier(value)
+    assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+    if isinstance(value, HyperTermSpec):
+        assert twin.q_roots == value.q_roots == (1,)

@@ -90,6 +90,16 @@ def test_orbit_oracle_small_by_hand():
     assert orbit_count_oracle(5, 5) == 1
 
 
+@pytest.mark.parametrize("length, ones, match", [
+    (-1, None, "string length must be nonnegative"),
+    (4, 5, "ones=5 is outside 0..4"),
+    (4, -1, "ones=-1 is outside 0..4"),
+])
+def test_orbit_oracle_refuses_a_negative_length_or_an_impossible_weight(length, ones, match):
+    with pytest.raises(ValueError, match=match):
+        orbit_count_oracle(length, ones)
+
+
 def test_orbit_oracle_cap():
     with pytest.raises(ValueError, match="cap"):
         orbit_count_oracle(ORACLE_LENGTH_CAP + 1, 3)
