@@ -72,6 +72,21 @@ SHARD_MIN = 10_000
 #: took 14 s at D = 10,000 on 1..295 and 19 s at D = 2,000 on 1..4373.
 MAX_SWEEP_WORK = 15 * 10**12
 _ROW_BITS, _HORNER, _STEP_BITS = 120, 27, 3600
+#: Most commas an operator or term file may hold, counted before it is parsed.
+#: Each coefficient after a row's first follows a comma, so the count bounds
+#: the coefficients a file lists, zeros included. No command admits a file of
+#: more: the least work ``verify_range`` counts for T coefficients is an order-0
+#: operator's one row of T ones on 1..1, 2(_ROW_BITS + T + 1) +
+#: _HORNER * T * (_STEP_BITS + T + 1) units, over MAX_SWEEP_WORK from
+#: T = 743,558 on. More rows, a higher order, wider coefficients or a later
+#: n_to only add work; the one range that admits more is the lone index 0,
+#: where n contributes no bits. ``lclm`` admits at most MAX_LCLM_BITS
+#: coefficients, one bit each, and a term or a certified operator at most 101
+#: a row. The cap leaves room for a file's other fields. Read up to the
+#: sweep's refusal, a file at the cap, two rows of 374,999 string
+#: coefficients, took 1.3 s and 47 MB (1.7 s as JSON integers); two rows of
+#: 1,000,000 took 3.4 s and 163 MB before this cap (2-vCPU Xeon, CPython 3.11).
+MAX_FILE_COMMAS = 750_000
 #: Most coefficient bits one LCLM system may be built from: each input's
 #: coefficients counted as certify counts them (``exact.width_bits``), once per
 #: cofactor term, (order - order(a) + 1)(degree + 1) times for a and likewise
@@ -204,8 +219,13 @@ def json_object(text: str, what: str, **fields) -> dict:
     """Parse a JSON object and check each required field against its check.
 
     A missing or mistyped field raises ValueError naming it, so a malformed
-    file fails like any other bad input instead of with a traceback.
+    file fails like any other bad input instead of with a traceback. A text
+    of more than ``MAX_FILE_COMMAS`` commas is refused before it is parsed.
     """
+    commas = text.count(",")
+    if commas > MAX_FILE_COMMAS:
+        raise ValueError(f"{what} file has {commas} commas, over the cap MAX_FILE_COMMAS = "
+                         f"{MAX_FILE_COMMAS}: no command admits that many coefficients")
     try:
         doc = json.loads(text, parse_int=parse_coefficient)  # under COEFF_DIGITS
     except RecursionError:
@@ -496,13 +516,21 @@ def _lclm_system(a, b, order, degree):
         for op, count, sign in ((a, order - a.order + 1, 1), (b, order - b.order + 1, -1))
         for i in range(count)
     ]
+    # Row k of coefficient t holds each unit's coefficients of n^k, n^(k-1),
+    # ..., n^(k-degree): a slice of its coefficients, zero-padded by degree at
+    # each end and reversed, which starts at top + degree - k.
     eq_rows = []
     for t in range(order + 1):
         top = max(unit[t].degree for unit in units)
         if top < 0:
             continue
-        for k in range(top + width):
-            eq_rows.append([unit[t][k - e] for unit in units for e in range(width)])
+        rev = [([0] * degree + list(unit[t].coeffs) + [0] * (top - unit[t].degree + degree))[::-1]
+               for unit in units]
+        for s in range(top + degree, -1, -1):
+            row = []
+            for r in rev:
+                row += r[s : s + width]
+            eq_rows.append(row)
     return eq_rows, len(units) * width
 
 

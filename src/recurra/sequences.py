@@ -30,8 +30,9 @@ naming that index, before any term is read.
 reversal over half-strings: writing s = hi.[c].lo, s <= reverse(s) iff
 hi <= rev(lo), so each (c, lo) contributes the halves hi up to rev(lo).
 It shares no code with the closed forms and exists to cross-check them.
-``verify_ogf`` checks the generating function behind the closed form by
-integer Newton iteration.
+``verify_ogf`` checks the generating function behind the closed form, whose
+two summands it expands by the recurrence that f^(-1/2) satisfies, one exact
+division per coefficient.
 """
 from __future__ import annotations
 
@@ -200,43 +201,37 @@ def orbit_count_oracle(length: int, ones: int | None = None) -> int:
 
 
 def series_inv_sqrt(f: list[int], order: int) -> list[int]:
-    """The coefficients of x^0 .. x^order of f^(-1/2), for f[0] == 1.
+    """The coefficients of x^0 .. x^order of f^(-1/2), for integer f with f[0] == 1.
 
-    Newton's g <- g*(3 - f*g^2)/2 doubles the precision of g each step
-    (Brent & Kung, J. ACM 1978). With g exact mod x^h, f*g^2 = 1 + x^h*E,
-    so the step keeps g's h coefficients and appends those of -g*E/2 below
-    the new precision p, computing only E mod x^(p - h) and g*E mod
-    x^(p - h). Up to an index where f^(-1/2) is integral, every iterate is
-    integral too, so each halving is exact; an odd coefficient means the
-    series is not integral there, and raises ``ValueError``.
+    g = f^(-1/2) satisfies 2f*g' + f'*g = 0, which at x^(k-1) reads
+    2k*g_k = -sum_{i=1..min(k, deg f)} (2k - i)*f_i*g_(k-i), with g_0 = 1
+    (J. C. P. Miller's recurrence for a power of a series; Knuth, TAOCP
+    vol. 2, 4.7). Each coefficient is one exact ``divmod`` by 2k over f's
+    nonzero terms: a remainder means the series is not integral there, and
+    raises ``ValueError``. An entry of f that is not an ``int`` raises
+    ``TypeError``.
     """
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
     if not f or f[0] != 1:
         raise ValueError("inverse square root needs constant term 1")
-    g, h = [1], 1
-    while h <= order:  # g holds the series mod x^h; each step doubles h
-        p = min(2 * h, order + 1)
-        e = _mul_low(f[:p], _mul_low(g, g, p), p)[h:]
-        twice = _mul_low(g, e, p - h)  # minus twice the coefficients of x^h .. x^(p-1)
-        odd = next((k for k, c in enumerate(twice) if c & 1), None)
-        if odd is not None:
+    if not all(isinstance(c, int) for c in f):
+        raise TypeError("series coefficients must be integers")
+    terms = [(i, c) for i, c in enumerate(f[1 : order + 1], 1) if c]
+    g = [1]
+    for k in range(1, order + 1):
+        total = 0
+        for i, c in terms:
+            if i > k:
+                break
+            total += (2 * k - i) * c * g[k - i]
+        q, r = divmod(-total, 2 * k)
+        if r:
             raise ValueError(
-                f"f^(-1/2) is not integral: its coefficient of x^{h + odd} is not an integer"
+                f"f^(-1/2) is not integral: its coefficient of x^{k} is not an integer"
             )
-        g += [-(c >> 1) for c in twice]
-        h = p
+        g.append(q)
     return g
-
-
-def _mul_low(a: list[int], b: list[int], k: int) -> list[int]:
-    """The coefficients of x^0 .. x^(k-1) of the product of a and b."""
-    out = [0] * k
-    for i, ai in enumerate(a[:k]):
-        if ai:
-            for j, bj in enumerate(b[: k - i]):
-                out[i + j] += ai * bj
-    return out
 
 
 class OgfReport(NamedTuple):
@@ -261,5 +256,5 @@ def verify_ogf(order: int) -> OgfReport:
     a.check_range(0, order)
     g1 = series_inv_sqrt([1, -4], order)
     g2 = series_inv_sqrt([1, 0, -4], order)
-    pairs = [(k, x + y, 2 * t) for k, x, y, t in zip(range(order + 1), g1, g2, a.run(0))]
+    pairs = ((k, x + y, 2 * t) for k, x, y, t in zip(range(order + 1), g1, g2, a.run(0)))
     return OgfReport(order=order, mismatches=tuple(m for m in pairs if m[1] != m[2]))

@@ -1081,6 +1081,36 @@ def test_operator_coefficient_digit_cap_fails_fast(tmp_path, capsys):
     assert "set_int_max_str_digits" not in err
 
 
+@pytest.mark.parametrize("kind, argv", [
+    ("operator", ["verify", "--operator", "{}", "--sequence", "A032123", "--from", "6",
+                  "--to", "10"]),
+    ("term", ["certify", "--operator", "mathar", "--term", "{}"]),
+])
+def test_a_file_over_the_comma_cap_fails_before_it_is_parsed(tmp_path, capsys, monkeypatch,
+                                                             kind, argv):
+    # One row of MAX_FILE_COMMAS + 1 coefficients, as JSON integers, which the
+    # JSON reader would convert one by one.
+    row = [1] * (operators.MAX_FILE_COMMAS + 1)
+    doc = ({"convention": "backward", "order": 1, "coeffs": [row, [1]]} if kind == "operator"
+           else {"step": 1, "p": row, "q": [1], "support": [0], "n_min": 1})
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    commas = path.read_text().count(",")
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the file was parsed")
+
+    monkeypatch.setattr(operators.json, "loads", refused)
+    code = main([a.format(path) for a in argv])
+    assert code == EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {kind} file has {commas} commas, over the cap MAX_FILE_COMMAS = "
+        f"{operators.MAX_FILE_COMMAS}: no command admits that many coefficients\n"
+    )
+
+
 def test_lclm_reads_back_coefficients_past_the_int_str_digit_cap(tmp_path, capsys):
     doc = json.loads(builtin_operator("u-op").to_json())
     doc["coeffs"][0][0] = "1e5000"

@@ -297,6 +297,46 @@ def test_series_inv_sqrt_refuses_a_non_integral_series():
         assert len(series_inv_sqrt(f, power - 1)) == power
 
 
+def test_series_inv_sqrt_refuses_entries_that_are_not_integers():
+    for f in ([1, 0.5], [1.0, -4], [1, Fraction(-4)], [Fraction(1), -4], [1, -4, 0, 2.0]):
+        for order in (0, 3):
+            with pytest.raises(TypeError, match="integers"):
+                series_inv_sqrt(f, order)
+
+
+def _inv_sqrt_by_binomials(f, order):
+    """f^(-1/2) mod x^(order+1) over Q, as sum_m C(-1/2, m) (f - 1)^m."""
+    h = [Fraction(0)] + [Fraction(c) for c in f[1 : order + 1]]
+    h += [Fraction(0)] * (order + 1 - len(h))
+    out, power, binom = [Fraction(0)] * (order + 1), [Fraction(1)] + [Fraction(0)] * order, 1
+    for m in range(order + 1):
+        out = [o + binom * p for o, p in zip(out, power)]
+        power = _mul_trunc(power, h, order + 1)
+        binom = binom * (Fraction(-1, 2) - m) / (m + 1)
+    return out
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.one_of(st.integers(-9, 9), st.integers(-3, 3).map(lambda c: 4 * c)),
+             max_size=8),
+    st.integers(0, 24),
+)
+def test_series_inv_sqrt_matches_the_binomial_series(tail, order):
+    f = [1, *tail]
+    exact = _inv_sqrt_by_binomials(f, order)
+    first = next((k for k, c in enumerate(exact) if c.denominator != 1), None)
+    if first is None:
+        assert series_inv_sqrt(f, order) == exact
+    else:
+        with pytest.raises(ValueError) as caught:
+            series_inv_sqrt(f, order)
+        assert str(caught.value) == (
+            f"f^(-1/2) is not integral: its coefficient of x^{first} is not an integer"
+        )
+        assert series_inv_sqrt(f, first - 1) == exact[:first]
+
+
 def test_series_inv_sqrt_self_consistency():
     # For an integer series h with h[0] = 1, f = h^(-2) is an integer series,
     # and f^(-1/2) must give h back.

@@ -852,6 +852,55 @@ def _lclm_by_every_degree(a, b, order_cap, degree_cap):
     )
 
 
+def _lclm_system_by_entry(a, b, order, degree):
+    """The reference LCLM system: each entry read from its unit's polynomial."""
+    units = [
+        operators._compose([Polynomial([sign] if j == i else []) for j in range(count)], op)
+        for op, count, sign in ((a, order - a.order + 1, 1), (b, order - b.order + 1, -1))
+        for i in range(count)
+    ]
+    rows = []
+    for t in range(order + 1):
+        top = max(unit[t].degree for unit in units)
+        for k in range(top + degree + 1 if top >= 0 else 0):
+            rows.append([unit[t][k - e] for unit in units for e in range(degree + 1)])
+    return rows, len(units) * (degree + 1)
+
+
+@pytest.mark.parametrize("names, orders, degrees", [
+    (("u*v", "v*u"), range(3, 8), range(11)),
+    (("u-op", "v-op"), range(2, 6), range(8)),
+    (("mathar", "u*v"), range(6, 9), range(4)),
+])
+def test_lclm_system_matches_the_system_read_entry_by_entry(names, orders, degrees):
+    u, v = builtin_operator("u-op"), builtin_operator("v-op")
+    known = {"u*v": u * v, "v*u": v * u}
+    a, b = (known[x] if x in known else builtin_operator(x) for x in names)
+    for order in orders:
+        for degree in degrees:
+            expected = _lclm_system_by_entry(a, b, order, degree)
+            assert operators._lclm_system(a, b, order, degree) == expected
+
+
+@settings(deadline=None)
+@given(_operators, _operators, st.integers(0, 2), st.integers(0, 4))
+def test_lclm_system_matches_the_entry_reader_on_random_operators(a, b, extra, degree):
+    order = max(a.order, b.order) + extra
+    expected = _lclm_system_by_entry(a, b, order, degree)
+    assert operators._lclm_system(a, b, order, degree) == expected
+
+
+def test_the_comma_cap_admits_every_operator_a_sweep_admits():
+    # The least work a sweep counts for T coefficients is one row of T ones on
+    # 1..1; 743,557 is the most it admits, and its file is under the cap.
+    most, a = 743_557, builtin_sequence("A032123")
+    assert not verify_range(ShiftOperator([Polynomial([1] * most)]), a, 1, 1).passed
+    with pytest.raises(ValueError, match="MAX_SWEEP_WORK"):
+        verify_range(ShiftOperator([Polynomial([1] * (most + 1))]), a, 1, 1)
+    text = json.dumps({"convention": "backward", "order": 0, "coeffs": [[1] * most]})
+    assert text.count(",") == most + 1 <= operators.MAX_FILE_COMMAS
+
+
 def _lclm_outcome(search, a, b):
     try:
         return search(a, b, 4, 6)
